@@ -19,6 +19,7 @@ from .bounds import (
     extreme_eig_bounds,
     logdet_lower_bound,
     solve_bound_program,
+    spectral_upper_bound,
 )
 from .detection import (
     DetectionExperiment,
@@ -39,6 +40,7 @@ from .experiment import (
 from .gaussian import (
     AttackModel,
     DerivedCovariances,
+    Scenario,
     SpectralData,
     StateCovariance,
     attack_from_matrix,
@@ -64,6 +66,7 @@ from .grid import (
     load_ieee30,
     load_matpower_case,
     load_matrix_csv,
+    load_measurement_matrix,
     parse_matpower_case,
 )
 from .learning import (
@@ -90,11 +93,13 @@ __all__ = [
     "load_ieee30",
     "build_dc_jacobian",
     "load_matrix_csv",
+    "load_measurement_matrix",
     # gaussian
     "StateCovariance",
     "AttackModel",
     "DerivedCovariances",
     "SpectralData",
+    "Scenario",
     "toeplitz_covariance",
     "sigma_from_snr",
     "derived_covariances",
@@ -123,6 +128,7 @@ __all__ = [
     "solve_bound_program",
     "logdet_lower_bound",
     "BoundResult",
+    "spectral_upper_bound",
     "ergodic_upper_bound",
     # detection
     "DetectionExperiment",

@@ -17,14 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import (
-    SpectralData,
-    StateCovariance,
-    logdet_psd,
-    nonzero_spectrum,
-    symmetrize,
-    _as_matrix,
-)
+from .gaussian import SpectralData, StateCovariance, nonzero_spectrum
 
 __all__ = [
     "digamma",
@@ -35,6 +28,7 @@ __all__ = [
     "solve_bound_program",
     "logdet_lower_bound",
     "BoundResult",
+    "spectral_upper_bound",
     "ergodic_upper_bound",
 ]
 
@@ -260,6 +254,36 @@ class BoundResult:
     formula: str
 
 
+def spectral_upper_bound(
+    spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "paper"
+) -> BoundResult:
+    """Closed-form upper bound on the expected learned-attack cost at K.
+
+        bound = 1/2 [ tr(S_yy^-1 S_aa*) + log|S_yy| - logdet_lower_bound ]
+
+    with S_aa* = H S_xx H^T the optimal attack covariance and
+    S_yy = S_aa* + sigma^2 I_M.  Both terms follow from the nonzero
+    spectrum lambda_1..lambda_p of S_aa*:
+
+        tr(S_yy^-1 S_aa*) = sum_i lambda_i / (lambda_i + sigma^2),
+        log|S_yy| = sum_i log(lambda_i + sigma^2) + (M - p) log sigma^2.
+
+    The bound decreases monotonically in K and converges to the optimal cost.
+    """
+    lower = logdet_lower_bound(spectrum, sigma, m, k, formula)
+    shifted = spectrum.eigenvalues + sigma**2
+    trace_term = float(np.sum(spectrum.eigenvalues / shifted))
+    logdet_syy = float(np.sum(np.log(shifted))) + (m - spectrum.p) * math.log(sigma**2)
+    return BoundResult(
+        value=0.5 * (trace_term + logdet_syy - lower),
+        digamma_sum=expected_logdet_std_wishart(spectrum.p, k, formula),
+        logdet_lower=lower,
+        spectrum=spectrum,
+        k=k,
+        formula=formula,
+    )
+
+
 def ergodic_upper_bound(
     h: np.ndarray,
     sigma_xx: StateCovariance,
@@ -267,31 +291,6 @@ def ergodic_upper_bound(
     k: int,
     formula: str = "paper",
 ) -> BoundResult:
-    """Closed-form upper bound on the expected learned-attack cost at K.
-
-        bound = 1/2 [ tr(S_yy^-1 S_aa*) + log|S_yy| - logdet_lower_bound ]
-
-    with S_aa* = H S_xx H^T the optimal attack covariance.  The bound
-    decreases monotonically in K and converges to the optimal cost.
-    """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    """:func:`spectral_upper_bound` for the system (H, S_xx, sigma)."""
     h = np.asarray(h, dtype=float)
-    sxx = _as_matrix(sigma_xx)
-    m = h.shape[0]
-    gram = symmetrize(h @ sxx @ h.T)
-    syy = gram + sigma**2 * np.eye(m)
-    spectrum = nonzero_spectrum(h, sxx)
-    if k - 1 < spectrum.p:
-        raise ValueError(f"need k-1 >= p (got k-1={k - 1}, p={spectrum.p})")
-    trace_term = float(np.trace(np.linalg.solve(syy, gram)))
-    lower = logdet_lower_bound(spectrum, sigma, m, k, formula)
-    value = 0.5 * (trace_term + logdet_psd(syy) - lower)
-    return BoundResult(
-        value=value,
-        digamma_sum=expected_logdet_std_wishart(spectrum.p, k, formula),
-        logdet_lower=lower,
-        spectrum=spectrum,
-        k=k,
-        formula=formula,
-    )
+    return spectral_upper_bound(nonzero_spectrum(h, sigma_xx), sigma, h.shape[0], k, formula)

@@ -12,7 +12,7 @@ import sys
 
 import numpy as np
 
-from .bounds import FORMULAS, ergodic_upper_bound
+from .bounds import FORMULAS, spectral_upper_bound
 from .detection import error_exponent_estimate
 from .experiment import (
     DEFAULT_K_GRID,
@@ -21,19 +21,12 @@ from .experiment import (
     load_experiment_config,
     run_experiment,
 )
-from .gaussian import (
-    DerivedCovariances,
-    nonzero_spectrum,
-    optimal_cost,
-    sigma_from_snr,
-    toeplitz_covariance,
-)
+from .gaussian import DerivedCovariances, Scenario, optimal_cost
 from .grid import (
     MeasurementSelection,
     build_dc_jacobian,
-    load_ieee30,
     load_matpower_case,
-    load_matrix_csv,
+    load_measurement_matrix,
 )
 from .learning import SAMPLERS, TrainingConfig, estimate_ergodic_cost
 
@@ -59,14 +52,9 @@ def _parse_k_grid(spec: str) -> tuple[int, ...]:
     return tuple(int(part) for part in spec.split(",") if part.strip())
 
 
-def _load_case(path: str):
-    return load_ieee30() if path == "bundled:ieee30" else load_matpower_case(path)
-
-
-def _resolve_h(args) -> np.ndarray:
-    if getattr(args, "h_csv", None):
-        return load_matrix_csv(args.h_csv)
-    return build_dc_jacobian(_load_case(args.case), _parse_measurements(args.measurements)).h
+def _scenario(args) -> Scenario:
+    h = load_measurement_matrix(args.case, args.h_csv, _parse_measurements(args.measurements))
+    return Scenario.build(h, args.rho, args.snr_db)
 
 
 def _add_system_args(parser: argparse.ArgumentParser) -> None:
@@ -83,7 +71,7 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
 
 
 def _cmd_parse(args) -> int:
-    case = _load_case(args.case)
+    case = load_matpower_case(args.case)
     print(f"buses: {case.n_buses}")
     print(f"in-service branches: {len(case.in_service_branches)}")
     print(f"slack bus: {case.slack_bus}")
@@ -92,7 +80,7 @@ def _cmd_parse(args) -> int:
 
 
 def _cmd_model(args) -> int:
-    case = _load_case(args.case)
+    case = load_matpower_case(args.case)
     model = build_dc_jacobian(case, _parse_measurements(args.measurements))
     print(f"measurements M: {model.n_measurements}")
     print(f"states N: {model.n_states}")
@@ -103,22 +91,17 @@ def _cmd_model(args) -> int:
 
 
 def _cmd_optimal(args) -> int:
-    h = _resolve_h(args)
-    sigma_xx = toeplitz_covariance(h.shape[1], args.rho)
-    sigma = sigma_from_snr(h, sigma_xx, args.snr_db)
-    spectrum = nonzero_spectrum(h, sigma_xx)
-    print(f"sigma^2: {sigma**2!r}")
-    print(f"rank p: {spectrum.p}")
-    print(f"optimal cost: {optimal_cost(spectrum, sigma)!r}")
+    s = _scenario(args)
+    print(f"sigma^2: {s.sigma**2!r}")
+    print(f"rank p: {s.spectrum.p}")
+    print(f"optimal cost: {optimal_cost(s.spectrum, s.sigma)!r}")
     return 0
 
 
 def _cmd_ergodic(args) -> int:
-    h = _resolve_h(args)
-    sigma_xx = toeplitz_covariance(h.shape[1], args.rho)
-    sigma = sigma_from_snr(h, sigma_xx, args.snr_db)
+    s = _scenario(args)
     cfg = TrainingConfig(k=args.k, seed=args.seed, trials=args.trials, sampler=args.sampler)
-    estimate = estimate_ergodic_cost(h, sigma_xx, sigma, cfg, workers=args.workers)
+    estimate = estimate_ergodic_cost(s.h, s.sigma_xx, s.sigma, cfg)
     print(f"k: {estimate.k}")
     print(f"trials: {estimate.trials}")
     print(f"ergodic cost mean: {estimate.mean!r}")
@@ -127,16 +110,14 @@ def _cmd_ergodic(args) -> int:
 
 
 def _cmd_bound(args) -> int:
-    h = _resolve_h(args)
-    sigma_xx = toeplitz_covariance(h.shape[1], args.rho)
-    sigma = sigma_from_snr(h, sigma_xx, args.snr_db)
-    result = ergodic_upper_bound(h, sigma_xx, sigma, args.k, args.formula)
+    s = _scenario(args)
+    result = spectral_upper_bound(s.spectrum, s.sigma, s.m, args.k, args.formula)
     print(f"k: {result.k}")
     print(f"formula: {result.formula}")
     print(f"bound: {result.value!r}")
     print(f"expected logdet term: {result.digamma_sum!r}")
     print(f"logdet lower bound: {result.logdet_lower!r}")
-    print(f"optimal cost: {optimal_cost(result.spectrum, sigma)!r}")
+    print(f"optimal cost: {optimal_cost(s.spectrum, s.sigma)!r}")
     return 0
 
 
@@ -171,7 +152,6 @@ def _cmd_fig1(args) -> int:
         k_grid=args.k_grid,
         formula=args.formula,
         sampler=args.sampler,
-        workers=args.workers,
     )
     for path in paths:
         print(f"wrote {path}")
@@ -206,7 +186,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
-    p.add_argument("--workers", type=int, default=1)
     p.set_defaults(handler=_cmd_ergodic)
 
     p = sub.add_parser("bound", help="closed-form ergodic upper bound at one K")
@@ -234,7 +213,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=_parse_k_grid, default=DEFAULT_K_GRID)
     p.add_argument("--formula", choices=FORMULAS, default="paper")
     p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
-    p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", help="JSON config supplying an ExperimentConfig")
     p.set_defaults(handler=_cmd_fig1)
 

@@ -9,21 +9,15 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import FORMULAS, ergodic_upper_bound
-from .gaussian import nonzero_spectrum, optimal_cost, sigma_from_snr, toeplitz_covariance
-from .grid import (
-    MeasurementSelection,
-    build_dc_jacobian,
-    load_ieee30,
-    load_matpower_case,
-    load_matrix_csv,
-)
+from .bounds import FORMULAS, spectral_upper_bound
+from .gaussian import Scenario, optimal_cost
+from .grid import MeasurementSelection, load_measurement_matrix
 from .learning import SAMPLERS, TrainingConfig, estimate_ergodic_cost
 
 __all__ = [
@@ -65,7 +59,6 @@ class ExperimentConfig:
     formula: str = "paper"
     sampler: str = "bartlett"
     measurements: MeasurementSelection = field(default_factory=MeasurementSelection)
-    workers: int = 1
     output_dir: str = "."
 
     def __post_init__(self) -> None:
@@ -84,8 +77,6 @@ class ExperimentConfig:
             raise ValueError(f"formula must be one of {FORMULAS}, got {self.formula!r}")
         if self.sampler not in SAMPLERS:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -93,23 +84,17 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
 
     Keys are the dataclass field names; ``measurements`` is a mapping with
     the :class:`MeasurementSelection` flags; ``k_grid`` is a list of ints.
+    Any other key is rejected.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
+    if unknown:
+        raise ValueError(f"unknown config keys {unknown} in {path}")
     if "measurements" in raw:
         raw["measurements"] = MeasurementSelection(**raw["measurements"])
     if "k_grid" in raw:
         raw["k_grid"] = tuple(raw["k_grid"])
     return ExperimentConfig(**raw)
-
-
-def _resolve_measurement_matrix(config: ExperimentConfig) -> np.ndarray:
-    if config.h_path is not None:
-        return load_matrix_csv(config.h_path)
-    if config.case_path == "bundled:ieee30":
-        case = load_ieee30()
-    else:
-        case = load_matpower_case(config.case_path)
-    return build_dc_jacobian(case, config.measurements).h
 
 
 def _per_k_seed(seed: int, k: int) -> int:
@@ -126,21 +111,19 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
 
     Each CSV row holds the Monte Carlo ergodic estimate, the closed-form
     bound, the optimal cost, and ``gap = bound - optimal_cost`` for one K.
-    Identical configs produce byte-identical files regardless of
-    ``workers``.
+    The manifest adds the bound under the other formula and, as
+    ``bound_large_k``, the bound at K-1 = 10^8.  Identical configs produce
+    byte-identical files.
 
     Returns the CSV path.
     """
-    h = _resolve_measurement_matrix(config)
-    n = h.shape[1]
-    sigma_xx = toeplitz_covariance(n, config.rho)
-    sigma = sigma_from_snr(h, sigma_xx, config.snr_db)
-    spectrum = nonzero_spectrum(h, sigma_xx)
-    for k in config.k_grid:
-        if k - 1 < spectrum.p:
-            raise ValueError(
-                f"k_grid entry {k} violates k-1 >= p (p={spectrum.p} for this system)"
-            )
+    h = load_measurement_matrix(config.case_path, config.h_path, config.measurements)
+    scenario = Scenario.build(h, config.rho, config.snr_db)
+    sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
+    if config.k_grid[0] - 1 < spectrum.p:  # k_grid is increasing
+        raise ValueError(
+            f"k_grid entry {config.k_grid[0]} violates k-1 >= p (p={spectrum.p} for this system)"
+        )
     f_star = optimal_cost(spectrum, sigma)
 
     rows = []
@@ -150,12 +133,13 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
         cfg = TrainingConfig(
             k=k, seed=_per_k_seed(config.seed, k), trials=config.trials, sampler=config.sampler
         )
-        estimate = estimate_ergodic_cost(h, sigma_xx, sigma, cfg, workers=config.workers)
-        bound = ergodic_upper_bound(h, sigma_xx, sigma, k, config.formula)
+        estimate = estimate_ergodic_cost(h, scenario.sigma_xx, sigma, cfg)
+        bound = spectral_upper_bound(spectrum, sigma, m, k, config.formula)
         rows.append(
             (k, estimate.mean, estimate.stderr, bound.value, f_star, bound.value - f_star)
         )
-        bounds_other.append(ergodic_upper_bound(h, sigma_xx, sigma, k, other).value)
+        bounds_other.append(spectral_upper_bound(spectrum, sigma, m, k, other).value)
+    bound_large_k = spectral_upper_bound(spectrum, sigma, m, _ASYMPTOTIC_K, config.formula).value
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -170,12 +154,13 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
         "columns": list(CSV_COLUMNS),
         "sigma": sigma,
         "sigma_sq": sigma**2,
-        "m": int(h.shape[0]),
-        "n": int(n),
+        "m": m,
+        "n": int(h.shape[1]),
         "p": spectrum.p,
         "spectrum_sha256": hashlib.sha256(spectrum.eigenvalues.tobytes()).hexdigest(),
         "optimal_cost": f_star,
         f"bound_{other}": bounds_other,
+        "bound_large_k": bound_large_k,
         "version": __version__,
     }
     manifest_path = out_dir / f"{stem}_manifest.json"
@@ -196,17 +181,14 @@ def emit_fig1_dataset(
     k_grid: tuple[int, ...] = DEFAULT_K_GRID,
     formula: str = "paper",
     sampler: str = "bartlett",
-    workers: int = 1,
 ) -> list[Path]:
     """K-sweep of the bundled 30-bus system at SNR 20 dB, rho in {0.1, 0.8}.
 
     Writes ``fig1_rho01.csv`` and ``fig1_rho08.csv`` (plus manifests) into
-    ``output_dir`` and prints, per rho, the analytic large-K check: the
-    bound at K-1 = 10^8 against the optimal cost.
+    ``output_dir`` and prints, per rho, the analytic large-K check from the
+    manifest: the bound at K-1 = 10^8 against the optimal cost.
     """
     paths = []
-    case = load_ieee30()
-    h = build_dc_jacobian(case).h
     for rho in _FIG1_RHOS:
         config = ExperimentConfig(
             rho=rho,
@@ -216,16 +198,14 @@ def emit_fig1_dataset(
             trials=trials,
             formula=formula,
             sampler=sampler,
-            workers=workers,
             output_dir=str(output_dir),
         )
         name = f"fig1_rho{rho:.1f}".replace("0.", "0") + ".csv"
-        paths.append(run_experiment(config, csv_name=name))
+        path = run_experiment(config, csv_name=name)
+        paths.append(path)
 
-        sigma_xx = toeplitz_covariance(h.shape[1], rho)
-        sigma = sigma_from_snr(h, sigma_xx, 20.0)
-        f_star = optimal_cost(nonzero_spectrum(h, sigma_xx), sigma)
-        asymptotic = ergodic_upper_bound(h, sigma_xx, sigma, _ASYMPTOTIC_K, formula).value
+        manifest = json.loads((path.parent / f"{path.stem}_manifest.json").read_text("utf-8"))
+        asymptotic, f_star = manifest["bound_large_k"], manifest["optimal_cost"]
         rel = abs(asymptotic - f_star) / f_star
         print(
             f"rho={rho:g}: bound(K-1=1e8)={asymptotic:.6f}, "

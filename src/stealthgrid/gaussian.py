@@ -14,6 +14,7 @@ between the attacked and nominal measurement distributions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -23,6 +24,7 @@ __all__ = [
     "AttackModel",
     "DerivedCovariances",
     "SpectralData",
+    "Scenario",
     "toeplitz_covariance",
     "sigma_from_snr",
     "derived_covariances",
@@ -161,16 +163,24 @@ def sigma_from_snr(h: np.ndarray, sigma_xx, snr_db: float) -> float:
     """Noise standard deviation realizing a target SNR in dB.
 
     Inverts SNR = 10 log10( tr(H S_xx H^T) / (M sigma^2) ), i.e.
-    sigma^2 = tr(H S_xx H^T) / (M 10^(SNR/10)).
+    sigma^2 = tr(H S_xx H^T) / (M 10^(SNR/10)).  Raises ``ValueError``
+    unless the SNR is finite and the result is finite and positive.
     """
+    if not math.isfinite(snr_db):
+        raise ValueError(f"snr_db must be finite, got {snr_db}")
     h = np.asarray(h, dtype=float)
     gram = h @ _as_matrix(sigma_xx) @ h.T
     signal = float(np.trace(gram))
     if signal <= 0.0:
         raise ValueError("tr(H S_xx H^T) must be positive to set an SNR")
     m = h.shape[0]
-    sigma_sq = signal / (m * 10.0 ** (snr_db / 10.0))
-    return float(np.sqrt(sigma_sq))
+    try:
+        sigma = float(np.sqrt(signal / (m * 10.0 ** (snr_db / 10.0))))
+    except (OverflowError, ZeroDivisionError):
+        sigma = math.nan
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"SNR {snr_db} dB gives noise sigma {sigma}, not finite and > 0")
+    return sigma
 
 
 def derived_covariances(
@@ -275,3 +285,29 @@ def optimal_cost(spectrum: SpectralData, sigma: float) -> float:
     """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2)."""
     ev = spectrum.eigenvalues
     return 0.5 * float(np.sum(ev / (ev + sigma**2)))
+
+
+@dataclass(frozen=True)
+class Scenario:
+    """One attacked system: H, the state covariance, the noise level and the spectrum.
+
+    Everything the ergodic cost and its bound need about the system; build
+    it once with :meth:`build` and pass its fields on.
+    """
+
+    h: np.ndarray
+    sigma_xx: StateCovariance
+    sigma: float
+    spectrum: SpectralData
+
+    @classmethod
+    def build(cls, h: np.ndarray, rho: float, snr_db: float) -> "Scenario":
+        """Toeplitz state covariance with decay ``rho`` and noise at ``snr_db``."""
+        h = np.asarray(h, dtype=float)
+        sigma_xx = toeplitz_covariance(h.shape[1], rho)
+        sigma = sigma_from_snr(h, sigma_xx, snr_db)
+        return cls(h=h, sigma_xx=sigma_xx, sigma=sigma, spectrum=nonzero_spectrum(h, sigma_xx))
+
+    @property
+    def m(self) -> int:
+        return int(self.h.shape[0])

@@ -8,8 +8,9 @@ measurements.
 
 from __future__ import annotations
 
+import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib import resources
 from pathlib import Path
 
@@ -27,7 +28,11 @@ __all__ = [
     "load_ieee30",
     "build_dc_jacobian",
     "load_matrix_csv",
+    "load_measurement_matrix",
 ]
+
+#: Case path naming the packaged IEEE 30-bus system.
+BUNDLED_IEEE30 = "bundled:ieee30"
 
 
 class MatpowerParseError(ValueError):
@@ -124,12 +129,10 @@ class MeasurementSelection:
 class MeasurementModel:
     """Linearized measurement model y = H x + noise.
 
-    ``h`` is M x N with N the number of non-slack bus angles; ``sigma`` is
-    the per-sensor noise standard deviation (0 until calibrated).
+    ``h`` is M x N with N the number of non-slack bus angles.
     """
 
     h: np.ndarray
-    sigma: float
     labels: tuple[str, ...]
 
     def __post_init__(self) -> None:
@@ -139,8 +142,6 @@ class MeasurementModel:
         object.__setattr__(self, "h", h)
         if len(self.labels) != h.shape[0]:
             raise ValueError("one label per measurement row is required")
-        if self.sigma < 0:
-            raise ValueError(f"sigma must be >= 0, got {self.sigma}")
 
     @property
     def n_measurements(self) -> int:
@@ -149,9 +150,6 @@ class MeasurementModel:
     @property
     def n_states(self) -> int:
         return int(self.h.shape[1])
-
-    def with_sigma(self, sigma: float) -> "MeasurementModel":
-        return replace(self, sigma=float(sigma))
 
 
 # ---------------------------------------------------------------------------
@@ -192,6 +190,8 @@ def parse_matpower_case(text: str) -> GridCase:
             m = _SCALAR_FIELD.match(line)
             if m and m.group(1) == "baseMVA":
                 base_mva = float(m.group(2))
+                if not math.isfinite(base_mva):
+                    raise MatpowerParseError(f"baseMVA must be finite, got {base_mva}", line_no)
                 continue
             m = _TABLE_HEADER.match(line)
             if m:
@@ -232,6 +232,8 @@ def parse_matpower_case(text: str) -> GridCase:
             raise MatpowerParseError(
                 "branch row needs at least from/to/r/x columns", line=line_no
             )
+        if not math.isfinite(row[3]):
+            raise MatpowerParseError(f"branch reactance must be finite, got {row[3]}", line_no)
         status = int(row[10]) if len(row) > 10 else 1
         branches.append(
             Branch(
@@ -249,7 +251,9 @@ def parse_matpower_case(text: str) -> GridCase:
 
 
 def load_matpower_case(path: str | Path) -> GridCase:
-    """Read and parse a MATPOWER-style case file."""
+    """Read and parse a MATPOWER-style case file; ``"bundled:ieee30"`` is the packaged system."""
+    if str(path) == BUNDLED_IEEE30:
+        return load_ieee30()
     return parse_matpower_case(Path(path).read_text(encoding="utf-8"))
 
 
@@ -300,8 +304,6 @@ def build_dc_jacobian(
     Returns
     -------
     MeasurementModel
-        With ``sigma = 0``; calibrate via
-        :func:`stealthgrid.gaussian.sigma_from_snr`.
     """
     selection = selection or MeasurementSelection()
     flows = _branch_flow_rows(case)
@@ -326,7 +328,7 @@ def build_dc_jacobian(
     full = np.vstack(blocks)
     slack_pos = index[case.slack_bus]
     h = np.delete(full, slack_pos, axis=1)
-    return MeasurementModel(h=h, sigma=0.0, labels=tuple(labels))
+    return MeasurementModel(h=h, labels=tuple(labels))
 
 
 # ---------------------------------------------------------------------------
@@ -337,8 +339,8 @@ def build_dc_jacobian(
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     """Load a rectangular numeric CSV (comma-separated, no header) as a matrix.
 
-    Raises ``ValueError`` on ragged rows or non-numeric cells, reporting the
-    1-based line and column.
+    Raises ``ValueError`` on ragged rows or non-numeric or non-finite cells,
+    reporting the 1-based line and column.
     """
     rows: list[list[float]] = []
     for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
@@ -350,9 +352,12 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
             try:
                 parsed.append(float(cell))
             except ValueError:
+                parsed.append(math.nan)
+            if not math.isfinite(parsed[-1]):
                 raise ValueError(
-                    f"non-numeric cell {cell.strip()!r} at line {line_no}, column {col_no}"
-                ) from None
+                    f"cell {cell.strip()!r} at line {line_no}, column {col_no} is not a finite "
+                    "number"
+                )
         if rows and len(parsed) != len(rows[0]):
             raise ValueError(
                 f"ragged row at line {line_no}: expected {len(rows[0])} cells, got {len(parsed)}"
@@ -361,3 +366,15 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
     if not rows:
         raise ValueError("empty matrix file")
     return np.asarray(rows, dtype=float)
+
+
+def load_measurement_matrix(
+    case_path: str | None, h_path: str | None, selection: MeasurementSelection
+) -> np.ndarray:
+    """H from the headerless CSV at ``h_path`` if given, else from the case at ``case_path``.
+
+    ``selection`` picks the measurement rows built from a case.
+    """
+    if h_path is not None:
+        return load_matrix_csv(h_path)
+    return build_dc_jacobian(load_matpower_case(case_path), selection).h

@@ -9,7 +9,6 @@ resulting learned attack over independent training-set draws.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -83,7 +82,7 @@ def trial_seed_sequence(seed: int, trial: int) -> np.random.SeedSequence:
     """Per-trial seed derived by mixing (base seed, trial index).
 
     The mix is order-independent, so trial results do not depend on
-    execution order or thread count.
+    execution order.
     """
     return np.random.SeedSequence(entropy=(seed, trial))
 
@@ -201,21 +200,13 @@ def estimate_ergodic_cost(
     sigma_xx: StateCovariance,
     sigma: float,
     cfg: TrainingConfig,
-    workers: int = 1,
 ) -> ErgodicEstimate:
     """Monte Carlo estimate of the expected learned-attack cost at one K.
 
     Each trial draws an independent sample covariance, builds the learned
     attack, and evaluates the stealth cost; the reported mean/stderr are
     taken over ``cfg.trials`` trials.  Trial i uses the seed mix
-    (cfg.seed, i), so the estimate is reproducible bit-for-bit regardless
-    of execution order or ``workers``.
-
-    Parameters
-    ----------
-    workers:
-        Number of threads evaluating trials; results are written into a
-        trial-indexed array, keeping the reduction order fixed.
+    (cfg.seed, i), so the estimate is reproducible bit-for-bit.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -229,22 +220,14 @@ def estimate_ergodic_cost(
         )
     evaluator = _CostEvaluator(h, sxx, sigma)
 
-    def run_trial(trial: int) -> float:
-        rng = np.random.default_rng(trial_seed_sequence(cfg.seed, trial))
+    costs = np.empty(cfg.trials)
+    for i in range(cfg.trials):
+        rng = np.random.default_rng(trial_seed_sequence(cfg.seed, i))
         if cfg.sampler == "bartlett":
             s = _draw_bartlett(chol, cfg.k - 1, rng)
         else:
             s = _draw_empirical(chol, cfg.k, rng)
-        return evaluator.cost_of_sample(s)
-
-    costs = np.empty(cfg.trials)
-    if workers <= 1:
-        for i in range(cfg.trials):
-            costs[i] = run_trial(i)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            for i, value in enumerate(pool.map(run_trial, range(cfg.trials))):
-                costs[i] = value
+        costs[i] = evaluator.cost_of_sample(s)
 
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0

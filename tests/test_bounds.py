@@ -7,6 +7,7 @@ import pytest
 from scipy import special
 
 from stealthgrid import (
+    SpectralData,
     StateCovariance,
     TrainingConfig,
     digamma,
@@ -19,9 +20,10 @@ from stealthgrid import (
     optimal_cost,
     sigma_from_snr,
     solve_bound_program,
+    spectral_upper_bound,
     toeplitz_covariance,
 )
-from stealthgrid.bounds import EULER_GAMMA, _digamma_half_integer
+from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma_half_integer
 from helpers import grid_oracle_objective, standard_wishart_extremes
 
 SCALAR_SPEC = nonzero_spectrum(np.array([[1.0]]), np.array([[1.0]]))
@@ -303,3 +305,43 @@ def test_bound_requires_enough_samples(ieee30_h):
     cov = toeplitz_covariance(29, 0.1)
     with pytest.raises(ValueError, match="k-1 >= p"):
         ergodic_upper_bound(ieee30_h, cov, 1.0, 29)
+
+
+def _h_oracle_bound(h, sxx, sigma, k, formula):
+    """1/2 [tr(S_yy^-1 G) + log|S_yy| - logdet_lower_bound] with G = H S_xx H^T, from H."""
+    gram = h @ sxx @ h.T
+    syy = gram + sigma**2 * np.eye(h.shape[0])
+    sign, logdet = np.linalg.slogdet(syy)
+    assert sign == 1.0
+    lower = logdet_lower_bound(nonzero_spectrum(h, sxx), sigma, h.shape[0], k, formula)
+    return 0.5 * (float(np.trace(np.linalg.solve(syy, gram))) + logdet - lower)
+
+
+@pytest.mark.parametrize("formula", FORMULAS)
+@pytest.mark.parametrize(
+    "shape, rank",
+    [((8, 3), 3), ((12, 6), 6), ((4, 9), 4), ((7, 5), 2)],
+    ids=["tall", "tall-wide-spectrum", "wide", "rank-deficient"],
+)
+def test_spectral_upper_bound_matches_h_oracle(shape, rank, formula):
+    m, n = shape
+    rng = np.random.default_rng([m, n, rank])
+    h = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    sxx = toeplitz_covariance(n, 0.6).sigma_xx
+    sigma = 0.3
+    spectrum = nonzero_spectrum(h, sxx)
+    assert spectrum.p == rank
+    for k in (rank + 1, 3 * rank + 7, 10**5, 10**8 + 1):
+        result = spectral_upper_bound(spectrum, sigma, m, k, formula)
+        assert result.value == pytest.approx(_h_oracle_bound(h, sxx, sigma, k, formula), rel=1e-10)
+        assert result.value == ergodic_upper_bound(h, sxx, sigma, k, formula).value
+
+
+@pytest.mark.parametrize("formula", FORMULAS)
+def test_spectral_upper_bound_rank_zero_is_zero(formula):
+    h = np.zeros((5, 3))
+    sxx = np.eye(3)
+    empty = SpectralData(eigenvalues=np.empty(0), p=0)
+    result = spectral_upper_bound(empty, 0.7, 5, 2, formula)
+    assert result.value == pytest.approx(0.0, abs=1e-12)
+    assert result.value == pytest.approx(_h_oracle_bound(h, sxx, 0.7, 2, formula), abs=1e-12)

@@ -11,6 +11,7 @@ from stealthgrid import (
     DEFAULT_K_GRID,
     ExperimentConfig,
     emit_fig1_dataset,
+    ergodic_upper_bound,
     load_experiment_config,
     nonzero_spectrum,
     optimal_cost,
@@ -85,12 +86,6 @@ def test_run_experiment_deterministic(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_run_experiment_thread_count_invariance(tmp_path):
-    serial = run_experiment(small_config(tmp_path / "serial", workers=1))
-    threaded = run_experiment(small_config(tmp_path / "threaded", workers=4))
-    assert serial.read_bytes() == threaded.read_bytes()
-
-
 def test_run_experiment_gap_strictly_decreasing(tmp_path):
     config = small_config(tmp_path, k_grid=(50, 100, 500, 1000), trials=5)
     rows = read_rows(run_experiment(config))
@@ -112,6 +107,14 @@ def test_config_validation():
         ExperimentConfig(rho=0.1, seed=0, k_grid=(100,))
     with pytest.raises(ValueError, match="formula"):
         ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(100,), formula="?")
+
+
+def test_load_experiment_config_rejects_unknown_keys(tmp_path):
+    raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "trails": 4, "threads": 2}
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(raw))
+    with pytest.raises(ValueError, match=r"unknown config keys \['threads', 'trails'\]"):
+        load_experiment_config(cfg_path)
 
 
 def test_load_experiment_config_roundtrip(tmp_path):
@@ -162,6 +165,18 @@ def test_fig1_rows_satisfy_bound_and_closed_form(tmp_path, ieee30_h):
         for row in rows:
             assert row["bound"] >= row["mc_mean"] - 3.0 * row["mc_stderr"]
             assert row["optimal_cost"] == pytest.approx(expected, abs=1e-9)
+
+
+def test_fig1_prints_the_large_k_bound_recorded_in_the_manifest(tmp_path, capsys, ieee30_h):
+    paths = emit_fig1_dataset(tmp_path, trials=3, seed=4, k_grid=(50, 100), formula="real_exact")
+    printed = capsys.readouterr().out
+    for path, rho in zip(sorted(paths), (0.1, 0.8)):
+        manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+        cov = toeplitz_covariance(29, rho)
+        sigma = sigma_from_snr(ieee30_h, cov, 20.0)
+        expected = ergodic_upper_bound(ieee30_h, cov, sigma, 10**8 + 1, "real_exact").value
+        assert manifest["bound_large_k"] == expected
+        assert f"rho={rho:g}: bound(K-1=1e8)={expected:.6f}," in printed
 
 
 # ---------------------------------------------------------------------------
@@ -229,6 +244,36 @@ def test_cli_errors_exit_nonzero(capsys, tmp_path):
     assert main(["bound", "--case", "bundled:ieee30", "--rho", "1.5", "--k", "100"]) == 1
     assert main(["ergodic", "--case", "bundled:ieee30", "--rho", "0.1", "--k", "10",
                  "--seed", "0"]) == 1
+
+
+@pytest.mark.parametrize(
+    "argv, file_text, match",
+    [
+        (["ergodic", "--h-csv", "{path}", "--k", "10", "--seed", "0"], lambda case: "1,0\n0,inf\n",
+         "cell 'inf' at line 2, column 2 is not a finite number"),
+        (["bound", "--h-csv", "{path}", "--k", "10"], lambda case: "nan,1\n",
+         "cell 'nan' at line 1, column 1 is not a finite number"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t0.5\t", "\tnan\t"),
+         "reactance must be finite, got nan (line 11)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("= 100;", "= Inf;"),
+         "baseMVA must be finite, got inf (line 3)"),
+        (["optimal", "--case", "bundled:ieee30", "--snr-db", "nan"], None, "snr_db must be finite"),
+        (["optimal", "--case", "bundled:ieee30", "--snr-db=inf"], None, "snr_db must be finite"),
+        (["optimal", "--case", "bundled:ieee30", "--snr-db=-inf"], None, "snr_db must be finite"),
+        (["optimal", "--case", "bundled:ieee30", "--snr-db=4000"], None, "not finite and > 0"),
+        (["optimal", "--case", "bundled:ieee30", "--snr-db=-4000"], None, "not finite and > 0"),
+    ],
+    ids=["csv-inf", "csv-nan", "case-reactance-nan", "case-basemva-inf", "snr-nan", "snr-inf",
+         "snr-minus-inf", "snr-overflow", "snr-underflow"],
+)
+def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file_text, match):
+    path = tmp_path / "input"
+    if file_text is not None:
+        path.write_text(file_text(two_bus_text))
+    assert main([arg.format(path=path) for arg in argv] + ["--rho", "0.5"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    assert match in err
 
 
 def test_cli_fig1_config_file(tmp_path, capsys):
