@@ -62,11 +62,9 @@ def logdet_psd(m: np.ndarray) -> float:
 
 
 def _as_matrix(cov) -> np.ndarray:
-    """Accept a covariance wrapper or a plain array."""
-    if hasattr(cov, "sigma_xx"):
+    """Accept a :class:`StateCovariance` or a plain array."""
+    if isinstance(cov, StateCovariance):
         return cov.sigma_xx
-    if hasattr(cov, "s_xx"):
-        return cov.s_xx
     return np.asarray(cov, dtype=float)
 
 

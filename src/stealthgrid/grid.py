@@ -173,6 +173,13 @@ def _tokenize_numbers(segment: str, line_no: int, col_offset: int) -> list[float
     return values
 
 
+def _integer(value: float, field: str, line_no: int) -> int:
+    """``value`` as an int; a parse error at ``line_no`` unless it is finite and integral."""
+    if not value.is_integer():
+        raise MatpowerParseError(f"{field} must be an integer, got {value}", line_no)
+    return int(value)
+
+
 def parse_matpower_case(text: str) -> GridCase:
     """Parse a MATPOWER-style case into a :class:`GridCase`.
 
@@ -189,7 +196,12 @@ def parse_matpower_case(text: str) -> GridCase:
         if current is None:
             m = _SCALAR_FIELD.match(line)
             if m and m.group(1) == "baseMVA":
-                base_mva = float(m.group(2))
+                try:
+                    base_mva = float(m.group(2))
+                except ValueError:
+                    raise MatpowerParseError(
+                        f"baseMVA must be a number, got {m.group(2).strip()!r}", line_no
+                    ) from None
                 if not math.isfinite(base_mva):
                     raise MatpowerParseError(f"baseMVA must be finite, got {base_mva}", line_no)
                 continue
@@ -224,7 +236,8 @@ def parse_matpower_case(text: str) -> GridCase:
     for line_no, row in tables["bus"]:
         if len(row) < 2:
             raise MatpowerParseError("bus row needs at least id and type columns", line=line_no)
-        buses.append(Bus(id=int(row[0]), is_slack=int(row[1]) == 3))
+        bus_type = _integer(row[1], "bus type", line_no)
+        buses.append(Bus(id=_integer(row[0], "bus id", line_no), is_slack=bus_type == 3))
 
     branches = []
     for line_no, row in tables["branch"]:
@@ -234,11 +247,11 @@ def parse_matpower_case(text: str) -> GridCase:
             )
         if not math.isfinite(row[3]):
             raise MatpowerParseError(f"branch reactance must be finite, got {row[3]}", line_no)
-        status = int(row[10]) if len(row) > 10 else 1
+        status = _integer(row[10], "branch status", line_no) if len(row) > 10 else 1
         branches.append(
             Branch(
-                from_bus=int(row[0]),
-                to_bus=int(row[1]),
+                from_bus=_integer(row[0], "branch from bus", line_no),
+                to_bus=_integer(row[1], "branch to bus", line_no),
                 reactance=float(row[3]),
                 in_service=status != 0,
             )

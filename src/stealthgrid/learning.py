@@ -10,6 +10,7 @@ resulting learned attack over independent training-set draws.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -110,28 +111,39 @@ def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> Sample
     return SampleCovariance(s_xx=s, dof=k - 1)
 
 
-def _draw_bartlett(chol: np.ndarray, dof: int, rng: np.random.Generator) -> np.ndarray:
-    """One draw of W/dof with W ~ Wishart(dof, C), C = chol @ chol.T.
+def _check_bartlett_dof(sampler: str, k: int, n: int) -> None:
+    if sampler == "bartlett" and k - 1 < n:
+        raise ValueError(
+            f"bartlett sampler needs k-1 >= N (got k-1={k - 1}, N={n}); "
+            "use the empirical sampler for singular sample covariances"
+        )
 
-    Uses the triangular Bartlett factor: chi distributions on the diagonal,
-    standard normals below.  Requires dof >= dimension.
+
+@lru_cache(maxsize=8)
+def _bartlett_layout(n: int, dof: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
+    """Chi-square degrees of freedom of the Bartlett diagonal and its strictly lower indices.
+
+    Cached because every trial of a Monte Carlo needs the same pair; callers only read it.
     """
-    n = chol.shape[0]
-    a = np.zeros((n, n))
-    df = dof - np.arange(n)
-    a[np.diag_indices(n)] = np.sqrt(rng.chisquare(df))
-    if n > 1:
-        idx = np.tril_indices(n, -1)
-        a[idx] = rng.standard_normal(len(idx[0]))
-    la = chol @ a
-    return la @ la.T / dof
+    return dof - np.arange(n), np.tril_indices(n, -1)
 
 
-def _draw_empirical(chol: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Mean-subtracted sample covariance of k Gaussian draws N(0, chol chol^T)."""
-    x = rng.standard_normal((k, chol.shape[0])) @ chol.T
-    centered = x - x.mean(axis=0)
-    return centered.T @ centered / (k - 1)
+def _draw_factor(left: np.ndarray, k: int, sampler: str, rng: np.random.Generator) -> np.ndarray:
+    """Factor B with B B^T / (k-1) ~ left Wishart(k-1, I_N) left^T / (k-1), N = left's columns.
+
+    ``bartlett`` multiplies ``left`` by the triangular Bartlett factor (chi
+    distributions on the diagonal, standard normals below; needs k-1 >= N);
+    ``empirical`` draws k Gaussian vectors N(0, left left^T) and centers them.
+    """
+    n = left.shape[1]
+    if sampler == "bartlett":
+        df, below = _bartlett_layout(n, k - 1)
+        a = np.zeros((n, n))
+        np.fill_diagonal(a, np.sqrt(rng.chisquare(df)))
+        a[below] = rng.standard_normal(below[0].size)
+        return left @ a
+    x = rng.standard_normal((k, n)) @ left.T
+    return (x - x.mean(axis=0)).T
 
 
 def draw_sample_covariance(
@@ -152,19 +164,9 @@ def draw_sample_covariance(
     if k < 2:
         raise ValueError(f"need at least 2 training samples, got k={k}")
     sxx = _as_matrix(sigma_xx)
-    chol = np.linalg.cholesky(sxx)
-    n = sxx.shape[0]
-    if sampler == "bartlett" and k - 1 < n:
-        raise ValueError(
-            f"bartlett sampler needs k-1 >= N (got k-1={k - 1}, N={n}); "
-            "use the empirical sampler for singular sample covariances"
-        )
-    rng = np.random.default_rng(seed)
-    if sampler == "bartlett":
-        s = _draw_bartlett(chol, k - 1, rng)
-    else:
-        s = _draw_empirical(chol, k, rng)
-    return SampleCovariance(s_xx=s, dof=k - 1)
+    _check_bartlett_dof(sampler, k, sxx.shape[0])
+    b = _draw_factor(np.linalg.cholesky(sxx), k, sampler, np.random.default_rng(seed))
+    return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
 
 
 def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel:
@@ -175,26 +177,6 @@ def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel
     return AttackModel(sigma_aa=symmetrize(h @ s.s_xx @ h.T), kind="learned")
 
 
-class _CostEvaluator:
-    """Precomputed pieces of the stealth cost for repeated attack draws."""
-
-    def __init__(self, h: np.ndarray, sigma_xx: np.ndarray, sigma: float):
-        m = h.shape[0]
-        syy = symmetrize(h @ sigma_xx @ h.T) + sigma**2 * np.eye(m)
-        self.h = h
-        self.sigma_sq = sigma**2
-        self.eye = np.eye(m)
-        self.syy_inv = np.linalg.inv(syy)
-        self.logdet_syy = logdet_psd(syy)
-
-    def cost_of_sample(self, s_xx: np.ndarray) -> float:
-        attack = symmetrize(self.h @ s_xx @ self.h.T)
-        shifted = attack + self.sigma_sq * self.eye
-        return 0.5 * (
-            float(np.vdot(self.syy_inv, attack)) - logdet_psd(shifted) + self.logdet_syy
-        )
-
-
 def estimate_ergodic_cost(
     h: np.ndarray,
     sigma_xx: StateCovariance,
@@ -203,31 +185,35 @@ def estimate_ergodic_cost(
 ) -> ErgodicEstimate:
     """Monte Carlo estimate of the expected learned-attack cost at one K.
 
-    Each trial draws an independent sample covariance, builds the learned
-    attack, and evaluates the stealth cost; the reported mean/stderr are
-    taken over ``cfg.trials`` trials.  Trial i uses the seed mix
-    (cfg.seed, i), so the estimate is reproducible bit-for-bit.
+    Each trial draws an independent sample covariance with the draws of
+    :func:`draw_sample_covariance` and evaluates the stealth cost of the
+    learned attack in the min(M, N) coordinates of H chol(S_xx); the
+    reported mean/stderr are taken over ``cfg.trials`` trials.  Trial i uses
+    the seed mix (cfg.seed, i), so the estimate is reproducible bit-for-bit.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
-    chol = np.linalg.cholesky(sxx)
-    n = sxx.shape[0]
-    if cfg.sampler == "bartlett" and cfg.k - 1 < n:
-        raise ValueError(
-            f"bartlett sampler needs k-1 >= N (got k-1={cfg.k - 1}, N={n})"
-        )
-    evaluator = _CostEvaluator(h, sxx, sigma)
+    _check_bartlett_dof(cfg.sampler, cfg.k, sxx.shape[0])
+    # H chol(S_xx) = U diag(s) V^T, so the learned attack is U A U^T with
+    # A = F W F^T, F = diag(s) V^T and W the Wishart draw: the cost needs only
+    # the r x r matrix A, r = min(M, N).  The M - r noise directions outside U
+    # add log sigma^2 to both log-determinants and cancel; so do the terms of
+    # a zero s_i, whose row of A is zero.
+    _, s, vt = np.linalg.svd(h @ np.linalg.cholesky(sxx), full_matrices=False)
+    left = s[:, None] * vt
+    shifted = s**2 + sigma**2
+    weights = 1.0 / shifted
+    logdet_syy = float(np.sum(np.log(shifted)))
+    noise = sigma**2 * np.eye(s.size)
 
     costs = np.empty(cfg.trials)
     for i in range(cfg.trials):
         rng = np.random.default_rng(trial_seed_sequence(cfg.seed, i))
-        if cfg.sampler == "bartlett":
-            s = _draw_bartlett(chol, cfg.k - 1, rng)
-        else:
-            s = _draw_empirical(chol, cfg.k, rng)
-        costs[i] = evaluator.cost_of_sample(s)
+        b = _draw_factor(left, cfg.k, cfg.sampler, rng)
+        a = b @ b.T / (cfg.k - 1)
+        costs[i] = 0.5 * (float(np.diag(a) @ weights) - logdet_psd(a + noise) + logdet_syy)
 
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0

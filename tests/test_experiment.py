@@ -257,13 +257,29 @@ def test_cli_errors_exit_nonzero(capsys, tmp_path):
          "reactance must be finite, got nan (line 11)"),
         (["optimal", "--case", "{path}"], lambda case: case.replace("= 100;", "= Inf;"),
          "baseMVA must be finite, got inf (line 3)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("= 100;", "= abc;"),
+         "baseMVA must be a number, got 'abc' (line 3)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t2\t1\t10", "\tInf\t1\t10"),
+         "bus id must be an integer, got inf (line 7)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t2\t1\t10", "\tnan\t1\t10"),
+         "bus id must be an integer, got nan (line 7)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t2\t1\t10", "\t2.5\t1\t10"),
+         "bus id must be an integer, got 2.5 (line 7)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t2\t1\t10", "\t2\tnan\t10"),
+         "bus type must be an integer, got nan (line 7)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t1\t2\t0.01", "\t1\t-inf\t0.01"),
+         "branch to bus must be an integer, got -inf (line 11)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t1\t-360", "\tinf\t-360"),
+         "branch status must be an integer, got inf (line 11)"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db", "nan"], None, "snr_db must be finite"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=inf"], None, "snr_db must be finite"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=-inf"], None, "snr_db must be finite"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=4000"], None, "not finite and > 0"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=-4000"], None, "not finite and > 0"),
     ],
-    ids=["csv-inf", "csv-nan", "case-reactance-nan", "case-basemva-inf", "snr-nan", "snr-inf",
+    ids=["csv-inf", "csv-nan", "case-reactance-nan", "case-basemva-inf", "case-basemva-text",
+         "case-bus-id-inf", "case-bus-id-nan", "case-bus-id-fraction", "case-bus-type-nan",
+         "case-branch-to-inf", "case-branch-status-inf", "snr-nan", "snr-inf",
          "snr-minus-inf", "snr-overflow", "snr-underflow"],
 )
 def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file_text, match):

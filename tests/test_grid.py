@@ -1,9 +1,14 @@
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from stealthgrid import (
+    GridCase,
     MatpowerParseError,
     MeasurementSelection,
     build_dc_jacobian,
@@ -62,6 +67,28 @@ def test_parse_reports_line_and_column_for_bad_number():
     text = "mpc.bus = [\n1 3;\n2 oops;\n];\nmpc.branch = [\n1 2 0.0 0.5;\n];\n"
     with pytest.raises(MatpowerParseError, match=r"line 3, column 3"):
         parse_matpower_case(text)
+
+
+MUTANTS = st.one_of(
+    st.sampled_from(
+        ["Inf", "-Inf", "nan", "1e400", "2.5", "-1", "0", "3", "abc", "", ";", "]", "[", "%", "\n"]
+    ),
+    st.text(alphabet="0123456789.eE+-;[]%= \t\nInfa", max_size=8),
+)
+
+
+@settings(
+    max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(data=st.data())
+def test_parse_mutated_case_returns_a_case_or_a_parse_error(two_bus_text, data):
+    parts = re.split(r"(\s+)", two_bus_text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        parts[data.draw(st.integers(0, len(parts) - 1))] = data.draw(MUTANTS)
+    try:
+        assert isinstance(parse_matpower_case("".join(parts)), GridCase)
+    except MatpowerParseError:
+        pass
 
 
 def test_parse_skips_comments_and_other_tables(two_bus_text):

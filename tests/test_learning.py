@@ -10,13 +10,16 @@ from stealthgrid import (
     SampleCovariance,
     StateCovariance,
     TrainingConfig,
+    derived_covariances,
     draw_sample_covariance,
     estimate_ergodic_cost,
     learned_attack_covariance,
     optimal_attack_covariance,
     sample_covariance,
+    stealth_cost,
     toeplitz_covariance,
 )
+from stealthgrid.learning import SAMPLERS, trial_seed_sequence
 
 
 # ---------------------------------------------------------------------------
@@ -218,6 +221,33 @@ def test_ergodic_monotone_learning_trend(ieee30_h):
     for small_k, large_k in zip(results, results[1:]):
         separation = 3.0 * math.hypot(small_k.stderr, large_k.stderr)
         assert large_k.mean < small_k.mean - separation
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+@pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient", "zero"])
+def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
+    # trial by trial, the same draws through the full M x M stealth cost
+    rng = np.random.default_rng(8)
+    h = {
+        "tall": rng.standard_normal((7, 4)),
+        "wide": rng.standard_normal((3, 5)),
+        "rank_deficient": rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)),
+        "zero": np.zeros((5, 3)),
+    }[shape]
+    n = h.shape[1]
+    cov = toeplitz_covariance(n, 0.6)
+    sigma, seed, trials = 0.7, 12, 7
+    k = n + 3 if sampler == "bartlett" else 3  # empirical: singular sample covariances
+    est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, seed, trials, sampler))
+    costs = []
+    for i in range(trials):
+        s = draw_sample_covariance(cov, k, trial_seed_sequence(seed, i), sampler)
+        attack = learned_attack_covariance(h, s)
+        costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
+    if shape == "zero":
+        assert abs(est.mean - np.mean(costs)) <= 1e-12
+    else:
+        assert est.mean == pytest.approx(np.mean(costs), rel=1e-12, abs=0.0)
 
 
 def test_training_config_validation():
