@@ -108,6 +108,24 @@ def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float:
     return float(_LrtModel(derived).log_lrt(y)[0])
 
 
+def _check_design(block_lengths, epsilon: float, trials: int) -> None:
+    """Reject a false-alarm budget, trial count or block length no estimate can use.
+
+    An epsilon tail quantile of ``trials`` samples rests on about
+    ``trials * epsilon`` of them; below 50 it is noise.
+    """
+    if not 0.0 < epsilon < 0.5:
+        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    if trials < 50 / epsilon:
+        raise ValueError(
+            f"need at least {math.ceil(50 / epsilon)} trials to place the "
+            f"{epsilon} tail quantile, got {trials}"
+        )
+    for n in block_lengths:
+        if n < 1:
+            raise ValueError(f"block length n must be >= 1, got {n}")
+
+
 def calibrate_threshold(
     derived: DerivedCovariances, n: int, epsilon: float, trials: int, seed: int
 ) -> float:
@@ -117,13 +135,7 @@ def calibrate_threshold(
     aggregated log-LRT under the nominal law, so deciding "attack" above
     the threshold has Type I rate about epsilon.
     """
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    if trials < 50 / epsilon:
-        raise ValueError(
-            f"need at least {math.ceil(50 / epsilon)} trials to place the "
-            f"(1-{epsilon})-quantile, got {trials}"
-        )
+    _check_design((n,), epsilon, trials)
     model = _LrtModel(derived)
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     samples = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng)
@@ -190,12 +202,11 @@ def error_exponent_estimate(
     """
     if tail not in ("normal", "empirical"):
         raise ValueError(f"tail must be 'normal' or 'empirical', got {tail!r}")
-    if not 0.0 < epsilon < 0.5:
-        raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    n_grid = [int(n) for n in n_grid]
+    _check_design(n_grid, epsilon, trials)
     model = _LrtModel(derived)
     points = []
     for grid_index, n in enumerate(n_grid):
-        n = int(n)
         rng_h1 = np.random.default_rng(np.random.SeedSequence((seed, grid_index, 1)))
         rng_h0 = np.random.default_rng(np.random.SeedSequence((seed, grid_index, 0)))
         attacked = model.aggregate_samples(attacked=True, n=n, trials=trials, rng=rng_h1)
@@ -204,7 +215,7 @@ def error_exponent_estimate(
         exceed = int(np.count_nonzero(clean >= tau))
 
         m0 = float(np.mean(clean))
-        s0 = float(np.std(clean, ddof=1)) if trials > 1 else 0.0
+        s0 = float(np.std(clean, ddof=1))
         if tail == "empirical":
             beta = exceed / trials
             estimable = exceed > 0

@@ -51,14 +51,16 @@ def symmetrize(m: np.ndarray) -> np.ndarray:
     return (m + m.T) / 2.0
 
 
-def logdet_psd(m: np.ndarray) -> float:
+def logdet_psd(m: np.ndarray) -> float | np.ndarray:
     """Log-determinant of a symmetric positive-definite matrix via Cholesky.
 
-    Raises ``numpy.linalg.LinAlgError`` if the matrix is not positive
-    definite.
+    A stack of shape (..., n, n) gives an array of shape (...); a single
+    matrix gives a float.  Raises ``numpy.linalg.LinAlgError`` if a matrix
+    is not positive definite.
     """
     chol = np.linalg.cholesky(m)
-    return 2.0 * float(np.sum(np.log(np.diag(chol))))
+    logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
+    return logdet if logdet.ndim else float(logdet)
 
 
 def _as_matrix(cov) -> np.ndarray:

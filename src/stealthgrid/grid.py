@@ -158,18 +158,20 @@ class MeasurementModel:
 
 _TABLE_HEADER = re.compile(r"^\s*mpc\.(\w+)\s*=\s*\[")
 _SCALAR_FIELD = re.compile(r"^\s*mpc\.(\w+)\s*=\s*([^;%\[]+);")
+#: A plain MATPOWER number: decimal digits with an optional exponent, or Inf / NaN.
+#: Python's ``float`` alone would also take ``2_0`` (as 20) or ``infinity``.
+_NUMBER = re.compile(r"[+-]?(?:(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?|Inf|inf|NaN|nan)")
 
 
 def _tokenize_numbers(segment: str, line_no: int, col_offset: int) -> list[float]:
     values = []
     for m in re.finditer(r"\S+", segment):
         tok = m.group(0)
-        try:
-            values.append(float(tok))
-        except ValueError:
+        if not _NUMBER.fullmatch(tok):
             raise MatpowerParseError(
                 f"non-numeric field {tok!r}", line=line_no, column=col_offset + m.start() + 1
-            ) from None
+            )
+        values.append(float(tok))
     return values
 
 
@@ -196,12 +198,10 @@ def parse_matpower_case(text: str) -> GridCase:
         if current is None:
             m = _SCALAR_FIELD.match(line)
             if m and m.group(1) == "baseMVA":
-                try:
-                    base_mva = float(m.group(2))
-                except ValueError:
-                    raise MatpowerParseError(
-                        f"baseMVA must be a number, got {m.group(2).strip()!r}", line_no
-                    ) from None
+                value = m.group(2).strip()
+                if not _NUMBER.fullmatch(value):
+                    raise MatpowerParseError(f"baseMVA must be a number, got {value!r}", line_no)
+                base_mva = float(value)
                 if not math.isfinite(base_mva):
                     raise MatpowerParseError(f"baseMVA must be finite, got {base_mva}", line_no)
                 continue
@@ -248,12 +248,14 @@ def parse_matpower_case(text: str) -> GridCase:
         if not math.isfinite(row[3]):
             raise MatpowerParseError(f"branch reactance must be finite, got {row[3]}", line_no)
         status = _integer(row[10], "branch status", line_no) if len(row) > 10 else 1
+        if status not in (0, 1):
+            raise MatpowerParseError(f"branch status must be 0 or 1, got {status}", line_no)
         branches.append(
             Branch(
                 from_bus=_integer(row[0], "branch from bus", line_no),
                 to_bus=_integer(row[1], "branch to bus", line_no),
                 reactance=float(row[3]),
-                in_service=status != 0,
+                in_service=status == 1,
             )
         )
 

@@ -24,12 +24,16 @@ __all__ = [
     "draw_sample_covariance",
     "learned_attack_covariance",
     "estimate_ergodic_cost",
-    "trial_seed_sequence",
 ]
 
 SAMPLERS = ("bartlett", "empirical")
 
 _MAX_SEED = 2**64
+
+#: float64 entries drawn per chunk of Monte Carlo trials (N*N per Bartlett
+#: trial, K*N per empirical one): large enough to amortize numpy's per-call
+#: overhead, small enough to keep the working set a few hundred kB.
+_CHUNK_ENTRIES = 2**14
 
 
 @dataclass(frozen=True)
@@ -79,15 +83,6 @@ class ErgodicEstimate:
     k: int
 
 
-def trial_seed_sequence(seed: int, trial: int) -> np.random.SeedSequence:
-    """Per-trial seed derived by mixing (base seed, trial index).
-
-    The mix is order-independent, so trial results do not depend on
-    execution order.
-    """
-    return np.random.SeedSequence(entropy=(seed, trial))
-
-
 def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> SampleCovariance:
     """Sample covariance of row-wise observations with divisor K-1.
 
@@ -123,27 +118,37 @@ def _check_bartlett_dof(sampler: str, k: int, n: int) -> None:
 def _bartlett_layout(n: int, dof: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
     """Chi-square degrees of freedom of the Bartlett diagonal and its strictly lower indices.
 
-    Cached because every trial of a Monte Carlo needs the same pair; callers only read it.
+    Cached because every chunk of a Monte Carlo needs the same pair; callers only read it.
     """
     return dof - np.arange(n), np.tril_indices(n, -1)
 
 
-def _draw_factor(left: np.ndarray, k: int, sampler: str, rng: np.random.Generator) -> np.ndarray:
-    """Factor B with B B^T / (k-1) ~ left Wishart(k-1, I_N) left^T / (k-1), N = left's columns.
+def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
+    """Trials drawn together by the Monte Carlo: about ``_CHUNK_ENTRIES`` random entries."""
+    return max(1, _CHUNK_ENTRIES // (n * n if sampler == "bartlett" else k * n))
 
-    ``bartlett`` multiplies ``left`` by the triangular Bartlett factor (chi
-    distributions on the diagonal, standard normals below; needs k-1 >= N);
-    ``empirical`` draws k Gaussian vectors N(0, left left^T) and centers them.
+
+def _draw_factor(
+    left: np.ndarray, k: int, sampler: str, rng: np.random.Generator, count: int
+) -> np.ndarray:
+    """``count`` factors B, shape (count, r, ·), each with B B^T / (k-1) ~ left W left^T / (k-1).
+
+    W ~ Wishart(k-1, I_N), N = left's columns.  ``bartlett`` multiplies
+    ``left`` by triangular Bartlett factors (chi distributions on the
+    diagonal, standard normals below; needs k-1 >= N), drawing all diagonals
+    and then all lower triangles; ``empirical`` draws k Gaussian vectors
+    N(0, left left^T) per factor and centers them.
     """
     n = left.shape[1]
     if sampler == "bartlett":
         df, below = _bartlett_layout(n, k - 1)
-        a = np.zeros((n, n))
-        np.fill_diagonal(a, np.sqrt(rng.chisquare(df)))
-        a[below] = rng.standard_normal(below[0].size)
-        return left @ a
-    x = rng.standard_normal((k, n)) @ left.T
-    return (x - x.mean(axis=0)).T
+        diag = np.arange(n)
+        t = np.zeros((count, n, n))
+        t[:, diag, diag] = np.sqrt(rng.chisquare(df, size=(count, n)))
+        t[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
+        return left @ t
+    x = rng.standard_normal((count, k, n)) @ left.T
+    return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
 
 
 def draw_sample_covariance(
@@ -165,7 +170,7 @@ def draw_sample_covariance(
         raise ValueError(f"need at least 2 training samples, got k={k}")
     sxx = _as_matrix(sigma_xx)
     _check_bartlett_dof(sampler, k, sxx.shape[0])
-    b = _draw_factor(np.linalg.cholesky(sxx), k, sampler, np.random.default_rng(seed))
+    b = _draw_factor(np.linalg.cholesky(sxx), k, sampler, np.random.default_rng(seed), 1)[0]
     return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
 
 
@@ -188,8 +193,9 @@ def estimate_ergodic_cost(
     Each trial draws an independent sample covariance with the draws of
     :func:`draw_sample_covariance` and evaluates the stealth cost of the
     learned attack in the min(M, N) coordinates of H chol(S_xx); the
-    reported mean/stderr are taken over ``cfg.trials`` trials.  Trial i uses
-    the seed mix (cfg.seed, i), so the estimate is reproducible bit-for-bit.
+    reported mean/stderr are taken over ``cfg.trials`` trials.  One generator
+    seeded with ``cfg.seed`` draws the trials in consecutive chunks, stacked
+    and scored together, so the estimate is reproducible bit-for-bit.
     """
     if sigma <= 0.0:
         raise ValueError(f"sigma must be > 0, got {sigma}")
@@ -208,12 +214,15 @@ def estimate_ergodic_cost(
     logdet_syy = float(np.sum(np.log(shifted)))
     noise = sigma**2 * np.eye(s.size)
 
+    rng = np.random.default_rng(cfg.seed)
+    chunk = _trials_per_chunk(cfg.sampler, cfg.k, sxx.shape[0])
     costs = np.empty(cfg.trials)
-    for i in range(cfg.trials):
-        rng = np.random.default_rng(trial_seed_sequence(cfg.seed, i))
-        b = _draw_factor(left, cfg.k, cfg.sampler, rng)
-        a = b @ b.T / (cfg.k - 1)
-        costs[i] = 0.5 * (float(np.diag(a) @ weights) - logdet_psd(a + noise) + logdet_syy)
+    for start in range(0, cfg.trials, chunk):
+        count = min(chunk, cfg.trials - start)
+        b = _draw_factor(left, cfg.k, cfg.sampler, rng, count)
+        a = b @ np.swapaxes(b, 1, 2) / (cfg.k - 1)
+        trace = np.diagonal(a, axis1=1, axis2=2) @ weights
+        costs[start:start + count] = 0.5 * (trace - logdet_psd(a + noise) + logdet_syy)
 
     mean = float(np.mean(costs))
     stderr = float(np.std(costs, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0

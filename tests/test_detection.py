@@ -92,9 +92,29 @@ def test_run_detection_experiment_rates():
     )
 
 
+@pytest.mark.parametrize("call", [calibrate_threshold, run_detection_experiment])
+def test_detection_rejects_empty_blocks(call):
+    with pytest.raises(ValueError, match="block length n must be >= 1, got 0"):
+        call(SCALAR_DERIVED, n=0, epsilon=0.05, trials=4000, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # error_exponent_estimate
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "n_grid, trials, match",
+    [
+        ((10,), 0, "need at least 1000 trials"),
+        ((10,), 1, "need at least 1000 trials"),
+        ((10,), 999, "need at least 1000 trials"),
+        ((10, 0), 2000, "block length n must be >= 1, got 0"),
+    ],
+)
+def test_exponent_rejects_out_of_domain_input(n_grid, trials, match):
+    with pytest.raises(ValueError, match=match):
+        error_exponent_estimate(SCALAR_DERIVED, n_grid=n_grid, epsilon=0.05, trials=trials)
 
 
 def test_exponent_identical_hypotheses_is_zero():

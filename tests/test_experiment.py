@@ -271,6 +271,12 @@ def test_cli_errors_exit_nonzero(capsys, tmp_path):
          "branch to bus must be an integer, got -inf (line 11)"),
         (["optimal", "--case", "{path}"], lambda case: case.replace("\t1\t-360", "\tinf\t-360"),
          "branch status must be an integer, got inf (line 11)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t1\t-360", "\t-1\t-360"),
+         "branch status must be 0 or 1, got -1 (line 11)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t2\t1\t10", "\t2_0\t1\t10"),
+         "non-numeric field '2_0' (line 7, column 2)"),
+        (["optimal", "--case", "{path}"], lambda case: case.replace("\t1\t2\t0.01", "\t1\t2_0\t0.01"),
+         "non-numeric field '2_0' (line 11, column 4)"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db", "nan"], None, "snr_db must be finite"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=inf"], None, "snr_db must be finite"),
         (["optimal", "--case", "bundled:ieee30", "--snr-db=-inf"], None, "snr_db must be finite"),
@@ -279,7 +285,8 @@ def test_cli_errors_exit_nonzero(capsys, tmp_path):
     ],
     ids=["csv-inf", "csv-nan", "case-reactance-nan", "case-basemva-inf", "case-basemva-text",
          "case-bus-id-inf", "case-bus-id-nan", "case-bus-id-fraction", "case-bus-type-nan",
-         "case-branch-to-inf", "case-branch-status-inf", "snr-nan", "snr-inf",
+         "case-branch-to-inf", "case-branch-status-inf", "case-branch-status-minus-one",
+         "case-bus-id-underscore", "case-branch-to-underscore", "snr-nan", "snr-inf",
          "snr-minus-inf", "snr-overflow", "snr-underflow"],
 )
 def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file_text, match):
@@ -290,6 +297,23 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
     err = capsys.readouterr().err
     assert err.startswith("error: ")
     assert match in err
+
+
+@pytest.mark.parametrize(
+    "argv, match",
+    [
+        (["--trials", "0"], "need at least 1000 trials"),
+        (["--trials", "1"], "need at least 1000 trials"),
+        (["--n-grid", "0"], "block length n must be >= 1, got 0"),
+    ],
+    ids=["trials-zero", "trials-one", "n-grid-zero"],
+)
+def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
+    assert main(["detect", "--seed", "2"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ")
+    assert match in captured.err
+    assert captured.out == ""
 
 
 def test_cli_fig1_config_file(tmp_path, capsys):

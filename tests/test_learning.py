@@ -16,10 +16,11 @@ from stealthgrid import (
     learned_attack_covariance,
     optimal_attack_covariance,
     sample_covariance,
+    sigma_from_snr,
     stealth_cost,
     toeplitz_covariance,
 )
-from stealthgrid.learning import SAMPLERS, trial_seed_sequence
+from stealthgrid.learning import SAMPLERS, _draw_factor, _trials_per_chunk
 
 
 # ---------------------------------------------------------------------------
@@ -209,8 +210,6 @@ def test_ergodic_empirical_sampler_consistent():
 
 def test_ergodic_monotone_learning_trend(ieee30_h):
     cov = toeplitz_covariance(29, 0.8)
-    from stealthgrid import sigma_from_snr
-
     sigma = sigma_from_snr(ieee30_h, cov, 20.0)
     results = [
         estimate_ergodic_cost(
@@ -226,7 +225,9 @@ def test_ergodic_monotone_learning_trend(ieee30_h):
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient", "zero"])
 def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
-    # trial by trial, the same draws through the full M x M stealth cost
+    # trial by trial, the same draws through the full M x M stealth cost: the
+    # factors are re-drawn with left factor chol(S_xx) from one generator in
+    # the estimator's chunks, here two full chunks and a ragged last one
     rng = np.random.default_rng(8)
     h = {
         "tall": rng.standard_normal((7, 4)),
@@ -236,18 +237,38 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
     }[shape]
     n = h.shape[1]
     cov = toeplitz_covariance(n, 0.6)
-    sigma, seed, trials = 0.7, 12, 7
+    sigma, seed = 0.7, 12
     k = n + 3 if sampler == "bartlett" else 3  # empirical: singular sample covariances
+    chunk = _trials_per_chunk(sampler, k, n)
+    trials = 2 * chunk + chunk // 3 + 1
     est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, seed, trials, sampler))
+    draws = np.random.default_rng(seed)
+    left = np.linalg.cholesky(cov.sigma_xx)
     costs = []
-    for i in range(trials):
-        s = draw_sample_covariance(cov, k, trial_seed_sequence(seed, i), sampler)
-        attack = learned_attack_covariance(h, s)
-        costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
+    for start in range(0, trials, chunk):
+        for b in _draw_factor(left, k, sampler, draws, min(chunk, trials - start)):
+            attack = learned_attack_covariance(h, SampleCovariance(b @ b.T / (k - 1), k - 1))
+            costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
+    assert len(costs) == trials
     if shape == "zero":
         assert abs(est.mean - np.mean(costs)) <= 1e-12
     else:
         assert est.mean == pytest.approx(np.mean(costs), rel=1e-12, abs=0.0)
+
+
+def test_ergodic_batched_mean_matches_per_trial_draws(ieee30_h):
+    # the chunked stream against independently seeded per-trial draws on IEEE-30
+    cov = toeplitz_covariance(29, 0.8)
+    sigma = sigma_from_snr(ieee30_h, cov, 20.0)
+    k, trials = 50, 1000
+    est = estimate_ergodic_cost(ieee30_h, cov, sigma, TrainingConfig(k, 61, 4 * trials))
+    costs = np.empty(trials)
+    for i in range(trials):
+        s = draw_sample_covariance(cov, k, seed=np.random.SeedSequence((62, i)))
+        attack = learned_attack_covariance(ieee30_h, s)
+        costs[i] = stealth_cost(attack, derived_covariances(ieee30_h, cov, sigma, attack), sigma)
+    combined = math.hypot(est.stderr, costs.std(ddof=1) / math.sqrt(trials))
+    assert abs(est.mean - costs.mean()) <= 4.0 * combined
 
 
 def test_training_config_validation():
