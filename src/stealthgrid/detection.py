@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import DerivedCovariances, gaussian_kl_marginals, logdet_psd
+from .gaussian import PSD_TOL, DerivedCovariances, gaussian_kl_marginals, logdet_psd, symmetrize
 
 __all__ = [
     "DetectionExperiment",
@@ -28,7 +28,7 @@ __all__ = [
     "error_exponent_estimate",
 ]
 
-#: Observations drawn per vectorized chunk (keeps memory under ~100 MB).
+#: Chi-square entries drawn per chunk of blocks (32 MB of float64 at most).
 _CHUNK_BUDGET = 4_000_000
 
 
@@ -67,16 +67,31 @@ class ExponentEstimate:
 
 
 class _LrtModel:
-    """Precomputed quadratic form and constant of the log likelihood ratio."""
+    """Log likelihood ratio const + y^T delta y / 2 and the law of its block sums."""
 
     def __init__(self, derived: DerivedCovariances):
-        self.m = derived.m
-        syy_inv = np.linalg.inv(derived.sigma_yy)
-        syaya_inv = np.linalg.inv(derived.sigma_yaya)
-        self.delta = syy_inv - syaya_inv
+        chol = {}
+        for attacked, name in ((False, "sigma_yy"), (True, "sigma_yaya")):
+            cov = getattr(derived, name)
+            if not np.all(np.isfinite(cov)):
+                raise ValueError(f"{name} has non-finite entries")
+            try:
+                chol[attacked] = np.linalg.cholesky(cov)
+            except np.linalg.LinAlgError:
+                raise ValueError(f"{name} is not positive definite") from None
+        self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
         self.const = 0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya))
-        self.chol_h0 = np.linalg.cholesky(derived.sigma_yy)
-        self.chol_h1 = np.linalg.cholesky(derived.sigma_yaya)
+        # y = L z under a hypothesis of covariance L L^T, so y^T delta y = sum_j d_j z_j^2
+        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``, all m kept.
+        self.weights = {
+            attacked: np.linalg.eigvalsh(symmetrize(l.T @ self.delta @ l))
+            for attacked, l in chol.items()
+        }
+        # nominal side: d = 1 - 1/eig(I + L^-1 S_aa L^-T), negative iff S_aa is not PSD
+        if self.weights[False][0] < -PSD_TOL:
+            raise ValueError(
+                "attack covariance sigma_yaya - sigma_yy is not positive semidefinite"
+            )
 
     def log_lrt(self, y: np.ndarray) -> np.ndarray:
         """Log likelihood ratio of each observation (rows of y)."""
@@ -87,15 +102,15 @@ class _LrtModel:
     def aggregate_samples(
         self, attacked: bool, n: int, trials: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sum of n per-observation log-LRTs for each of `trials` blocks."""
-        chol = self.chol_h1 if attacked else self.chol_h0
+        """Sum of n per-observation log-LRTs for each of `trials` blocks, exact in law."""
+        d = self.weights[attacked]
         out = np.empty(trials)
-        step = max(1, _CHUNK_BUDGET // (n * self.m))
+        step = max(1, _CHUNK_BUDGET // d.size)
         for start in range(0, trials, step):
             stop = min(trials, start + step)
-            y = rng.standard_normal((stop - start, n, self.m)) @ chol.T
-            quad = np.einsum("tnm,mk,tnk->tn", y, self.delta, y)
-            out[start:stop] = n * self.const + 0.5 * quad.sum(axis=1)
+            chi2 = rng.chisquare(n, size=(stop - start, d.size))
+            # einsum sums each row alike in every chunk; BLAS gemv would not
+            out[start:stop] = n * self.const + 0.5 * np.einsum("tm,m->t", chi2, d)
         return out
 
 

@@ -137,7 +137,8 @@ def _draw_factor(
     ``left`` by triangular Bartlett factors (chi distributions on the
     diagonal, standard normals below; needs k-1 >= N), drawing all diagonals
     and then all lower triangles; ``empirical`` draws k Gaussian vectors
-    N(0, left left^T) per factor and centers them.
+    N(0, left left^T) per factor and centers them (for k*N above
+    ``_CHUNK_ENTRIES``, one factor at a time through its streamed scatter).
     """
     n = left.shape[1]
     if sampler == "bartlett":
@@ -147,8 +148,31 @@ def _draw_factor(
         t[:, diag, diag] = np.sqrt(rng.chisquare(df, size=(count, n)))
         t[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
         return left @ t
+    if k * n > _CHUNK_ENTRIES:
+        return np.stack([_streamed_scatter_factor(left, k, rng) for _ in range(count)])
     x = rng.standard_normal((count, k, n)) @ left.T
     return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
+
+
+def _streamed_scatter_factor(left: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Empirical factor for large k: B (r x r) with B B^T the centred scatter of k draws.
+
+    Draws the same normal stream as one (k, N) array, in row blocks of about
+    ``_CHUNK_ENTRIES`` entries, so the working set does not grow with k.
+    """
+    r, n = left.shape
+    rows = max(1, _CHUNK_ENTRIES // n)
+    total = np.zeros(r)
+    scatter = np.zeros((r, r))
+    for start in range(0, k, rows):
+        x = rng.standard_normal((min(rows, k - start), n)) @ left.T
+        total += x.sum(axis=0)
+        scatter += x.T @ x
+    mean = total / k
+    # zero-mean draws: the raw scatter is about k times the subtracted term, so
+    # the subtraction loses almost no precision; eigenvalues below zero are round-off
+    w, v = np.linalg.eigh(scatter - k * np.outer(mean, mean))
+    return v * np.sqrt(np.clip(w, 0.0, None))
 
 
 def draw_sample_covariance(

@@ -25,7 +25,7 @@ def standard_wishart_extremes(
     while done < draws:
         b = min(batch, draws - done)
         z = rng.standard_normal((b, dof, l))
-        gram = np.einsum("bdi,bdj->bij", z, z)
+        gram = np.swapaxes(z, 1, 2) @ z
         eigs = np.linalg.eigvalsh(gram)
         mins[done : done + b] = eigs[:, 0] / dof
         maxs[done : done + b] = eigs[:, -1] / dof

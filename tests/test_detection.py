@@ -8,18 +8,39 @@ import pytest
 from stealthgrid import (
     DerivedCovariances,
     calibrate_threshold,
+    derived_covariances,
     error_exponent_estimate,
     gaussian_kl_marginals,
     lrt_statistic,
+    optimal_attack_covariance,
     run_detection_experiment,
+    sigma_from_snr,
+    toeplitz_covariance,
     zero_mean_gaussian_kl,
 )
+from stealthgrid import detection
 from stealthgrid.detection import _LrtModel
 
 SCALAR_DERIVED = DerivedCovariances(
     sigma_yy=np.array([[1.0]]), sigma_yaya=np.array([[2.0]])
 )
 IDENTICAL = DerivedCovariances(sigma_yy=np.eye(2), sigma_yaya=np.eye(2))
+
+
+def _full_rank_3x3() -> DerivedCovariances:
+    rng = np.random.default_rng(17)
+    a = rng.standard_normal((3, 3))
+    syy = a @ a.T + 3.0 * np.eye(3)
+    saa = rng.standard_normal((3, 3))
+    return DerivedCovariances(sigma_yy=syy, sigma_yaya=syy + saa @ saa.T / 3.0)
+
+
+def _optimal_attack_8x4() -> DerivedCovariances:
+    """8 measurements, 4 states: the optimal attack has rank 4 of 8."""
+    h = np.random.default_rng(23).standard_normal((8, 4))
+    sxx = toeplitz_covariance(4, 0.5)
+    attack = optimal_attack_covariance(h, sxx)
+    return derived_covariances(h, sxx, sigma_from_snr(h, sxx, 20.0), attack)
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +215,7 @@ def test_mean_log_lrt_under_each_hypothesis():
 
 
 def test_mean_log_lrt_multivariate():
-    rng = np.random.default_rng(17)
-    a = rng.standard_normal((3, 3))
-    syy = a @ a.T + 3.0 * np.eye(3)
-    saa = rng.standard_normal((3, 3))
-    saa = saa @ saa.T / 3.0
-    derived = DerivedCovariances(sigma_yy=syy, sigma_yaya=syy + saa)
+    derived = _full_rank_3x3()
     model = _LrtModel(derived)
     trials = 200_000
     attacked = model.aggregate_samples(
@@ -207,3 +223,62 @@ def test_mean_log_lrt_multivariate():
     )
     se = attacked.std(ddof=1) / math.sqrt(trials)
     assert abs(attacked.mean() - gaussian_kl_marginals(derived)) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# the chi-square kernel of aggregate_samples against direct simulation
+# ---------------------------------------------------------------------------
+
+
+def _mean_var_stderr(x: np.ndarray) -> tuple[float, float, float, float]:
+    """Sample mean and variance with the standard error of each."""
+    mean = float(x.mean())
+    var = float(x.var(ddof=1))
+    fourth = float(np.mean((x - mean) ** 4))
+    return mean, var, math.sqrt(var / x.size), math.sqrt(max(fourth - var**2, 0.0) / x.size)
+
+
+@pytest.mark.parametrize("attacked", [False, True], ids=["nominal", "attacked"])
+@pytest.mark.parametrize(
+    "derived",
+    [SCALAR_DERIVED, _full_rank_3x3(), _optimal_attack_8x4()],
+    ids=["scalar", "full-rank-3x3", "rank-deficient-8x4"],
+)
+def test_aggregate_matches_direct_simulation_and_exact_moments(derived, attacked):
+    n, trials = 5, 20_000
+    model = _LrtModel(derived)
+    cov = derived.sigma_yaya if attacked else derived.sigma_yy
+    # the route the kernel replaces: y = L z, n observations per block
+    z = np.random.default_rng(40).standard_normal((trials * n, derived.m))
+    y = z @ np.linalg.cholesky(cov).T
+    direct = model.log_lrt(y).reshape(trials, n).sum(axis=1)
+    kernel = model.aggregate_samples(attacked, n, trials, np.random.default_rng(41))
+
+    delta_cov = model.delta @ cov
+    exact_mean = n * (model.const + 0.5 * np.trace(delta_cov))
+    exact_var = 0.5 * n * np.trace(delta_cov @ delta_cov)
+    m_d, v_d, se_md, se_vd = _mean_var_stderr(direct)
+    m_k, v_k, se_mk, se_vk = _mean_var_stderr(kernel)
+    assert abs(m_d - m_k) <= 4.0 * math.hypot(se_md, se_mk)
+    assert abs(v_d - v_k) <= 4.0 * math.hypot(se_vd, se_vk)
+    for mean, var, se_m, se_v in ((m_d, v_d, se_md, se_vd), (m_k, v_k, se_mk, se_vk)):
+        assert abs(mean - exact_mean) <= 4.0 * se_m
+        assert abs(var - exact_var) <= 4.0 * se_v
+
+
+def test_aggregate_chunks_are_one_chisquare_stream(monkeypatch):
+    model = _LrtModel(_optimal_attack_8x4())
+    n, trials = 7, 100
+    monkeypatch.setattr(detection, "_CHUNK_BUDGET", 24)  # 3 rows per chunk, 34 chunks
+    chunked = model.aggregate_samples(True, n, trials, np.random.default_rng(5))
+    chi2 = np.random.default_rng(5).chisquare(n, size=(trials, 8))
+    whole = n * model.const + 0.5 * np.einsum("tm,m->t", chi2, model.weights[True])
+    assert np.array_equal(chunked, whole)
+
+
+@pytest.mark.parametrize("attacked", [False, True])
+def test_aggregate_identical_hypotheses_is_exactly_n_const(attacked):
+    syy = _full_rank_3x3().sigma_yy
+    model = _LrtModel(DerivedCovariances(sigma_yy=syy, sigma_yaya=syy))
+    samples = model.aggregate_samples(attacked, 9, 1000, np.random.default_rng(2))
+    assert np.all(samples == 9 * model.const)

@@ -305,8 +305,14 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
         (["--trials", "0"], "need at least 1000 trials"),
         (["--trials", "1"], "need at least 1000 trials"),
         (["--n-grid", "0"], "block length n must be >= 1, got 0"),
+        (["--attack-var", "nan"], "sigma_yaya has non-finite entries"),
+        (["--clean-var", "inf"], "sigma_yy has non-finite entries"),
+        (["--attack-var=-0.5"], "sigma_yaya - sigma_yy is not positive semidefinite"),
+        (["--clean-var", "0"], "sigma_yy is not positive definite"),
+        (["--clean-var=-1"], "sigma_yy is not positive definite"),
     ],
-    ids=["trials-zero", "trials-one", "n-grid-zero"],
+    ids=["trials-zero", "trials-one", "n-grid-zero", "attack-var-nan", "clean-var-inf",
+         "attack-var-negative", "clean-var-zero", "clean-var-negative"],
 )
 def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
     assert main(["detect", "--seed", "2"] + argv) == 1

@@ -68,13 +68,16 @@ def test_draw_scalar_matches_chi_square_moments():
     d = 10
     draws = 100_000
     cov = StateCovariance(sigma_xx=np.array([[1.0]]))
-    vals = np.empty(draws)
-    for i in range(draws):
-        vals[i] = draw_sample_covariance(
-            cov, d + 1, seed=np.random.SeedSequence((99, i))
-        ).s_xx[0, 0]
+    left = np.linalg.cholesky(cov.sigma_xx)
+    b = _draw_factor(left, d + 1, "bartlett", np.random.default_rng(99), draws)
+    vals = b[:, 0, 0] ** 2 / d
     tol = 3.0 * math.sqrt(2.0 / d) / math.sqrt(draws)
     assert abs(vals.mean() - 1.0) <= tol
+    # draw_sample_covariance is the count=1 draw of the same path
+    for i in range(5):
+        seed = np.random.SeedSequence((99, i))
+        one = _draw_factor(left, d + 1, "bartlett", np.random.default_rng(seed), 1)[0]
+        assert draw_sample_covariance(cov, d + 1, seed=seed).s_xx[0, 0] == (one @ one.T / d)[0, 0]
 
 
 def test_draw_is_entrywise_unbiased():
@@ -112,6 +115,18 @@ def test_bartlett_requires_enough_dof():
     # the empirical path accepts the same K and yields a singular PSD matrix
     s = draw_sample_covariance(cov, 4, seed=0, sampler="empirical")
     assert np.linalg.eigvalsh(s.s_xx).min() >= -1e-12
+
+
+@pytest.mark.parametrize("n, k", [(29, 1000), (150, 120)], ids=["full-rank", "singular"])
+def test_empirical_large_k_scatter_matches_explicit_centred_product(n, k):
+    # k*n above the chunk size: the scatter is summed over row blocks of the same stream
+    assert k * n > 2**14
+    cov = toeplitz_covariance(n, 0.5)
+    s = draw_sample_covariance(cov, k, seed=31, sampler="empirical").s_xx
+    x = np.random.default_rng(31).standard_normal((k, n)) @ np.linalg.cholesky(cov.sigma_xx).T
+    centred = x - x.mean(axis=0)
+    explicit = centred.T @ centred / (k - 1)
+    assert np.linalg.norm(s - explicit) <= 1e-12 * np.linalg.norm(explicit)
 
 
 def test_samplers_agree_in_distribution():
