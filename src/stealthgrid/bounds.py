@@ -36,54 +36,34 @@ EULER_GAMMA = 0.5772156649015328606
 
 FORMULAS = ("paper", "real_exact")
 
-#: Above this argument the asymptotic expansion is used (error < 1e-24).
-_EXACT_SUM_LIMIT = 10_000
+#: Arguments below this are shifted up by the recurrence before the series.
+_DIGAMMA_SERIES_FROM = 16.0
 
 
-@lru_cache(maxsize=None)
-def _harmonic(n: int) -> float:
-    """H_n = sum_{k=1}^n 1/k, exactly rounded via fsum."""
-    return math.fsum(1.0 / k for k in range(1, n + 1))
+def _digamma(x: np.ndarray) -> np.ndarray:
+    """Digamma of an array of positive reals, accurate to about 1e-15.
 
-
-@lru_cache(maxsize=None)
-def _odd_harmonic(n: int) -> float:
-    """sum_{j=1}^n 1/(2j-1), exactly rounded via fsum."""
-    return math.fsum(1.0 / (2 * j - 1) for j in range(1, n + 1))
-
-
-def _digamma_asymptotic(x: float) -> float:
-    return math.log(x) - 1.0 / (2.0 * x) - 1.0 / (12.0 * x**2) + 1.0 / (120.0 * x**4)
+    Shifts every argument to [16, 17) or beyond with
+    psi(x) = psi(x + 1) - 1/x, then applies the asymptotic series
+    log y - 1/(2y) - sum_j B_2j / (2j y^2j) through 1/y^10, whose first
+    omitted term is below 1e-16 there.
+    """
+    x = np.asarray(x, dtype=float)
+    steps = np.maximum(np.ceil(_DIGAMMA_SERIES_FROM - x), 0.0)
+    offsets = np.arange(int(_DIGAMMA_SERIES_FROM))
+    shifted = x[..., None] + offsets
+    recurrence = np.sum(np.where(offsets < steps[..., None], 1.0 / shifted, 0.0), axis=-1)
+    y = x + steps
+    z = 1.0 / (y * y)
+    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
+    return np.log(y) - 0.5 / y - series - recurrence
 
 
 def digamma(n: int) -> float:
-    """Digamma function at a positive integer.
-
-    Evaluates psi(n) = -gamma + H_{n-1} by exact harmonic summation for
-    n <= 10^4 and by the asymptotic expansion
-    log n - 1/(2n) - 1/(12 n^2) + 1/(120 n^4) beyond, accurate to 1e-12.
-    """
+    """Digamma function at a positive integer, accurate to about 1e-15."""
     if n != int(n) or n <= 0:
         raise ValueError(f"digamma is defined here for positive integers, got {n}")
-    n = int(n)
-    if n <= _EXACT_SUM_LIMIT:
-        return -EULER_GAMMA + _harmonic(n - 1)
-    return _digamma_asymptotic(float(n))
-
-
-def _digamma_half_integer(twice_x: int) -> float:
-    """psi(twice_x / 2) for positive integer twice_x (integer or half-integer arg).
-
-    psi(m + 1/2) = -gamma - 2 log 2 + 2 sum_{j=1}^{m} 1/(2j-1).
-    """
-    if twice_x <= 0:
-        raise ValueError(f"argument must be positive, got {twice_x / 2}")
-    if twice_x % 2 == 0:
-        return digamma(twice_x // 2)
-    if twice_x <= 2 * _EXACT_SUM_LIMIT:
-        m = (twice_x - 1) // 2
-        return -EULER_GAMMA - 2.0 * math.log(2.0) + 2.0 * _odd_harmonic(m)
-    return _digamma_asymptotic(twice_x / 2.0)
+    return float(_digamma(np.array(float(n))))
 
 
 @dataclass(frozen=True)
@@ -119,7 +99,7 @@ def extreme_eig_bounds(l: int, k: int) -> EigBoundPair:
     )
 
 
-def expected_logdet_std_wishart(p: int, k: int, formula: str = "paper") -> float:
+def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> float:
     """E[log det] of the standardized p-dimensional sample covariance.
 
     For S ~ Wishart(K-1, I_p)/(K-1):
@@ -128,7 +108,16 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "paper") -> float
       complex-ensemble identity used by the closed-form bound;
     - ``real_exact``: sum_{i=1}^{p} psi((K-i)/2) + p log 2 - p log(K-1),
       exact for real-valued data and strictly smaller.
+
+    The p digamma terms are evaluated as one array and summed with
+    ``math.fsum``; the value is memoised per (p, K, formula).
     """
+    return _logdet_std_wishart(p, k, formula)
+
+
+@lru_cache(maxsize=4096)
+def _logdet_std_wishart(p: int, k: int, formula: str) -> float:
+    """:func:`expected_logdet_std_wishart`, memoised (errors are not cached)."""
     if formula not in FORMULAS:
         raise ValueError(f"formula must be one of {FORMULAS}, got {formula!r}")
     if p < 0:
@@ -138,9 +127,9 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "paper") -> float
     if p == 0:
         return 0.0
     if formula == "paper":
-        total = math.fsum(digamma(k - 1 - i) for i in range(p))
+        total = math.fsum(_digamma(k - 1 - np.arange(p, dtype=float)))
     else:
-        total = math.fsum(_digamma_half_integer(k - i) for i in range(1, p + 1))
+        total = math.fsum(_digamma((k - np.arange(1, p + 1, dtype=float)) / 2.0))
         total += p * math.log(2.0)
     return total - p * math.log(k - 1)
 
@@ -161,9 +150,38 @@ class BoundProgram:
     objective: float
 
 
-def _allocation_roots(b: np.ndarray, t: float) -> np.ndarray:
+#: Cap on the Newton steps for the dual level; it converges in a handful.
+_NEWTON_STEPS = 60
+#: Newton stops once its step is within a few ulps of the level.
+_STEP_TOL = 4.0 * float(np.finfo(float).eps)
+
+
+def _allocation_roots(b: np.ndarray, t) -> np.ndarray:
     """Per-coordinate positive root of b x^2 + x = t (stable for small b)."""
     return 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t))
+
+
+def _level_in_interval(b: np.ndarray, target: float, left: float, right: float) -> float:
+    """The t in [left, right] with sum_i root_i(t) = target, by safeguarded Newton.
+
+    The sum is smooth, increasing and concave in t, with
+    d root_i / dt = 1 / (2 b_i root_i + 1) = 1 / sqrt(1 + 4 b_i t).  From the
+    left end the Newton iterates rise monotonically to the root; a step that
+    rounding pushes out of the shrinking bracket is replaced by bisection.
+    """
+    t = left
+    for _ in range(_NEWTON_STEPS):
+        radical = np.sqrt(1.0 + 4.0 * b * t)
+        shortfall = target - float((2.0 * t / (1.0 + radical)).sum())
+        if shortfall > 0.0:
+            left = t
+        else:
+            right = t
+        step = shortfall / float((1.0 / radical).sum())
+        if shortfall == 0.0 or abs(step) <= _STEP_TOL * t:
+            break
+        t = t + step if left < t + step < right else 0.5 * (left + right)
+    return t
 
 
 def solve_bound_program(b, k: int) -> BoundProgram:
@@ -171,9 +189,11 @@ def solve_bound_program(b, k: int) -> BoundProgram:
 
     The problem is separable and strictly convex, so the optimum is
     water-filling-like: every interior coordinate satisfies
-    b_i x_i^2 + x_i = t for a shared dual level t, coordinates beyond the
-    box are clipped, and t is found by bisection on the monotone sum
-    constraint (tolerance 1e-12, at most 200 iterations).
+    b_i x_i^2 + x_i = t for a shared dual level t, and the others sit on
+    the box [lo, hi].  Coordinate i leaves lo at t = b_i lo^2 + lo and
+    reaches hi at t = b_i hi^2 + hi.  The clipped sum is evaluated at all
+    2p breakpoints at once; the interval holding sum x = p fixes which
+    coordinates are clipped, and Newton's method finds t inside it.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
@@ -184,41 +204,26 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     box = extreme_eig_bounds(p, k)
     lo, hi = box.lower_min, box.upper_max
 
-    def clipped(t: float) -> np.ndarray:
-        return np.clip(_allocation_roots(b, t), lo, hi)
-
-    target = float(p)
-    t_lo, t_hi = 0.0, 1.0
-    while np.sum(clipped(t_hi)) < target:
-        t_hi *= 2.0
-    x = clipped(t_hi)
-    for _ in range(200):
-        t_mid = 0.5 * (t_lo + t_hi)
-        x = clipped(t_mid)
-        total = float(np.sum(x))
-        if abs(total - target) <= 1e-12 * max(1.0, target):
-            break
-        if total < target:
-            t_lo = t_mid
-        else:
-            t_hi = t_mid
-        if t_hi - t_lo <= 1e-16 * max(t_hi, 1.0):
-            break
-
-    # distribute any residual over interior coordinates to pin the sum
-    residual = target - float(np.sum(x))
-    interior = (x > lo) & (x < hi)
-    if abs(residual) > 0 and np.any(interior):
-        x = x.copy()
-        x[interior] += residual / int(np.count_nonzero(interior))
-        x = np.clip(x, lo, hi)
+    enter = b * lo**2 + lo
+    leave = b * hi**2 + hi
+    levels = np.sort(np.concatenate([enter, leave]))
+    sums = np.clip(_allocation_roots(b, levels[:, None]), lo, hi).sum(axis=1)
+    # sums[0] = p lo < p < p hi = sums[-1], so 1 <= j <= 2p - 1
+    j = int(np.searchsorted(sums, p))
+    left, right = float(levels[j - 1]), float(levels[j])
+    at_lo = enter >= right
+    at_hi = leave <= left
+    free = ~(at_lo | at_hi)
+    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
+    t = _level_in_interval(b[free], target, left, right)
+    x = np.clip(_allocation_roots(b, t), lo, hi)
 
     objective = float(math.fsum(np.log(b + 1.0 / x)))
     return BoundProgram(b=b, p=p, box_lo=lo, box_hi=hi, x_star=x, objective=objective)
 
 
 def logdet_lower_bound(
-    spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "paper"
+    spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "real_exact"
 ) -> float:
     """Lower bound on E[log|H S_xx H^T + sigma^2 I_M|].
 
@@ -255,7 +260,7 @@ class BoundResult:
 
 
 def spectral_upper_bound(
-    spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "paper"
+    spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "real_exact"
 ) -> BoundResult:
     """Closed-form upper bound on the expected learned-attack cost at K.
 
@@ -276,7 +281,7 @@ def spectral_upper_bound(
     logdet_syy = float(np.sum(np.log(shifted))) + (m - spectrum.p) * math.log(sigma**2)
     return BoundResult(
         value=0.5 * (trace_term + logdet_syy - lower),
-        digamma_sum=expected_logdet_std_wishart(spectrum.p, k, formula),
+        digamma_sum=_logdet_std_wishart(spectrum.p, k, formula),
         logdet_lower=lower,
         spectrum=spectrum,
         k=k,
@@ -289,7 +294,7 @@ def ergodic_upper_bound(
     sigma_xx: StateCovariance,
     sigma: float,
     k: int,
-    formula: str = "paper",
+    formula: str = "real_exact",
 ) -> BoundResult:
     """:func:`spectral_upper_bound` for the system (H, S_xx, sigma)."""
     h = np.asarray(h, dtype=float)

@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bound", help="closed-form ergodic upper bound at one K")
     _add_system_args(p)
     p.add_argument("--k", type=int, required=True)
-    p.add_argument("--formula", choices=FORMULAS, default="paper")
+    p.add_argument("--formula", choices=FORMULAS, default="real_exact")
     p.set_defaults(handler=_cmd_bound)
 
     p = sub.add_parser(
@@ -211,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--k-grid", type=_parse_k_grid, default=DEFAULT_K_GRID)
-    p.add_argument("--formula", choices=FORMULAS, default="paper")
+    p.add_argument("--formula", choices=FORMULAS, default="real_exact")
     p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
     p.add_argument("--config", help="JSON config supplying an ExperimentConfig")
     p.set_defaults(handler=_cmd_fig1)

@@ -56,7 +56,7 @@ class ExperimentConfig:
     snr_db: float = 20.0
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
     trials: int = 1000
-    formula: str = "paper"
+    formula: str = "real_exact"
     sampler: str = "bartlett"
     measurements: MeasurementSelection = field(default_factory=MeasurementSelection)
     output_dir: str = "."
@@ -179,7 +179,7 @@ def emit_fig1_dataset(
     trials: int = 1000,
     seed: int = 0,
     k_grid: tuple[int, ...] = DEFAULT_K_GRID,
-    formula: str = "paper",
+    formula: str = "real_exact",
     sampler: str = "bartlett",
 ) -> list[Path]:
     """K-sweep of the bundled 30-bus system at SNR 20 dB, rho in {0.1, 0.8}.

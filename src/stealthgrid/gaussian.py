@@ -271,9 +271,13 @@ def gaussian_kl_marginals(derived: DerivedCovariances) -> float:
 def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> SpectralData:
     """Nonzero eigenvalues of H S_xx H^T and their count p.
 
-    Eigenvalues at or below ``rank_tol * lambda_max`` are treated as zero.
+    With F = H chol(S_xx), H S_xx H^T = F F^T shares its nonzero eigenvalues
+    with F^T F, so the smaller of the two Gram matrices is decomposed: N x N
+    when M > N, M x M otherwise.  Eigenvalues at or below
+    ``rank_tol * lambda_max`` are treated as zero.
     """
-    gram = symmetrize(np.asarray(h, dtype=float) @ _as_matrix(sigma_xx) @ np.asarray(h).T)
+    f = np.asarray(h, dtype=float) @ np.linalg.cholesky(_as_matrix(sigma_xx))
+    gram = f.T @ f if f.shape[0] > f.shape[1] else f @ f.T
     ev = np.linalg.eigvalsh(gram)[::-1]
     if ev.size == 0 or ev[0] <= 0.0:
         return SpectralData(eigenvalues=np.empty(0), p=0)

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import special
 
 from stealthgrid import (
@@ -23,7 +25,7 @@ from stealthgrid import (
     spectral_upper_bound,
     toeplitz_covariance,
 )
-from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma_half_integer
+from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma
 from helpers import grid_oracle_objective, standard_wishart_extremes
 
 SCALAR_SPEC = nonzero_spectrum(np.array([[1.0]]), np.array([[1.0]]))
@@ -55,7 +57,7 @@ def test_digamma_matches_scipy(n):
 
 @pytest.mark.parametrize("twice", [1, 3, 5, 99, 19_999, 20_001, 10**7 + 1])
 def test_half_integer_digamma_matches_scipy(twice):
-    assert _digamma_half_integer(twice) == pytest.approx(
+    assert float(_digamma(twice / 2.0)) == pytest.approx(
         float(special.digamma(twice / 2.0)), abs=1e-12
     )
 
@@ -217,6 +219,69 @@ def test_solver_rejects_bad_inputs():
         solve_bound_program([1.0, 1.0, 1.0], 3)
 
 
+def _allocation_objective(b: np.ndarray, x: np.ndarray) -> float:
+    return math.fsum(np.log(b + 1.0 / x))
+
+
+@st.composite
+def _bound_programs(draw):
+    """(b, K, seed): p in 1..40, b log-uniform on [1e-8, 1e8], K at p+1 (lo = 0),
+    p+2, log-uniform up to about 1e8, or 1e8+1; seed drives the perturbations."""
+    p = draw(st.integers(1, 40))
+    b = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=p, max_size=p)))
+    kind = draw(st.sampled_from(["p+1", "p+2", "random", "1e8+1"]))
+    if kind == "random":
+        k = p + 1 + int(10.0 ** draw(st.floats(0.0, 8.0)))
+    else:
+        k = {"p+1": p + 1, "p+2": p + 2, "1e8+1": 10**8 + 1}[kind]
+    return b, k, draw(st.integers(0, 2**32 - 1))
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bound_programs())
+def test_solver_satisfies_kkt_and_beats_feasible_perturbations(case):
+    b, k, seed = case
+    p = b.size
+    program = solve_bound_program(b, k)
+    x, lo, hi = program.x_star, program.box_lo, program.box_hi
+    assert math.isfinite(program.objective)
+    assert program.objective == _allocation_objective(b, x)
+    assert abs(x.sum() - p) <= 1e-11 * p
+    assert np.all((x >= lo) & (x <= hi))
+
+    # KKT: interior coordinates share the level t = b x^2 + x; a coordinate
+    # held at lo would sit below lo at level t (its level at lo is >= t), one
+    # held at hi would exceed hi (its level at hi is <= t)
+    level = b * x**2 + x
+    at_lo, at_hi = x == lo, x == hi
+    interior = ~(at_lo | at_hi)
+    if interior.any():
+        t_min, t_max = level[interior].min(), level[interior].max()
+        assert t_max - t_min <= 1e-10 * t_max
+        if at_lo.any():
+            assert level[at_lo].min() >= t_max * (1.0 - 1e-10)
+        if at_hi.any():
+            assert level[at_hi].max() <= t_min * (1.0 + 1e-10)
+    if at_lo.any() and at_hi.any():
+        assert level[at_lo].min() >= level[at_hi].max() * (1.0 - 1e-10)
+
+    # no feasible point nearby or towards x = 1 (always feasible) is better
+    rng = np.random.default_rng(seed)
+    slack = 1e-12 * max(1.0, abs(program.objective))
+    for _ in range(4):
+        s = rng.uniform(1e-6, 1.0)
+        moved = (1.0 - s) * x + s
+        assert _allocation_objective(b, moved) >= program.objective - slack
+    if p >= 2:
+        for _ in range(4):
+            i, j = rng.choice(p, size=2, replace=False)
+            delta = rng.uniform(0.01, 0.99) * min(x[i] - lo, hi - x[j])
+            moved = x.copy()
+            moved[i] -= delta
+            moved[j] += delta
+            assert _allocation_objective(b, moved) >= program.objective - slack
+
+
 # ---------------------------------------------------------------------------
 # logdet_lower_bound
 # ---------------------------------------------------------------------------
@@ -229,7 +294,7 @@ def test_logdet_lower_rank_zero_is_exact():
 
 
 def test_logdet_lower_scalar_digamma_arithmetic():
-    value = logdet_lower_bound(SCALAR_SPEC, 1.0, 1, 101)
+    value = logdet_lower_bound(SCALAR_SPEC, 1.0, 1, 101, "paper")
     expected = digamma(100) - math.log(100.0) + math.log(2.0)
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.68814, abs=1e-5)
@@ -254,7 +319,7 @@ SCALAR_COV = StateCovariance(sigma_xx=np.array([[1.0]]))
 
 
 def test_bound_scalar_hand_value():
-    result = ergodic_upper_bound(SCALAR_H, SCALAR_COV, 1.0, 101)
+    result = ergodic_upper_bound(SCALAR_H, SCALAR_COV, 1.0, 101, "paper")
     expected = 0.5 * (0.5 + math.log(2.0) - (digamma(100) - math.log(100.0) + math.log(2.0)))
     assert result.value == pytest.approx(expected, abs=1e-12)
     assert result.value == pytest.approx(0.25250, abs=1e-5)
@@ -305,6 +370,36 @@ def test_bound_requires_enough_samples(ieee30_h):
     cov = toeplitz_covariance(29, 0.1)
     with pytest.raises(ValueError, match="k-1 >= p"):
         ergodic_upper_bound(ieee30_h, cov, 1.0, 29)
+
+
+@st.composite
+def _small_systems(draw):
+    """H (M <= 12, N <= 6, rank r: tall, wide, square or rank-deficient), rho, SNR, K >= p+1."""
+    m, n = draw(st.integers(1, 12)), draw(st.integers(1, 6))
+    rank = draw(st.integers(1, min(m, n)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    h = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    rho = draw(st.floats(0.0, 0.95))
+    snr_db = draw(st.floats(-10.0, 60.0))
+    k = rank + int(10.0 ** draw(st.floats(0.0, 3.0)))
+    return h, rho, snr_db, k, draw(st.integers(0, 2**63 - 1))
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_small_systems())
+def test_default_bound_dominates_monte_carlo_mean(system):
+    h, rho, snr_db, k, seed = system
+    cov = toeplitz_covariance(h.shape[1], rho)
+    sigma = sigma_from_snr(h, cov, snr_db)
+    spectrum = nonzero_spectrum(h, cov)
+    assert k >= spectrum.p + 1
+    # Bartlett needs K-1 >= N; below that only the empirical sampler applies
+    sampler = "bartlett" if k - 1 >= h.shape[1] else "empirical"
+    estimate = estimate_ergodic_cost(
+        h, cov, sigma, TrainingConfig(k=k, seed=seed, trials=3000, sampler=sampler)
+    )
+    bound = spectral_upper_bound(spectrum, sigma, h.shape[0], k).value
+    assert bound >= estimate.mean - 4.0 * estimate.stderr
 
 
 def _h_oracle_bound(h, sxx, sigma, k, formula):

@@ -68,7 +68,7 @@ def test_run_experiment_writes_replayable_manifest(tmp_path):
     assert manifest["config"]["seed"] == 11
     assert manifest["config"]["k_grid"] == [100, 1000]
     assert len(manifest["spectrum_sha256"]) == 64
-    assert len(manifest["bound_real_exact"]) == 2
+    assert len(manifest["bound_paper"]) == 2
     # rerunning from the recorded config reproduces the CSV byte for byte
     from stealthgrid import MeasurementSelection
 

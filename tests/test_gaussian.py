@@ -21,6 +21,7 @@ from stealthgrid import (
     toeplitz_covariance,
     zero_mean_gaussian_kl,
 )
+from stealthgrid.gaussian import RANK_TOL
 from helpers import random_pd, random_psd
 
 
@@ -235,6 +236,32 @@ def test_spectrum_zero_h():
 def test_spectrum_ieee30_low_correlation(ieee30_h):
     spec = nonzero_spectrum(ieee30_h, toeplitz_covariance(29, 0.1))
     assert spec.p == 29
+
+
+def _gram_oracle_spectrum(h: np.ndarray, sxx: np.ndarray) -> np.ndarray:
+    """Nonzero eigenvalues of the M x M matrix H S_xx H^T, descending, by the RANK_TOL rule."""
+    gram = h @ sxx @ h.T
+    ev = np.linalg.eigvalsh((gram + gram.T) / 2.0)[::-1]
+    return ev[ev > RANK_TOL * ev[0]]
+
+
+@pytest.mark.parametrize(
+    "shape, rank",
+    [((12, 5), 5), ((4, 9), 4), ((7, 7), 7), ((10, 6), 3), ((3, 8), 2), ((71, 29), 29)],
+    ids=["tall", "wide", "square", "rank-deficient-tall", "rank-deficient-wide", "ieee30-shape"],
+)
+def test_spectrum_matches_m_by_m_gram_oracle(shape, rank):
+    m, n = shape
+    rng = np.random.default_rng([m, n, rank])
+    h = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+    sxx = toeplitz_covariance(n, 0.95)
+    spec = nonzero_spectrum(h, sxx)
+    oracle = _gram_oracle_spectrum(h, sxx.sigma_xx)
+    assert spec.p == oracle.size == rank
+    assert np.all(np.diff(spec.eigenvalues) <= 0.0)
+    # a symmetric eigensolver's error is bounded by eps times the norm, so
+    # agreement is relative to lambda_max, the scale of the RANK_TOL rule too
+    np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0.0, atol=1e-12 * oracle[0])
 
 
 def test_optimal_cost_closed_form_scalar():
