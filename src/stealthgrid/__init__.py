@@ -77,6 +77,7 @@ from .learning import (
     estimate_ergodic_cost,
     learned_attack_covariance,
     sample_covariance,
+    spectral_ergodic_costs,
 )
 
 __all__ = [
@@ -119,6 +120,7 @@ __all__ = [
     "draw_sample_covariance",
     "learned_attack_covariance",
     "estimate_ergodic_cost",
+    "spectral_ergodic_costs",
     # bounds
     "digamma",
     "EigBoundPair",

@@ -17,7 +17,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import SpectralData, StateCovariance, nonzero_spectrum
+from .gaussian import SpectralData, StateCovariance, _check_sigma, nonzero_spectrum
 
 __all__ = [
     "digamma",
@@ -236,8 +236,7 @@ def logdet_lower_bound(
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
     is exact.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_sigma(sigma)
     if spectrum.p == 0:
         return 2.0 * m * math.log(sigma)
     if k - 1 < spectrum.p:

@@ -28,7 +28,7 @@ from .grid import (
     load_matpower_case,
     load_measurement_matrix,
 )
-from .learning import SAMPLERS, TrainingConfig, estimate_ergodic_cost
+from .learning import SAMPLERS, TrainingConfig, spectral_ergodic_costs
 
 _MEASUREMENT_CLASSES = {"from_flows", "to_flows", "injections"}
 
@@ -101,7 +101,7 @@ def _cmd_optimal(args) -> int:
 def _cmd_ergodic(args) -> int:
     s = _scenario(args)
     cfg = TrainingConfig(k=args.k, seed=args.seed, trials=args.trials, sampler=args.sampler)
-    estimate = estimate_ergodic_cost(s.h, s.sigma_xx, s.sigma, cfg)
+    (estimate,) = spectral_ergodic_costs([(s.spectrum, s.sigma)], cfg)
     print(f"k: {estimate.k}")
     print(f"trials: {estimate.trials}")
     print(f"ergodic cost mean: {estimate.mean!r}")

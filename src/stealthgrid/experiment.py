@@ -18,7 +18,7 @@ from . import __version__
 from .bounds import FORMULAS, spectral_upper_bound
 from .gaussian import Scenario, optimal_cost
 from .grid import MeasurementSelection, load_measurement_matrix
-from .learning import SAMPLERS, TrainingConfig, estimate_ergodic_cost
+from .learning import SAMPLERS, ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
 
 __all__ = [
     "ExperimentConfig",
@@ -38,6 +38,10 @@ DEFAULT_K_GRID = tuple(
 
 _FIG1_RHOS = (0.1, 0.8)
 _ASYMPTOTIC_K = 10**8 + 1
+#: A bound more than this many Monte Carlo stderr below the mean is a violation.
+_VIOLATION_Z = 3.0
+#: Config fields that every config of one sweep must share: they fix the draws.
+_SWEEP_SHARED = ("seed", "k_grid", "trials", "sampler", "case_path", "h_path", "measurements")
 
 
 @dataclass
@@ -111,34 +115,73 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
 
     Each CSV row holds the Monte Carlo ergodic estimate, the closed-form
     bound, the optimal cost, and ``gap = bound - optimal_cost`` for one K.
-    The manifest adds the bound under the other formula and, as
-    ``bound_large_k``, the bound at K-1 = 10^8.  Identical configs produce
-    byte-identical files.
+    The manifest adds the bound under the other formula, as
+    ``bound_large_k`` the bound at K-1 = 10^8, and per K the Monte Carlo
+    health in ``diagnostics``: the relative stderr and
+    ``margin_z = (bound - mc_mean) / mc_stderr``.  ``bound_violations``
+    lists the K whose bound lies more than 3 stderr below the Monte Carlo
+    mean.  Identical configs produce byte-identical files.
 
     Returns the CSV path.
     """
-    h = load_measurement_matrix(config.case_path, config.h_path, config.measurements)
-    scenario = Scenario.build(h, config.rho, config.snr_db)
-    sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
-    if config.k_grid[0] - 1 < spectrum.p:  # k_grid is increasing
-        raise ValueError(
-            f"k_grid entry {config.k_grid[0]} violates k-1 >= p (p={spectrum.p} for this system)"
-        )
-    f_star = optimal_cost(spectrum, sigma)
+    return _run_sweep([config], [csv_name])[0]
 
+
+def _run_sweep(configs: list[ExperimentConfig], csv_names: list[str | None]) -> list[Path]:
+    """:func:`run_experiment` for configs of one system, seed, K grid, trial count and sampler.
+
+    The configs differ only in rho, SNR, formula and output, so at each K
+    one Monte Carlo call scores all their scenarios on the same draws;
+    every config gets the files that :func:`run_experiment` alone writes.
+    """
+    first = configs[0]
+    for config in configs[1:]:
+        differ = [name for name in _SWEEP_SHARED if getattr(config, name) != getattr(first, name)]
+        if differ:
+            raise ValueError(f"configs of one sweep must share {differ}")
+    h = load_measurement_matrix(first.case_path, first.h_path, first.measurements)
+    scenarios = [Scenario.build(h, config.rho, config.snr_db) for config in configs]
+    p = scenarios[0].spectrum.p  # the Monte Carlo rejects scenarios of another rank
+    if first.k_grid[0] - 1 < p:  # k_grid is increasing
+        raise ValueError(
+            f"k_grid entry {first.k_grid[0]} violates k-1 >= p (p={p} for this system)"
+        )
+
+    systems = [(scenario.spectrum, scenario.sigma) for scenario in scenarios]
+    estimates = []
+    for k in first.k_grid:
+        cfg = TrainingConfig(
+            k=k, seed=_per_k_seed(first.seed, k), trials=first.trials, sampler=first.sampler
+        )
+        estimates.append(spectral_ergodic_costs(systems, cfg))
+    return [
+        _write_outputs(config, name, scenario, [per_k[i] for per_k in estimates])
+        for i, (config, name, scenario) in enumerate(zip(configs, csv_names, scenarios))
+    ]
+
+
+def _write_outputs(
+    config: ExperimentConfig,
+    csv_name: str | None,
+    scenario: Scenario,
+    estimates: list[ErgodicEstimate],
+) -> Path:
+    """Bounds for one config's K grid, then its CSV and manifest."""
+    sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
+    f_star = optimal_cost(spectrum, sigma)
     rows = []
     bounds_other = []
+    diagnostics = []
     other = "real_exact" if config.formula == "paper" else "paper"
-    for k in config.k_grid:
-        cfg = TrainingConfig(
-            k=k, seed=_per_k_seed(config.seed, k), trials=config.trials, sampler=config.sampler
-        )
-        estimate = estimate_ergodic_cost(h, scenario.sigma_xx, sigma, cfg)
-        bound = spectral_upper_bound(spectrum, sigma, m, k, config.formula)
-        rows.append(
-            (k, estimate.mean, estimate.stderr, bound.value, f_star, bound.value - f_star)
-        )
+    for k, estimate in zip(config.k_grid, estimates):
+        bound = spectral_upper_bound(spectrum, sigma, m, k, config.formula).value
+        rows.append((k, estimate.mean, estimate.stderr, bound, f_star, bound - f_star))
         bounds_other.append(spectral_upper_bound(spectrum, sigma, m, k, other).value)
+        diagnostics.append({
+            "k": k,
+            "mc_rel_stderr": estimate.stderr / abs(estimate.mean) if estimate.mean else None,
+            "margin_z": (bound - estimate.mean) / estimate.stderr if estimate.stderr else None,
+        })
     bound_large_k = spectral_upper_bound(spectrum, sigma, m, _ASYMPTOTIC_K, config.formula).value
 
     out_dir = Path(config.output_dir)
@@ -155,12 +198,17 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
         "sigma": sigma,
         "sigma_sq": sigma**2,
         "m": m,
-        "n": int(h.shape[1]),
+        "n": int(scenario.h.shape[1]),
         "p": spectrum.p,
         "spectrum_sha256": hashlib.sha256(spectrum.eigenvalues.tobytes()).hexdigest(),
         "optimal_cost": f_star,
         f"bound_{other}": bounds_other,
         "bound_large_k": bound_large_k,
+        "diagnostics": diagnostics,
+        "bound_violations": [
+            d["k"] for d in diagnostics
+            if d["margin_z"] is not None and d["margin_z"] < -_VIOLATION_Z
+        ],
         "version": __version__,
     }
     manifest_path = out_dir / f"{stem}_manifest.json"
@@ -186,11 +234,12 @@ def emit_fig1_dataset(
 
     Writes ``fig1_rho01.csv`` and ``fig1_rho08.csv`` (plus manifests) into
     ``output_dir`` and prints, per rho, the analytic large-K check from the
-    manifest: the bound at K-1 = 10^8 against the optimal cost.
+    manifest: the bound at K-1 = 10^8 against the optimal cost.  The two
+    rhos are one sweep, scored on the same Monte Carlo draws at each K; the
+    files equal those of one :func:`run_experiment` call per rho.
     """
-    paths = []
-    for rho in _FIG1_RHOS:
-        config = ExperimentConfig(
+    configs = [
+        ExperimentConfig(
             rho=rho,
             seed=seed,
             case_path="bundled:ieee30",
@@ -200,10 +249,11 @@ def emit_fig1_dataset(
             sampler=sampler,
             output_dir=str(output_dir),
         )
-        name = f"fig1_rho{rho:.1f}".replace("0.", "0") + ".csv"
-        path = run_experiment(config, csv_name=name)
-        paths.append(path)
-
+        for rho in _FIG1_RHOS
+    ]
+    names = [f"fig1_rho{rho:.1f}".replace("0.", "0") + ".csv" for rho in _FIG1_RHOS]
+    paths = _run_sweep(configs, names)
+    for rho, path in zip(_FIG1_RHOS, paths):
         manifest = json.loads((path.parent / f"{path.stem}_manifest.json").read_text("utf-8"))
         asymptotic, f_star = manifest["bound_large_k"], manifest["optimal_cost"]
         rel = abs(asymptotic - f_star) / f_star

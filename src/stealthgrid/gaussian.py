@@ -63,6 +63,12 @@ def logdet_psd(m: np.ndarray) -> float | np.ndarray:
     return logdet if logdet.ndim else float(logdet)
 
 
+def _check_sigma(sigma: float) -> None:
+    """Reject a noise level that is not finite and > 0 (nan included)."""
+    if not (math.isfinite(sigma) and sigma > 0.0):
+        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+
+
 def _as_matrix(cov) -> np.ndarray:
     """Accept a :class:`StateCovariance` or a plain array."""
     if isinstance(cov, StateCovariance):
@@ -196,8 +202,7 @@ def derived_covariances(
             f"attack covariance is {attack.sigma_aa.shape[0]}-dimensional "
             f"but there are {h.shape[0]} measurements"
         )
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
+    _check_sigma(sigma)
     syy = symmetrize(h @ sxx @ h.T) + sigma**2 * np.eye(h.shape[0])
     return DerivedCovariances(sigma_yy=syy, sigma_yaya=syy + attack.sigma_aa)
 
@@ -287,6 +292,7 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> Spe
 
 def optimal_cost(spectrum: SpectralData, sigma: float) -> float:
     """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2)."""
+    _check_sigma(sigma)
     ev = spectrum.eigenvalues
     return 0.5 * float(np.sum(ev / (ev + sigma**2)))
 

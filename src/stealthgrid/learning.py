@@ -14,7 +14,16 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import AttackModel, StateCovariance, logdet_psd, symmetrize, _as_matrix
+from .gaussian import (
+    AttackModel,
+    SpectralData,
+    StateCovariance,
+    _as_matrix,
+    _check_sigma,
+    logdet_psd,
+    nonzero_spectrum,
+    symmetrize,
+)
 
 __all__ = [
     "TrainingConfig",
@@ -24,15 +33,17 @@ __all__ = [
     "draw_sample_covariance",
     "learned_attack_covariance",
     "estimate_ergodic_cost",
+    "spectral_ergodic_costs",
 ]
 
 SAMPLERS = ("bartlett", "empirical")
 
 _MAX_SEED = 2**64
 
-#: float64 entries drawn per chunk of Monte Carlo trials (N*N per Bartlett
-#: trial, K*N per empirical one): large enough to amortize numpy's per-call
-#: overhead, small enough to keep the working set a few hundred kB.
+#: float64 entries drawn per chunk of Monte Carlo trials (p*p per Bartlett
+#: trial, K*p per empirical one, p the rank of the attack): large enough to
+#: amortize numpy's per-call overhead, small enough to keep the working set a
+#: few hundred kB.
 _CHUNK_ENTRIES = 2**14
 
 
@@ -106,10 +117,10 @@ def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> Sample
     return SampleCovariance(s_xx=s, dof=k - 1)
 
 
-def _check_bartlett_dof(sampler: str, k: int, n: int) -> None:
+def _check_bartlett_dof(sampler: str, k: int, n: int, dim: str = "N") -> None:
     if sampler == "bartlett" and k - 1 < n:
         raise ValueError(
-            f"bartlett sampler needs k-1 >= N (got k-1={k - 1}, N={n}); "
+            f"bartlett sampler needs k-1 >= {dim} (got k-1={k - 1}, {dim}={n}); "
             "use the empirical sampler for singular sample covariances"
         )
 
@@ -128,44 +139,39 @@ def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n if sampler == "bartlett" else k * n))
 
 
-def _draw_factor(
-    left: np.ndarray, k: int, sampler: str, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """``count`` factors B, shape (count, r, ·), each with B B^T / (k-1) ~ left W left^T / (k-1).
+def _draw_factor(n: int, k: int, sampler: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` white factors B, shape (count, n, ·), each with B B^T ~ Wishart(k-1, I_n).
 
-    W ~ Wishart(k-1, I_N), N = left's columns.  ``bartlett`` multiplies
-    ``left`` by triangular Bartlett factors (chi distributions on the
-    diagonal, standard normals below; needs k-1 >= N), drawing all diagonals
-    and then all lower triangles; ``empirical`` draws k Gaussian vectors
-    N(0, left left^T) per factor and centers them (for k*N above
+    ``bartlett`` draws lower triangular Bartlett factors (chi distributions
+    on the diagonal, standard normals below; needs k-1 >= n), all diagonals
+    first and then all lower triangles; ``empirical`` draws k standard
+    normal n-vectors per factor and centers them (for k*n above
     ``_CHUNK_ENTRIES``, one factor at a time through its streamed scatter).
     """
-    n = left.shape[1]
     if sampler == "bartlett":
         df, below = _bartlett_layout(n, k - 1)
         diag = np.arange(n)
         t = np.zeros((count, n, n))
         t[:, diag, diag] = np.sqrt(rng.chisquare(df, size=(count, n)))
         t[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
-        return left @ t
+        return t
     if k * n > _CHUNK_ENTRIES:
-        return np.stack([_streamed_scatter_factor(left, k, rng) for _ in range(count)])
-    x = rng.standard_normal((count, k, n)) @ left.T
+        return np.stack([_streamed_scatter_factor(n, k, rng) for _ in range(count)])
+    x = rng.standard_normal((count, k, n))
     return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
 
 
-def _streamed_scatter_factor(left: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical factor for large k: B (r x r) with B B^T the centred scatter of k draws.
+def _streamed_scatter_factor(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Empirical factor for large k: B (n x n) with B B^T the centred scatter of k draws.
 
-    Draws the same normal stream as one (k, N) array, in row blocks of about
+    Draws the same normal stream as one (k, n) array, in row blocks of about
     ``_CHUNK_ENTRIES`` entries, so the working set does not grow with k.
     """
-    r, n = left.shape
     rows = max(1, _CHUNK_ENTRIES // n)
-    total = np.zeros(r)
-    scatter = np.zeros((r, r))
+    total = np.zeros(n)
+    scatter = np.zeros((n, n))
     for start in range(0, k, rows):
-        x = rng.standard_normal((min(rows, k - start), n)) @ left.T
+        x = rng.standard_normal((min(rows, k - start), n))
         total += x.sum(axis=0)
         scatter += x.T @ x
     mean = total / k
@@ -194,7 +200,8 @@ def draw_sample_covariance(
         raise ValueError(f"need at least 2 training samples, got k={k}")
     sxx = _as_matrix(sigma_xx)
     _check_bartlett_dof(sampler, k, sxx.shape[0])
-    b = _draw_factor(np.linalg.cholesky(sxx), k, sampler, np.random.default_rng(seed), 1)[0]
+    white = _draw_factor(sxx.shape[0], k, sampler, np.random.default_rng(seed), 1)
+    b = (np.linalg.cholesky(sxx) @ white)[0]
     return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
 
 
@@ -214,40 +221,71 @@ def estimate_ergodic_cost(
 ) -> ErgodicEstimate:
     """Monte Carlo estimate of the expected learned-attack cost at one K.
 
-    Each trial draws an independent sample covariance with the draws of
-    :func:`draw_sample_covariance` and evaluates the stealth cost of the
-    learned attack in the min(M, N) coordinates of H chol(S_xx); the
-    reported mean/stderr are taken over ``cfg.trials`` trials.  One generator
-    seeded with ``cfg.seed`` draws the trials in consecutive chunks, stacked
-    and scored together, so the estimate is reproducible bit-for-bit.
+    :func:`spectral_ergodic_costs` for the one system (H, S_xx, sigma): the
+    trials are drawn in the p dimensions of the nonzero spectrum of
+    H S_xx H^T, reproducibly from ``cfg.seed``.
     """
-    if sigma <= 0.0:
-        raise ValueError(f"sigma must be > 0, got {sigma}")
-    h = np.asarray(h, dtype=float)
-    sxx = _as_matrix(sigma_xx)
-    _check_bartlett_dof(cfg.sampler, cfg.k, sxx.shape[0])
-    # H chol(S_xx) = U diag(s) V^T, so the learned attack is U A U^T with
-    # A = F W F^T, F = diag(s) V^T and W the Wishart draw: the cost needs only
-    # the r x r matrix A, r = min(M, N).  The M - r noise directions outside U
-    # add log sigma^2 to both log-determinants and cancel; so do the terms of
-    # a zero s_i, whose row of A is zero.
-    _, s, vt = np.linalg.svd(h @ np.linalg.cholesky(sxx), full_matrices=False)
-    left = s[:, None] * vt
-    shifted = s**2 + sigma**2
-    weights = 1.0 / shifted
-    logdet_syy = float(np.sum(np.log(shifted)))
-    noise = sigma**2 * np.eye(s.size)
+    return spectral_ergodic_costs([(nonzero_spectrum(h, sigma_xx), sigma)], cfg)[0]
 
+
+def spectral_ergodic_costs(
+    systems: list[tuple[SpectralData, float]], cfg: TrainingConfig
+) -> list[ErgodicEstimate]:
+    """Monte Carlo estimates of the expected learned-attack cost at one K, one per system.
+
+    Each system is the nonzero spectrum of its optimal attack H S_xx H^T and
+    its noise level sigma; all must share the rank p.  With
+    H chol(S_xx) = U diag(s) V^T, the learned attack is U A U^T with
+    A = diag(s) V_p^T W V_p diag(s) / (K-1) on the p nonzero s_i, and
+    V_p^T W V_p is again Wishart(K-1, I_p).  So every trial draws one white
+    p x p Wishart matrix G (with the samplers of :func:`draw_sample_covariance`,
+    in dimension p) and scores each system on A = G * s s^T / (K-1):
+
+        1/2 [ sum_i A_ii / (s_i^2 + sigma^2) - log|A + sigma^2 I_p| + sum_i log(s_i^2 + sigma^2) ].
+
+    The M - p noise directions outside U add log sigma^2 to both
+    log-determinants and cancel.  One generator seeded with ``cfg.seed``
+    draws the trials in consecutive chunks of about ``_CHUNK_ENTRIES``
+    random entries, so each estimate is reproducible bit for bit and equals
+    the one from a call with its system alone.  With p = 0 every trial costs 0.
+    """
+    ranks = {spectrum.p for spectrum, _ in systems}
+    if len(ranks) != 1:
+        raise ValueError(f"systems must share one rank p, got {sorted(ranks)}")
+    for _, sigma in systems:
+        _check_sigma(sigma)
+    (p,) = ranks
+    _check_bartlett_dof(cfg.sampler, cfg.k, p, "p")
+    if p == 0:
+        return [ErgodicEstimate(mean=0.0, stderr=0.0, trials=cfg.trials, k=cfg.k) for _ in systems]
+    # per system: the scale s s^T / (K-1), the trace weights s^2 / ((K-1)(s^2 + sigma^2))
+    # and sum log(s^2 + sigma^2); s^2 are the spectrum's eigenvalues
+    scored = []
+    for spectrum, sigma in systems:
+        ev = spectrum.eigenvalues
+        shifted = ev + sigma**2
+        s = np.sqrt(ev)
+        scored.append((np.outer(s, s) / (cfg.k - 1), ev / shifted / (cfg.k - 1), sigma**2,
+                       float(np.sum(np.log(shifted)))))
     rng = np.random.default_rng(cfg.seed)
-    chunk = _trials_per_chunk(cfg.sampler, cfg.k, sxx.shape[0])
-    costs = np.empty(cfg.trials)
+    chunk = _trials_per_chunk(cfg.sampler, cfg.k, p)
+    costs = np.empty((len(systems), cfg.trials))
     for start in range(0, cfg.trials, chunk):
         count = min(chunk, cfg.trials - start)
-        b = _draw_factor(left, cfg.k, cfg.sampler, rng, count)
-        a = b @ np.swapaxes(b, 1, 2) / (cfg.k - 1)
-        trace = np.diagonal(a, axis1=1, axis2=2) @ weights
-        costs[start:start + count] = 0.5 * (trace - logdet_psd(a + noise) + logdet_syy)
+        b = _draw_factor(p, cfg.k, cfg.sampler, rng, count)
+        g = b @ np.swapaxes(b, 1, 2)
+        g_diag = np.diagonal(g, axis1=1, axis2=2)
+        for row, (scale, weights, noise, logdet_syy) in zip(costs, scored):
+            a = g * scale
+            a.reshape(count, p * p)[:, :: p + 1] += noise  # A + sigma^2 I_p, in place
+            row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(a) + logdet_syy)
 
-    mean = float(np.mean(costs))
-    stderr = float(np.std(costs, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0
-    return ErgodicEstimate(mean=mean, stderr=stderr, trials=cfg.trials, k=cfg.k)
+    return [
+        ErgodicEstimate(
+            mean=float(np.mean(row)),
+            stderr=float(np.std(row, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0,
+            trials=cfg.trials,
+            k=cfg.k,
+        )
+        for row in costs
+    ]

@@ -310,6 +310,25 @@ def test_logdet_lower_is_below_mc_expectation(formula):
     assert vals.mean() >= bound - 3.0 * stderr
 
 
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+@pytest.mark.parametrize(
+    "bound", ["logdet_lower_bound", "spectral_upper_bound", "ergodic_upper_bound"]
+)
+def test_bounds_reject_sigma_not_finite_and_positive(bound, sigma):
+    h = np.random.default_rng(6).standard_normal((8, 4))
+    cov = toeplitz_covariance(4, 0.5)
+    spectrum = nonzero_spectrum(h, cov)
+    call = {
+        "logdet_lower_bound": lambda: logdet_lower_bound(spectrum, sigma, 8, 10),
+        "spectral_upper_bound": lambda: spectral_upper_bound(spectrum, sigma, 8, 10),
+        "ergodic_upper_bound": lambda: ergodic_upper_bound(h, cov, sigma, 10),
+    }[bound]
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        call()
+
+
 # ---------------------------------------------------------------------------
 # ergodic_upper_bound
 # ---------------------------------------------------------------------------
@@ -393,7 +412,8 @@ def test_default_bound_dominates_monte_carlo_mean(system):
     sigma = sigma_from_snr(h, cov, snr_db)
     spectrum = nonzero_spectrum(h, cov)
     assert k >= spectrum.p + 1
-    # Bartlett needs K-1 >= N; below that only the empirical sampler applies
+    # draw_sample_covariance's Bartlett sampler needs K-1 >= N (the Monte Carlo's
+    # only K-1 >= p); below N the empirical sampler is used
     sampler = "bartlett" if k - 1 >= h.shape[1] else "empirical"
     estimate = estimate_ergodic_cost(
         h, cov, sigma, TrainingConfig(k=k, seed=seed, trials=3000, sampler=sampler)

@@ -98,6 +98,36 @@ def test_run_experiment_rejects_undersampled_k(tmp_path):
         run_experiment(small_config(tmp_path, k_grid=(10, 100)))
 
 
+def _scalar_config(tmp_path, formula, seed) -> ExperimentConfig:
+    # H = [[1]] at 5 dB and K = 11: the paper formula's bound lies below the mean
+    h_path = tmp_path / "h.csv"
+    h_path.write_text("1\n")
+    return ExperimentConfig(
+        rho=0.0, seed=seed, h_path=str(h_path), snr_db=5.0, k_grid=(11,), trials=20_000,
+        formula=formula, output_dir=str(tmp_path),
+    )
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_manifest_flags_a_bound_below_the_monte_carlo_mean(tmp_path, seed):
+    path = run_experiment(_scalar_config(tmp_path, "paper", seed))
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    (row,) = read_rows(path)
+    (diagnostic,) = manifest["diagnostics"]
+    assert diagnostic["k"] == 11
+    assert diagnostic["margin_z"] == (row["bound"] - row["mc_mean"]) / row["mc_stderr"]
+    assert diagnostic["mc_rel_stderr"] == row["mc_stderr"] / row["mc_mean"]
+    assert diagnostic["margin_z"] < -3.0
+    assert manifest["bound_violations"] == [11]
+
+
+def test_manifest_lists_no_violation_for_the_default_bound(tmp_path):
+    path = run_experiment(_scalar_config(tmp_path, "real_exact", 1))
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    assert manifest["diagnostics"][0]["margin_z"] > 3.0
+    assert manifest["bound_violations"] == []
+
+
 def test_config_validation():
     with pytest.raises(ValueError, match="strictly increasing"):
         ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(100, 100))
@@ -177,6 +207,27 @@ def test_fig1_prints_the_large_k_bound_recorded_in_the_manifest(tmp_path, capsys
         expected = ergodic_upper_bound(ieee30_h, cov, sigma, 10**8 + 1, "real_exact").value
         assert manifest["bound_large_k"] == expected
         assert f"rho={rho:g}: bound(K-1=1e8)={expected:.6f}," in printed
+
+
+@pytest.mark.parametrize("sampler", ["bartlett", "empirical"])
+def test_fig1_joint_sweep_writes_the_files_of_one_run_per_rho(tmp_path, capsys, sampler):
+    # both rhos are scored on shared draws; alone, each run draws the same ones
+    kwargs = dict(trials=30, seed=8, k_grid=(50, 400), formula="paper", sampler=sampler)
+    paths = emit_fig1_dataset(tmp_path, **kwargs)
+    joint = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert len(joint) == 4
+    for path, rho in zip(paths, (0.1, 0.8)):
+        config = small_config(tmp_path, rho=rho, **kwargs)
+        assert run_experiment(config, csv_name=path.name) == path
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == joint
+
+
+def test_sweep_rejects_configs_that_draw_differently(tmp_path):
+    from stealthgrid.experiment import _run_sweep
+
+    configs = [small_config(tmp_path), small_config(tmp_path, rho=0.1, seed=12)]
+    with pytest.raises(ValueError, match=r"must share \['seed'\]"):
+        _run_sweep(configs, [None, None])
 
 
 # ---------------------------------------------------------------------------

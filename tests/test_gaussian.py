@@ -269,6 +269,15 @@ def test_optimal_cost_closed_form_scalar():
     assert optimal_cost(spec, 1.0) == pytest.approx(0.4)
 
 
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+def test_optimal_cost_rejects_sigma_not_finite_and_positive(sigma):
+    spec = nonzero_spectrum(np.array([[2.0]]), np.array([[1.0]]))
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        optimal_cost(spec, sigma)
+
+
 # ---------------------------------------------------------------------------
 # structural invariants
 # ---------------------------------------------------------------------------

@@ -14,9 +14,11 @@ from stealthgrid import (
     draw_sample_covariance,
     estimate_ergodic_cost,
     learned_attack_covariance,
+    nonzero_spectrum,
     optimal_attack_covariance,
     sample_covariance,
     sigma_from_snr,
+    spectral_ergodic_costs,
     stealth_cost,
     toeplitz_covariance,
 )
@@ -69,14 +71,14 @@ def test_draw_scalar_matches_chi_square_moments():
     draws = 100_000
     cov = StateCovariance(sigma_xx=np.array([[1.0]]))
     left = np.linalg.cholesky(cov.sigma_xx)
-    b = _draw_factor(left, d + 1, "bartlett", np.random.default_rng(99), draws)
+    b = _draw_factor(1, d + 1, "bartlett", np.random.default_rng(99), draws)
     vals = b[:, 0, 0] ** 2 / d
     tol = 3.0 * math.sqrt(2.0 / d) / math.sqrt(draws)
     assert abs(vals.mean() - 1.0) <= tol
-    # draw_sample_covariance is the count=1 draw of the same path
+    # draw_sample_covariance is chol(S_xx) times the count=1 white draw of the same path
     for i in range(5):
         seed = np.random.SeedSequence((99, i))
-        one = _draw_factor(left, d + 1, "bartlett", np.random.default_rng(seed), 1)[0]
+        one = (left @ _draw_factor(1, d + 1, "bartlett", np.random.default_rng(seed), 1))[0]
         assert draw_sample_covariance(cov, d + 1, seed=seed).s_xx[0, 0] == (one @ one.T / d)[0, 0]
 
 
@@ -240,9 +242,11 @@ def test_ergodic_monotone_learning_trend(ieee30_h):
 @pytest.mark.parametrize("sampler", SAMPLERS)
 @pytest.mark.parametrize("shape", ["tall", "wide", "rank_deficient", "zero"])
 def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
-    # trial by trial, the same draws through the full M x M stealth cost: the
-    # factors are re-drawn with left factor chol(S_xx) from one generator in
-    # the estimator's chunks, here two full chunks and a ragged last one
+    # trial by trial, the same white p x p draws G lifted to the full sample
+    # covariance L V_p G V_p^T L^T / (K-1), L = chol(S_xx) and V_p the right
+    # singular vectors of H L for the nonzero spectrum, and scored through the
+    # M x M stealth cost: the factors are re-drawn from one generator in the
+    # estimator's chunks, here two full chunks and a ragged last one
     rng = np.random.default_rng(8)
     h = {
         "tall": rng.standard_normal((7, 4)),
@@ -253,22 +257,94 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
     n = h.shape[1]
     cov = toeplitz_covariance(n, 0.6)
     sigma, seed = 0.7, 12
+    chol = np.linalg.cholesky(cov.sigma_xx)
+    p = nonzero_spectrum(h, cov).p
+    v_p = np.linalg.svd(h @ chol)[2][:p].T
     k = n + 3 if sampler == "bartlett" else 3  # empirical: singular sample covariances
-    chunk = _trials_per_chunk(sampler, k, n)
+    chunk = _trials_per_chunk(sampler, k, p or n)  # p = 0 draws nothing
     trials = 2 * chunk + chunk // 3 + 1
     est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, seed, trials, sampler))
     draws = np.random.default_rng(seed)
-    left = np.linalg.cholesky(cov.sigma_xx)
     costs = []
     for start in range(0, trials, chunk):
-        for b in _draw_factor(left, k, sampler, draws, min(chunk, trials - start)):
-            attack = learned_attack_covariance(h, SampleCovariance(b @ b.T / (k - 1), k - 1))
+        for b in _draw_factor(p, k, sampler, draws, min(chunk, trials - start)):
+            s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
+            attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
             costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
     assert len(costs) == trials
     if shape == "zero":
         assert abs(est.mean - np.mean(costs)) <= 1e-12
     else:
         assert est.mean == pytest.approx(np.mean(costs), rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize(
+    "sampler, k",
+    [("bartlett", 7), ("empirical", 3), ("empirical", 5000)],
+    ids=["bartlett", "empirical", "empirical-streamed"],
+)
+def test_shared_draws_equal_single_system_calls(sampler, k):
+    # two systems of one rank scored on one set of draws give the bits of two lone calls
+    # K = 5000: 5000 x 4 entries exceed the chunk, so the empirical scatter is streamed
+    h = np.random.default_rng(3).standard_normal((8, 4))
+    systems = [
+        (nonzero_spectrum(h, toeplitz_covariance(4, rho)), sigma)
+        for rho, sigma in ((0.1, 0.3), (0.8, 1.7))
+    ]
+    cfg = TrainingConfig(k, seed=5, trials=7 if k == 5000 else 3000, sampler=sampler)
+    joint = spectral_ergodic_costs(systems, cfg)
+    assert joint == [spectral_ergodic_costs([system], cfg)[0] for system in systems]
+    assert joint[0] != joint[1]
+
+
+def test_shared_draws_reject_mixed_ranks():
+    full = nonzero_spectrum(np.eye(2), np.eye(2))
+    half = nonzero_spectrum(np.diag([1.0, 0.0]), np.eye(2))
+    with pytest.raises(ValueError, match="share one rank"):
+        spectral_ergodic_costs([(full, 1.0), (half, 1.0)], TrainingConfig(5, seed=0))
+
+
+@pytest.mark.parametrize("shape", ["wide", "rank_deficient"])
+def test_rank_p_monte_carlo_matches_full_dimensional_draws(shape):
+    # p < N: the p-dimensional white draws against independently seeded full
+    # N-dimensional sample covariances, which is the rotation argument
+    rng = np.random.default_rng(17)
+    h = {
+        "wide": rng.standard_normal((3, 5)),
+        "rank_deficient": rng.standard_normal((6, 2)) @ rng.standard_normal((2, 4)),
+    }[shape]
+    n = h.shape[1]
+    cov = toeplitz_covariance(n, 0.7)
+    assert nonzero_spectrum(h, cov).p < n
+    sigma, k, trials = 0.5, n + 3, 2000
+    est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, 71, 4 * trials))
+    costs = np.empty(trials)
+    for i in range(trials):
+        attack = learned_attack_covariance(
+            h, draw_sample_covariance(cov, k, seed=np.random.SeedSequence((72, i)))
+        )
+        costs[i] = stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma)
+    combined = math.hypot(est.stderr, costs.std(ddof=1) / math.sqrt(trials))
+    assert abs(est.mean - costs.mean()) <= 4.0 * combined
+
+
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+def test_ergodic_rejects_sigma_not_finite_and_positive(sigma):
+    cfg = TrainingConfig(k=10, seed=0, trials=20)
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        estimate_ergodic_cost(SCALAR_H, SCALAR_COV, sigma, cfg)
+
+
+def test_ergodic_bartlett_check_is_on_the_rank():
+    # rank 2 of N = 6: K-1 = 3 is enough for the p-dimensional draws
+    h = np.zeros((4, 6))
+    h[0, 0] = h[1, 1] = 1.0
+    est = estimate_ergodic_cost(h, np.eye(6), 1.0, TrainingConfig(k=4, seed=1, trials=50))
+    assert math.isfinite(est.mean)
+    with pytest.raises(ValueError, match="k-1 >= p"):
+        estimate_ergodic_cost(h, np.eye(6), 1.0, TrainingConfig(k=2, seed=1, trials=50))
 
 
 def test_ergodic_batched_mean_matches_per_trial_draws(ieee30_h):
