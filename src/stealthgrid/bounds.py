@@ -17,7 +17,13 @@ from functools import lru_cache
 
 import numpy as np
 
-from .gaussian import SpectralData, StateCovariance, _check_sigma, nonzero_spectrum
+from .gaussian import (
+    SpectralData,
+    StateCovariance,
+    _BoundedMemo,
+    _check_sigma,
+    nonzero_spectrum,
+)
 
 __all__ = [
     "digamma",
@@ -139,7 +145,8 @@ class BoundProgram:
     """Solution of the box-constrained allocation behind the bound.
 
     Minimizes sum_i log(b_i + 1/x_i) subject to sum_i x_i = p and the
-    extreme-eigenvalue box constraints.
+    extreme-eigenvalue box constraints.  ``newton_steps`` counts the
+    iterations of the Newton search for the dual level.
     """
 
     b: np.ndarray
@@ -148,6 +155,17 @@ class BoundProgram:
     box_hi: float
     x_star: np.ndarray
     objective: float
+    newton_steps: int
+
+    @property
+    def clipped(self) -> int:
+        """Coordinates of x* on an edge of the box."""
+        return int(np.count_nonzero((self.x_star <= self.box_lo) | (self.x_star >= self.box_hi)))
+
+    @property
+    def sum_residual(self) -> float:
+        """|sum_i x*_i - p|, zero up to round-off."""
+        return abs(float(np.sum(self.x_star)) - self.p)
 
 
 #: Cap on the Newton steps for the dual level; it converges in a handful.
@@ -161,8 +179,10 @@ def _allocation_roots(b: np.ndarray, t) -> np.ndarray:
     return 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t))
 
 
-def _level_in_interval(b: np.ndarray, target: float, left: float, right: float) -> float:
-    """The t in [left, right] with sum_i root_i(t) = target, by safeguarded Newton.
+def _level_in_interval(
+    b: np.ndarray, target: float, left: float, right: float
+) -> tuple[float, int]:
+    """The t in [left, right] with sum_i root_i(t) = target, and the Newton steps taken.
 
     The sum is smooth, increasing and concave in t, with
     d root_i / dt = 1 / (2 b_i root_i + 1) = 1 / sqrt(1 + 4 b_i t).  From the
@@ -170,7 +190,7 @@ def _level_in_interval(b: np.ndarray, target: float, left: float, right: float) 
     rounding pushes out of the shrinking bracket is replaced by bisection.
     """
     t = left
-    for _ in range(_NEWTON_STEPS):
+    for steps in range(1, _NEWTON_STEPS + 1):
         radical = np.sqrt(1.0 + 4.0 * b * t)
         shortfall = target - float((2.0 * t / (1.0 + radical)).sum())
         if shortfall > 0.0:
@@ -181,7 +201,7 @@ def _level_in_interval(b: np.ndarray, target: float, left: float, right: float) 
         if shortfall == 0.0 or abs(step) <= _STEP_TOL * t:
             break
         t = t + step if left < t + step < right else 0.5 * (left + right)
-    return t
+    return t, steps
 
 
 def solve_bound_program(b, k: int) -> BoundProgram:
@@ -215,11 +235,34 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     at_hi = leave <= left
     free = ~(at_lo | at_hi)
     target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
-    t = _level_in_interval(b[free], target, left, right)
+    t, steps = _level_in_interval(b[free], target, left, right)
     x = np.clip(_allocation_roots(b, t), lo, hi)
 
     objective = float(math.fsum(np.log(b + 1.0 / x)))
-    return BoundProgram(b=b, p=p, box_lo=lo, box_hi=hi, x_star=x, objective=objective)
+    return BoundProgram(
+        b=b, p=p, box_lo=lo, box_hi=hi, x_star=x, objective=objective, newton_steps=steps
+    )
+
+
+#: Allocation programs by (b, K), for :func:`logdet_lower_bound`.
+_PROGRAM_MEMO = _BoundedMemo(256)
+
+
+def _bound_program(spectrum: SpectralData, sigma: float, k: int) -> BoundProgram:
+    """The allocation program at b = lambda / sigma^2 and K, memoised.
+
+    Both formulas share it, so a bound under the second one solves nothing.
+    A stored program's arrays are shared, hence read-only.
+    """
+    b = spectrum.eigenvalues / sigma**2
+
+    def solve() -> BoundProgram:
+        program = solve_bound_program(b, k)
+        program.b.setflags(write=False)
+        program.x_star.setflags(write=False)
+        return program
+
+    return _PROGRAM_MEMO.get((b.tobytes(), k), solve)
 
 
 def logdet_lower_bound(
@@ -234,14 +277,14 @@ def logdet_lower_bound(
         expected_logdet + sum_i log(lambda_i/sigma^2 + 1/x_i*) + 2 M log sigma.
 
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
-    is exact.
+    is exact.  The program is memoised per (lambda/sigma^2, K).
     """
     _check_sigma(sigma)
     if spectrum.p == 0:
         return 2.0 * m * math.log(sigma)
     if k - 1 < spectrum.p:
         raise ValueError(f"need k-1 >= p (got k-1={k - 1}, p={spectrum.p})")
-    program = solve_bound_program(spectrum.eigenvalues / sigma**2, k)
+    program = _bound_program(spectrum, sigma, k)
     logdet_term = expected_logdet_std_wishart(spectrum.p, k, formula)
     return logdet_term + program.objective + 2.0 * m * math.log(sigma)
 
@@ -256,6 +299,7 @@ class BoundResult:
     spectrum: SpectralData
     k: int
     formula: str
+    program: BoundProgram | None  # the allocation program; None when p = 0
 
 
 def spectral_upper_bound(
@@ -285,6 +329,7 @@ def spectral_upper_bound(
         spectrum=spectrum,
         k=k,
         formula=formula,
+        program=_bound_program(spectrum, sigma, k) if spectrum.p else None,
     )
 
 

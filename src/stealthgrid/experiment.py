@@ -118,9 +118,12 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
     The manifest adds the bound under the other formula, as
     ``bound_large_k`` the bound at K-1 = 10^8, and per K the Monte Carlo
     health in ``diagnostics``: the relative stderr and
-    ``margin_z = (bound - mc_mean) / mc_stderr``.  ``bound_violations``
-    lists the K whose bound lies more than 3 stderr below the Monte Carlo
-    mean.  Identical configs produce byte-identical files.
+    ``margin_z = (bound - mc_mean) / mc_stderr``, with the allocation
+    program's ``bound_newton_steps``, ``bound_clipped`` (coordinates of x*
+    on a box edge) and ``bound_sum_residual`` (|sum x* - p|).
+    ``bound_violations`` lists the K whose bound lies more than 3 stderr
+    below the Monte Carlo mean.  Identical configs produce byte-identical
+    files.
 
     Returns the CSV path.
     """
@@ -174,13 +177,17 @@ def _write_outputs(
     diagnostics = []
     other = "real_exact" if config.formula == "paper" else "paper"
     for k, estimate in zip(config.k_grid, estimates):
-        bound = spectral_upper_bound(spectrum, sigma, m, k, config.formula).value
+        result = spectral_upper_bound(spectrum, sigma, m, k, config.formula)
+        bound, program = result.value, result.program
         rows.append((k, estimate.mean, estimate.stderr, bound, f_star, bound - f_star))
         bounds_other.append(spectral_upper_bound(spectrum, sigma, m, k, other).value)
         diagnostics.append({
             "k": k,
             "mc_rel_stderr": estimate.stderr / abs(estimate.mean) if estimate.mean else None,
             "margin_z": (bound - estimate.mean) / estimate.stderr if estimate.stderr else None,
+            "bound_newton_steps": program.newton_steps,
+            "bound_clipped": program.clipped,
+            "bound_sum_residual": program.sum_residual,
         })
     bound_large_k = spectral_upper_bound(spectrum, sigma, m, _ASYMPTOTIC_K, config.formula).value
 

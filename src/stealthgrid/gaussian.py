@@ -14,7 +14,9 @@ between the attacked and nominal measurement distributions.
 
 from __future__ import annotations
 
+import hashlib
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,6 +45,33 @@ PSD_TOL = 1e-8
 
 #: Relative threshold separating true null directions from roundoff.
 RANK_TOL = 1e-10
+
+
+class _BoundedMemo:
+    """At most ``size`` values by key, the least recently used evicted first.
+
+    A value is stored only once ``compute`` has returned, so an exception is
+    never cached.  Values are shared between callers: store read-only arrays.
+    """
+
+    def __init__(self, size: int):
+        self._size = size
+        self._entries: OrderedDict = OrderedDict()
+
+    def get(self, key, compute):
+        entries = self._entries
+        if key in entries:
+            entries.move_to_end(key)
+            return entries[key]
+        value = compute()
+        entries[key] = value
+        if len(entries) > self._size:
+            entries.popitem(last=False)
+        return value
+
+
+#: :func:`nonzero_spectrum`'s results, by system.
+_SPECTRUM_MEMO = _BoundedMemo(64)
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -89,6 +118,8 @@ class StateCovariance:
 
     def __post_init__(self) -> None:
         m = symmetrize(self.sigma_xx)
+        if not np.all(np.isfinite(m)):
+            raise ValueError("state covariance S_xx has non-finite entries")
         np.linalg.cholesky(m)  # positive-definiteness check
         object.__setattr__(self, "sigma_xx", m)
 
@@ -143,6 +174,8 @@ class SpectralData:
         object.__setattr__(self, "eigenvalues", ev)
         if ev.shape != (self.p,):
             raise ValueError("eigenvalue count does not match rank p")
+        if not np.all(np.isfinite(ev)):
+            raise ValueError("eigenvalues must be finite")
         if self.p and (np.any(ev <= 0) or np.any(np.diff(ev) > 0)):
             raise ValueError("eigenvalues must be positive and sorted descending")
 
@@ -279,14 +312,32 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> Spe
     With F = H chol(S_xx), H S_xx H^T = F F^T shares its nonzero eigenvalues
     with F^T F, so the smaller of the two Gram matrices is decomposed: N x N
     when M > N, M x M otherwise.  Eigenvalues at or below
-    ``rank_tol * lambda_max`` are treated as zero.
+    ``rank_tol * lambda_max`` are treated as zero.  Raises ``ValueError`` if
+    H or S_xx holds a nan or inf.
+
+    Results are memoised on the shapes, ``rank_tol`` and a digest of the
+    float64 bytes of H and S_xx, so a system swept over K or formulas is
+    decomposed once and arrays changed in place are decomposed afresh.  The
+    returned eigenvalues are shared, hence read-only.
     """
-    f = np.asarray(h, dtype=float) @ np.linalg.cholesky(_as_matrix(sigma_xx))
+    h = np.asarray(h, dtype=float)
+    sxx = _as_matrix(sigma_xx)
+    for name, a in (("H", h), ("S_xx", sxx)):
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
+    digest = hashlib.blake2b(np.ascontiguousarray(h), digest_size=32)
+    digest.update(np.ascontiguousarray(sxx))
+    key = (h.shape, sxx.shape, float(rank_tol), digest.digest())
+    return _SPECTRUM_MEMO.get(key, lambda: _spectrum(h, sxx, rank_tol))
+
+
+def _spectrum(h: np.ndarray, sxx: np.ndarray, rank_tol: float) -> SpectralData:
+    """:func:`nonzero_spectrum` without the memo; the eigenvalues come back read-only."""
+    f = h @ np.linalg.cholesky(sxx)
     gram = f.T @ f if f.shape[0] > f.shape[1] else f @ f.T
     ev = np.linalg.eigvalsh(gram)[::-1]
-    if ev.size == 0 or ev[0] <= 0.0:
-        return SpectralData(eigenvalues=np.empty(0), p=0)
-    kept = ev[ev > rank_tol * ev[0]]
+    kept = ev[ev > rank_tol * ev[0]] if ev.size and ev[0] > 0.0 else np.empty(0)
+    kept.setflags(write=False)
     return SpectralData(eigenvalues=kept, p=int(kept.size))
 
 

@@ -25,6 +25,7 @@ from stealthgrid import (
     spectral_upper_bound,
     toeplitz_covariance,
 )
+from stealthgrid import bounds, gaussian
 from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma
 from helpers import grid_oracle_objective, standard_wishart_extremes
 
@@ -460,3 +461,75 @@ def test_spectral_upper_bound_rank_zero_is_zero(formula):
     result = spectral_upper_bound(empty, 0.7, 5, 2, formula)
     assert result.value == pytest.approx(0.0, abs=1e-12)
     assert result.value == pytest.approx(_h_oracle_bound(h, sxx, 0.7, 2, formula), abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# memoised inputs and non-finite systems
+# ---------------------------------------------------------------------------
+
+
+def test_both_formulas_share_one_program_solve(monkeypatch):
+    calls = []
+
+    def counting(b, k):
+        calls.append(k)
+        return solve_bound_program(b, k)
+
+    monkeypatch.setattr(bounds, "solve_bound_program", counting)
+    # eigenvalues no other test uses, so the program memo is cold for them
+    ev = np.sort(np.random.default_rng(41).uniform(0.5, 3.0, 4))[::-1]
+    spectrum = SpectralData(eigenvalues=ev, p=4)
+    paper = spectral_upper_bound(spectrum, 0.4, 6, 20, "paper")
+    real_exact = spectral_upper_bound(spectrum, 0.4, 6, 20, "real_exact")
+    assert calls == [20]
+    assert paper.program is real_exact.program
+    assert real_exact.value > paper.value
+    spectral_upper_bound(spectrum, 0.4, 6, 21, "paper")
+    assert calls == [20, 21]
+
+
+def test_memoised_program_arrays_are_read_only():
+    result = spectral_upper_bound(SCALAR_SPEC, 0.9, 1, 30)
+    program = result.program
+    assert program.p == 1 and program.newton_steps >= 1
+    for array in (program.x_star, program.b, result.spectrum.eigenvalues):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError):
+            array[0] = 1.0
+
+
+def test_bound_follows_h_changed_in_place():
+    rng = np.random.default_rng(42)
+    h = rng.standard_normal((7, 3))
+    sxx = toeplitz_covariance(3, 0.4)
+    first = ergodic_upper_bound(h, sxx, 0.5, 12)
+    h *= 1.5
+    second = ergodic_upper_bound(h, sxx, 0.5, 12)
+    # the spectrum computed afresh, without the memo, and the bound from H alone
+    fresh = gaussian._spectrum(h, sxx.sigma_xx, gaussian.RANK_TOL)
+    np.testing.assert_array_equal(second.spectrum.eigenvalues, fresh.eigenvalues)
+    assert second.value == spectral_upper_bound(fresh, 0.5, 7, 12).value
+    assert second.value == pytest.approx(
+        _h_oracle_bound(h, sxx.sigma_xx, 0.5, 12, "real_exact"), rel=1e-10
+    )
+    assert second.value != first.value
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("where", ["H", "S_xx"])
+@pytest.mark.parametrize(
+    "call", ["nonzero_spectrum", "ergodic_upper_bound", "estimate_ergodic_cost"]
+)
+def test_non_finite_system_raises(call, where, bad):
+    h = np.random.default_rng(43).standard_normal((3, 2))
+    sxx = np.eye(2)
+    (h if where == "H" else sxx)[1, 1] = bad
+    run = {
+        "nonzero_spectrum": lambda: nonzero_spectrum(h, sxx),
+        "ergodic_upper_bound": lambda: ergodic_upper_bound(h, sxx, 0.5, 10),
+        "estimate_ergodic_cost": lambda: estimate_ergodic_cost(
+            h, sxx, 0.5, TrainingConfig(k=10, seed=1, trials=10)
+        ),
+    }[call]
+    with pytest.raises(ValueError, match=f"^{where} has non-finite entries"):
+        run()

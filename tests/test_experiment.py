@@ -17,6 +17,7 @@ from stealthgrid import (
     optimal_cost,
     run_experiment,
     sigma_from_snr,
+    spectral_upper_bound,
     toeplitz_covariance,
 )
 from stealthgrid.cli import main
@@ -119,6 +120,22 @@ def test_manifest_flags_a_bound_below_the_monte_carlo_mean(tmp_path, seed):
     assert diagnostic["mc_rel_stderr"] == row["mc_stderr"] / row["mc_mean"]
     assert diagnostic["margin_z"] < -3.0
     assert manifest["bound_violations"] == [11]
+
+
+def test_manifest_records_the_allocation_solver_diagnostics(tmp_path, ieee30_h):
+    config = small_config(tmp_path)
+    path = run_experiment(config)
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    cov = toeplitz_covariance(29, config.rho)
+    sigma = sigma_from_snr(ieee30_h, cov, config.snr_db)
+    spectrum = nonzero_spectrum(ieee30_h, cov)
+    for k, diagnostic in zip(config.k_grid, manifest["diagnostics"]):
+        program = spectral_upper_bound(spectrum, sigma, 71, k).program
+        assert diagnostic["bound_newton_steps"] == program.newton_steps >= 1
+        assert diagnostic["bound_clipped"] == program.clipped
+        assert diagnostic["bound_sum_residual"] == program.sum_residual < 1e-9
+        x = program.x_star
+        assert program.clipped == np.sum((x <= program.box_lo) | (x >= program.box_hi))
 
 
 def test_manifest_lists_no_violation_for_the_default_bound(tmp_path):

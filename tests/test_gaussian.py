@@ -9,6 +9,7 @@ from stealthgrid import (
     AttackModel,
     StateCovariance,
     DerivedCovariances,
+    SpectralData,
     attack_from_matrix,
     derived_covariances,
     gaussian_kl_marginals,
@@ -21,7 +22,7 @@ from stealthgrid import (
     toeplitz_covariance,
     zero_mean_gaussian_kl,
 )
-from stealthgrid.gaussian import RANK_TOL
+from stealthgrid.gaussian import RANK_TOL, _spectrum
 from helpers import random_pd, random_psd
 
 
@@ -276,6 +277,53 @@ def test_optimal_cost_rejects_sigma_not_finite_and_positive(sigma):
     spec = nonzero_spectrum(np.array([[2.0]]), np.array([[1.0]]))
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
         optimal_cost(spec, sigma)
+
+
+NON_FINITE = pytest.mark.parametrize(
+    "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
+)
+
+
+@NON_FINITE
+def test_state_covariance_rejects_non_finite_entries(bad):
+    m = np.eye(3)
+    m[2, 2] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        StateCovariance(sigma_xx=m)
+
+
+@NON_FINITE
+def test_spectral_data_rejects_non_finite_eigenvalues(bad):
+    with pytest.raises(ValueError, match="finite"):
+        SpectralData(eigenvalues=np.array([bad, 1.0]), p=2)
+
+
+def test_spectrum_eigenvalues_are_read_only():
+    spec = nonzero_spectrum(np.random.default_rng(31).standard_normal((5, 3)), np.eye(3))
+    assert not spec.eigenvalues.flags.writeable
+    with pytest.raises(ValueError):
+        spec.eigenvalues[0] = 1.0
+
+
+def test_spectrum_follows_arrays_changed_in_place():
+    rng = np.random.default_rng(32)
+    h = rng.standard_normal((6, 4))
+    sxx = toeplitz_covariance(4, 0.3).sigma_xx.copy()
+
+    def check_fresh(previous):
+        spec = nonzero_spectrum(h, sxx)
+        # equal to the unmemoised computation on the arrays as they are now
+        np.testing.assert_array_equal(spec.eigenvalues, _spectrum(h, sxx, RANK_TOL).eigenvalues)
+        oracle = _gram_oracle_spectrum(h, sxx)
+        np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0.0, atol=1e-12 * oracle[0])
+        assert previous is None or not np.array_equal(spec.eigenvalues, previous.eigenvalues)
+        return spec
+
+    spec = check_fresh(None)
+    h[0, 0] += 1.0
+    spec = check_fresh(spec)
+    sxx *= 2.0
+    check_fresh(spec)
 
 
 # ---------------------------------------------------------------------------
