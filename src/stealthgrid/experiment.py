@@ -101,11 +101,6 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
-def _per_k_seed(seed: int, k: int) -> int:
-    """Decouple the trial streams of different K values deterministically."""
-    return int(np.random.SeedSequence((seed, k)).generate_state(1, np.uint64)[0])
-
-
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) if i else str(int(v)) for i, v in enumerate(values))
 
@@ -133,9 +128,10 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
 def _run_sweep(configs: list[ExperimentConfig], csv_names: list[str | None]) -> list[Path]:
     """:func:`run_experiment` for configs of one system, seed, K grid, trial count and sampler.
 
-    The configs differ only in rho, SNR, formula and output, so at each K
-    one Monte Carlo call scores all their scenarios on the same draws;
-    every config gets the files that :func:`run_experiment` alone writes.
+    The configs differ only in rho, SNR, formula and output, so one Monte
+    Carlo call draws the whole K grid and scores all their scenarios on the
+    same draws; every config gets the files that :func:`run_experiment`
+    alone writes.
     """
     first = configs[0]
     for config in configs[1:]:
@@ -150,13 +146,13 @@ def _run_sweep(configs: list[ExperimentConfig], csv_names: list[str | None]) -> 
             f"k_grid entry {first.k_grid[0]} violates k-1 >= p (p={p} for this system)"
         )
 
-    systems = [(scenario.spectrum, scenario.sigma) for scenario in scenarios]
-    estimates = []
-    for k in first.k_grid:
-        cfg = TrainingConfig(
-            k=k, seed=_per_k_seed(first.seed, k), trials=first.trials, sampler=first.sampler
-        )
-        estimates.append(spectral_ergodic_costs(systems, cfg))
+    cfgs = [
+        TrainingConfig(k=k, seed=first.seed, trials=first.trials, sampler=first.sampler)
+        for k in first.k_grid
+    ]
+    estimates = spectral_ergodic_costs(
+        [(scenario.spectrum, scenario.sigma) for scenario in scenarios], cfgs
+    )
     return [
         _write_outputs(config, name, scenario, [per_k[i] for per_k in estimates])
         for i, (config, name, scenario) in enumerate(zip(configs, csv_names, scenarios))

@@ -98,6 +98,13 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
+def _check_finite(**arrays: np.ndarray) -> None:
+    """Raise ``ValueError`` naming the first of ``arrays`` that holds a nan or inf."""
+    for name, a in arrays.items():
+        if not np.isfinite(a).all():
+            raise ValueError(f"{name} has non-finite entries")
+
+
 def _as_matrix(cov) -> np.ndarray:
     """Accept a :class:`StateCovariance` or a plain array."""
     if isinstance(cov, StateCovariance):
@@ -225,9 +232,13 @@ def sigma_from_snr(h: np.ndarray, sigma_xx, snr_db: float) -> float:
 def derived_covariances(
     h: np.ndarray, sigma_xx, sigma: float, attack: AttackModel
 ) -> DerivedCovariances:
-    """Nominal S_yy = H S_xx H^T + sigma^2 I and attacked S_yy + S_aa."""
+    """Nominal S_yy = H S_xx H^T + sigma^2 I and attacked S_yy + S_aa.
+
+    Raises ``ValueError`` if H, S_xx or S_aa holds a nan or inf.
+    """
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
+    _check_finite(H=h, S_xx=sxx, S_aa=attack.sigma_aa)
     if h.shape[1] != sxx.shape[0]:
         raise ValueError(f"H has {h.shape[1]} columns but S_xx is {sxx.shape[0]}-dimensional")
     if attack.sigma_aa.shape[0] != h.shape[0]:
@@ -241,9 +252,14 @@ def derived_covariances(
 
 
 def optimal_attack_covariance(h: np.ndarray, sigma_xx) -> AttackModel:
-    """Stealth-optimal attack covariance H S_xx H^T (symmetrized)."""
+    """Stealth-optimal attack covariance H S_xx H^T (symmetrized).
+
+    Raises ``ValueError`` if H or S_xx holds a nan or inf.
+    """
     h = np.asarray(h, dtype=float)
-    return AttackModel(sigma_aa=symmetrize(h @ _as_matrix(sigma_xx) @ h.T), kind="optimal")
+    sxx = _as_matrix(sigma_xx)
+    _check_finite(H=h, S_xx=sxx)
+    return AttackModel(sigma_aa=symmetrize(h @ sxx @ h.T), kind="optimal")
 
 
 def attack_from_matrix(matrix: np.ndarray, kind: str = "custom", tol: float = PSD_TOL) -> AttackModel:
@@ -268,9 +284,14 @@ def stealth_cost(attack: AttackModel, derived: DerivedCovariances, sigma: float)
     """Stealth cost f of an attack: disruption plus detectability, in nats.
 
     f = 1/2 [ tr(S_yy^-1 S_aa) - log|S_aa + sigma^2 I| + log|S_yy| ].
+
+    Raises ``ValueError`` if S_aa or S_yy holds a nan or inf, or if sigma
+    is not finite and > 0.
     """
     syy = derived.sigma_yy
     saa = attack.sigma_aa
+    _check_finite(S_aa=saa, S_yy=syy)
+    _check_sigma(sigma)
     m = syy.shape[0]
     trace_term = float(np.trace(np.linalg.solve(syy, saa)))
     return 0.5 * (
@@ -293,9 +314,13 @@ def gaussian_mutual_information(
 
 
 def zero_mean_gaussian_kl(cov_p: np.ndarray, cov_q: np.ndarray) -> float:
-    """KL divergence D(N(0, cov_p) || N(0, cov_q)) in nats."""
+    """KL divergence D(N(0, cov_p) || N(0, cov_q)) in nats.
+
+    Raises ``ValueError`` if cov_p or cov_q holds a nan or inf.
+    """
     cov_p = symmetrize(cov_p)
     cov_q = symmetrize(cov_q)
+    _check_finite(cov_p=cov_p, cov_q=cov_q)
     m = cov_p.shape[0]
     trace_term = float(np.trace(np.linalg.solve(cov_q, cov_p)))
     return 0.5 * (trace_term - m + logdet_psd(cov_q) - logdet_psd(cov_p))
@@ -322,10 +347,8 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> Spe
     """
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
-    for name, a in (("H", h), ("S_xx", sxx)):
-        if not np.isfinite(a).all():
-            raise ValueError(f"{name} has non-finite entries")
-    digest = hashlib.blake2b(np.ascontiguousarray(h), digest_size=32)
+    _check_finite(H=h, S_xx=sxx)
+    digest = hashlib.sha256(np.ascontiguousarray(h))
     digest.update(np.ascontiguousarray(sxx))
     key = (h.shape, sxx.shape, float(rank_tol), digest.digest())
     return _SPECTRUM_MEMO.get(key, lambda: _spectrum(h, sxx, rank_tol))

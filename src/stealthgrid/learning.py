@@ -9,6 +9,7 @@ resulting learned attack over independent training-set draws.
 
 from __future__ import annotations
 
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -19,6 +20,7 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _as_matrix,
+    _check_finite,
     _check_sigma,
     logdet_psd,
     nonzero_spectrum,
@@ -104,9 +106,11 @@ def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> Sample
     Parameters
     ----------
     samples:
-        Array of shape (K, N), one observation per row.
+        Array of shape (K, N), one observation per row; a nan or inf raises
+        ``ValueError``.
     """
     x = np.asarray(samples, dtype=float)
+    _check_finite(samples=x)
     if x.ndim == 1:
         x = x[:, None]
     k = x.shape[0]
@@ -126,12 +130,12 @@ def _check_bartlett_dof(sampler: str, k: int, n: int, dim: str = "N") -> None:
 
 
 @lru_cache(maxsize=8)
-def _bartlett_layout(n: int, dof: int) -> tuple[np.ndarray, tuple[np.ndarray, np.ndarray]]:
-    """Chi-square degrees of freedom of the Bartlett diagonal and its strictly lower indices.
+def _lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Strictly lower indices of an n x n Bartlett factor.
 
-    Cached because every chunk of a Monte Carlo needs the same pair; callers only read it.
+    Cached because every chunk of a Monte Carlo needs them; callers only read them.
     """
-    return dof - np.arange(n), np.tril_indices(n, -1)
+    return np.tril_indices(n, -1)
 
 
 def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
@@ -139,26 +143,43 @@ def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n if sampler == "bartlett" else k * n))
 
 
-def _draw_factor(n: int, k: int, sampler: str, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` white factors B, shape (count, n, ·), each with B B^T ~ Wishart(k-1, I_n).
+def _draw_factors(
+    n: int, ks: Sequence[int], sampler: str, rng: np.random.Generator, count: int
+) -> Iterator[np.ndarray]:
+    """Per K in ``ks``, ``count`` white factors B, shape (count, n, ·), B B^T ~ Wishart(K-1, I_n).
 
     ``bartlett`` draws lower triangular Bartlett factors (chi distributions
-    on the diagonal, standard normals below; needs k-1 >= n), all diagonals
-    first and then all lower triangles; ``empirical`` draws k standard
-    normal n-vectors per factor and centers them (for k*n above
-    ``_CHUNK_ENTRIES``, one factor at a time through its streamed scatter).
+    on the diagonal, standard normals below; needs K-1 >= n): first the
+    chi-square diagonals of every K, shape (count, len(ks), n), then one set
+    of strictly lower normals that all K share.  Each K gets that triangle
+    with its own diagonal, in one array overwritten for the next K, so use
+    a factor before asking for the next.  ``empirical`` shares nothing: per K
+    in turn it draws K standard normal n-vectors per factor and centers them
+    (for K*n above ``_CHUNK_ENTRIES``, one factor at a time through its
+    streamed scatter).
     """
     if sampler == "bartlett":
-        df, below = _bartlett_layout(n, k - 1)
-        diag = np.arange(n)
+        dof = np.asarray(ks)[:, None] - 1 - np.arange(n)
+        chi = np.sqrt(rng.chisquare(dof, size=(count, len(ks), n)))
+        below = _lower_indices(n)
         t = np.zeros((count, n, n))
-        t[:, diag, diag] = np.sqrt(rng.chisquare(df, size=(count, n)))
         t[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
-        return t
-    if k * n > _CHUNK_ENTRIES:
-        return np.stack([_streamed_scatter_factor(n, k, rng) for _ in range(count)])
-    x = rng.standard_normal((count, k, n))
-    return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
+        diag = t.reshape(count, n * n)[:, :: n + 1]
+        for j in range(len(ks)):
+            diag[...] = chi[:, j]
+            yield t
+        return
+    for k in ks:
+        if k * n > _CHUNK_ENTRIES:
+            yield np.stack([_streamed_scatter_factor(n, k, rng) for _ in range(count)])
+        else:
+            x = rng.standard_normal((count, k, n))
+            yield np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
+
+
+def _draw_factor(n: int, k: int, sampler: str, rng: np.random.Generator, count: int) -> np.ndarray:
+    """:func:`_draw_factors` for the one K ``k``."""
+    return next(_draw_factors(n, (k,), sampler, rng, count))
 
 
 def _streamed_scatter_factor(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -221,71 +242,102 @@ def estimate_ergodic_cost(
 ) -> ErgodicEstimate:
     """Monte Carlo estimate of the expected learned-attack cost at one K.
 
-    :func:`spectral_ergodic_costs` for the one system (H, S_xx, sigma): the
-    trials are drawn in the p dimensions of the nonzero spectrum of
-    H S_xx H^T, reproducibly from ``cfg.seed``.
+    :func:`spectral_ergodic_costs` for the one system (H, S_xx, sigma) and
+    the one K of ``cfg``: the trials are drawn in the p dimensions of the
+    nonzero spectrum of H S_xx H^T, reproducibly from ``cfg.seed``.
     """
-    return spectral_ergodic_costs([(nonzero_spectrum(h, sigma_xx), sigma)], cfg)[0]
+    return spectral_ergodic_costs([(nonzero_spectrum(h, sigma_xx), sigma)], [cfg])[0][0]
 
 
 def spectral_ergodic_costs(
-    systems: list[tuple[SpectralData, float]], cfg: TrainingConfig
-) -> list[ErgodicEstimate]:
-    """Monte Carlo estimates of the expected learned-attack cost at one K, one per system.
+    systems: list[tuple[SpectralData, float]], cfgs: Sequence[TrainingConfig]
+) -> list[list[ErgodicEstimate]]:
+    """Monte Carlo estimates of the expected learned-attack cost over a K sweep.
 
-    Each system is the nonzero spectrum of its optimal attack H S_xx H^T and
-    its noise level sigma; all must share the rank p.  With
-    H chol(S_xx) = U diag(s) V^T, the learned attack is U A U^T with
-    A = diag(s) V_p^T W V_p diag(s) / (K-1) on the p nonzero s_i, and
-    V_p^T W V_p is again Wishart(K-1, I_p).  So every trial draws one white
-    p x p Wishart matrix G (with the samplers of :func:`draw_sample_covariance`,
-    in dimension p) and scores each system on A = G * s s^T / (K-1):
+    ``cfgs`` is the sweep: configs of one seed, trial count and sampler with
+    strictly increasing K.  The result holds one list per K, in that order,
+    with one estimate per system.  Each system is the nonzero spectrum of
+    its optimal attack H S_xx H^T and its noise level sigma; all must share
+    the rank p.  With H chol(S_xx) = U diag(s) V^T, the learned attack is
+    U A U^T with A = diag(s) V_p^T W V_p diag(s) / (K-1) on the p nonzero
+    s_i, and V_p^T W V_p is again Wishart(K-1, I_p).  So every trial draws
+    one white p x p Wishart matrix G per K (with the samplers of
+    :func:`draw_sample_covariance`, in dimension p) and scores each system
+    on A = G * s s^T / (K-1):
 
         1/2 [ sum_i A_ii / (s_i^2 + sigma^2) - log|A + sigma^2 I_p| + sum_i log(s_i^2 + sigma^2) ].
 
     The M - p noise directions outside U add log sigma^2 to both
-    log-determinants and cancel.  One generator seeded with ``cfg.seed``
-    draws the trials in consecutive chunks of about ``_CHUNK_ENTRIES``
-    random entries, so each estimate is reproducible bit for bit and equals
-    the one from a call with its system alone.  With p = 0 every trial costs 0.
+    log-determinants and cancel.  One generator seeded with the sweep's seed
+    draws the trials in consecutive chunks, in the order of
+    :func:`_draw_factors`: a Bartlett chunk of about ``_CHUNK_ENTRIES``
+    entries per K draws the chi-square diagonals of every K, then the
+    strictly lower normals that all K share; an empirical chunk, sized by
+    the largest K, draws each K's factors in turn.  Every K's trials keep
+    their law, so each row's mean and stderr mean what they would alone, but
+    Bartlett rows are correlated across K (common random numbers).  Each
+    estimate is reproducible bit for bit and equals the one from a call with
+    its system alone.  With p = 0 every trial costs 0.
     """
+    if not cfgs:
+        raise ValueError("a sweep needs at least one TrainingConfig")
+    first = cfgs[0]
+    for cfg in cfgs[1:]:
+        differ = [name for name in ("seed", "trials", "sampler")
+                  if getattr(cfg, name) != getattr(first, name)]
+        if differ:
+            raise ValueError(f"configs of one sweep must share {differ}")
+    ks = [cfg.k for cfg in cfgs]
+    if any(b <= a for a, b in zip(ks, ks[1:])):
+        raise ValueError(f"the K of a sweep must be strictly increasing, got {ks}")
     ranks = {spectrum.p for spectrum, _ in systems}
     if len(ranks) != 1:
         raise ValueError(f"systems must share one rank p, got {sorted(ranks)}")
     for _, sigma in systems:
         _check_sigma(sigma)
     (p,) = ranks
-    _check_bartlett_dof(cfg.sampler, cfg.k, p, "p")
+    _check_bartlett_dof(first.sampler, ks[0], p, "p")
+    trials = first.trials
     if p == 0:
-        return [ErgodicEstimate(mean=0.0, stderr=0.0, trials=cfg.trials, k=cfg.k) for _ in systems]
-    # per system: the scale s s^T / (K-1), the trace weights s^2 / ((K-1)(s^2 + sigma^2))
-    # and sum log(s^2 + sigma^2); s^2 are the spectrum's eigenvalues
-    scored = []
+        return [[ErgodicEstimate(mean=0.0, stderr=0.0, trials=trials, k=k) for _ in systems]
+                for k in ks]
+    # per system: s s^T, s^2 / (s^2 + sigma^2), sigma^2 and sum log(s^2 + sigma^2),
+    # s^2 the spectrum's eigenvalues; per K and system: the scale s s^T / (K-1),
+    # the trace weights s^2 / ((K-1)(s^2 + sigma^2)) and the two noise terms
+    unscaled = []
     for spectrum, sigma in systems:
         ev = spectrum.eigenvalues
         shifted = ev + sigma**2
         s = np.sqrt(ev)
-        scored.append((np.outer(s, s) / (cfg.k - 1), ev / shifted / (cfg.k - 1), sigma**2,
-                       float(np.sum(np.log(shifted)))))
-    rng = np.random.default_rng(cfg.seed)
-    chunk = _trials_per_chunk(cfg.sampler, cfg.k, p)
-    costs = np.empty((len(systems), cfg.trials))
-    for start in range(0, cfg.trials, chunk):
-        count = min(chunk, cfg.trials - start)
-        b = _draw_factor(p, cfg.k, cfg.sampler, rng, count)
-        g = b @ np.swapaxes(b, 1, 2)
-        g_diag = np.diagonal(g, axis1=1, axis2=2)
-        for row, (scale, weights, noise, logdet_syy) in zip(costs, scored):
-            a = g * scale
-            a.reshape(count, p * p)[:, :: p + 1] += noise  # A + sigma^2 I_p, in place
-            row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(a) + logdet_syy)
+        unscaled.append((np.outer(s, s), ev / shifted, sigma**2, float(np.sum(np.log(shifted)))))
+    scored = [
+        [(outer / (k - 1), ratio / (k - 1), noise, logdet_syy)
+         for outer, ratio, noise, logdet_syy in unscaled]
+        for k in ks
+    ]
+    rng = np.random.default_rng(first.seed)
+    chunk = _trials_per_chunk(first.sampler, ks[-1], p)
+    costs = np.empty((len(ks), len(systems), trials))
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        factors = _draw_factors(p, ks, first.sampler, rng, count)
+        for per_k, scored_k, b in zip(costs, scored, factors):
+            g = b @ np.swapaxes(b, 1, 2)
+            g_diag = np.diagonal(g, axis1=1, axis2=2)
+            for row, (scale, weights, noise, logdet_syy) in zip(per_k, scored_k):
+                a = g * scale
+                a.reshape(count, p * p)[:, :: p + 1] += noise  # A + sigma^2 I_p, in place
+                row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(a) + logdet_syy)
 
     return [
-        ErgodicEstimate(
-            mean=float(np.mean(row)),
-            stderr=float(np.std(row, ddof=1) / np.sqrt(cfg.trials)) if cfg.trials > 1 else 0.0,
-            trials=cfg.trials,
-            k=cfg.k,
-        )
-        for row in costs
+        [
+            ErgodicEstimate(
+                mean=float(np.mean(row)),
+                stderr=float(np.std(row, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+                trials=trials,
+                k=k,
+            )
+            for row in per_k
+        ]
+        for k, per_k in zip(ks, costs)
     ]

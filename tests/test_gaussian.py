@@ -17,6 +17,7 @@ from stealthgrid import (
     nonzero_spectrum,
     optimal_attack_covariance,
     optimal_cost,
+    sample_covariance,
     sigma_from_snr,
     stealth_cost,
     toeplitz_covariance,
@@ -296,6 +297,38 @@ def test_state_covariance_rejects_non_finite_entries(bad):
 def test_spectral_data_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="finite"):
         SpectralData(eigenvalues=np.array([bad, 1.0]), p=2)
+
+
+def _poisoned(shape, bad):
+    a = np.random.default_rng(33).standard_normal(shape)
+    a[-1, 0] = bad
+    return a
+
+
+def _poisoned_cost(bad):
+    h = np.random.default_rng(34).standard_normal((3, 2))
+    derived = derived_covariances(h, np.eye(2), 0.5, optimal_attack_covariance(h, np.eye(2)))
+    return stealth_cost(AttackModel(sigma_aa=_poisoned((3, 3), bad)), derived, 0.5)
+
+
+@NON_FINITE
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda bad: optimal_attack_covariance(_poisoned((3, 2), bad), np.eye(2)), "H"),
+        (lambda bad: derived_covariances(
+            _poisoned((3, 2), bad), np.eye(2), 0.5, AttackModel(sigma_aa=np.eye(3))), "H"),
+        (_poisoned_cost, "S_aa"),
+        (lambda bad: zero_mean_gaussian_kl(_poisoned((3, 3), bad), np.eye(3)), "cov_p"),
+        (lambda bad: sample_covariance(_poisoned((5, 2), bad)), "samples"),
+    ],
+    ids=["optimal_attack_covariance", "derived_covariances", "stealth_cost",
+         "zero_mean_gaussian_kl", "sample_covariance"],
+)
+def test_non_finite_input_raises_naming_the_array(call, name, bad):
+    # a nan or inf fails loudly instead of coming back as a nan cost or matrix
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        call(bad)
 
 
 def test_spectrum_eigenvalues_are_read_only():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -292,8 +293,8 @@ def test_shared_draws_equal_single_system_calls(sampler, k):
         for rho, sigma in ((0.1, 0.3), (0.8, 1.7))
     ]
     cfg = TrainingConfig(k, seed=5, trials=7 if k == 5000 else 3000, sampler=sampler)
-    joint = spectral_ergodic_costs(systems, cfg)
-    assert joint == [spectral_ergodic_costs([system], cfg)[0] for system in systems]
+    (joint,) = spectral_ergodic_costs(systems, [cfg])
+    assert joint == [spectral_ergodic_costs([system], [cfg])[0][0] for system in systems]
     assert joint[0] != joint[1]
 
 
@@ -301,7 +302,117 @@ def test_shared_draws_reject_mixed_ranks():
     full = nonzero_spectrum(np.eye(2), np.eye(2))
     half = nonzero_spectrum(np.diag([1.0, 0.0]), np.eye(2))
     with pytest.raises(ValueError, match="share one rank"):
-        spectral_ergodic_costs([(full, 1.0), (half, 1.0)], TrainingConfig(5, seed=0))
+        spectral_ergodic_costs([(full, 1.0), (half, 1.0)], [TrainingConfig(5, seed=0)])
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
+    # a two-K sweep against factors re-drawn from one generator in the
+    # documented order, each trial scored through the M x M stealth cost:
+    # per chunk, bartlett draws the chi-square diagonals of both K and then
+    # the strictly lower normals both K share; empirical draws each K's
+    # centred samples in turn, in chunks sized by the larger K; here two
+    # full chunks and a ragged last one
+    h = np.random.default_rng(8).standard_normal((7, 4))
+    cov = toeplitz_covariance(4, 0.6)
+    sigma, seed = 0.7, 12
+    chol = np.linalg.cholesky(cov.sigma_xx)
+    p = nonzero_spectrum(h, cov).p
+    v_p = np.linalg.svd(h @ chol)[2][:p].T
+    ks = (p + 3, p + 9) if sampler == "bartlett" else (3, 6)
+    chunk = _trials_per_chunk(sampler, ks[-1], p)
+    trials = 2 * chunk + chunk // 3 + 1
+    sweep = spectral_ergodic_costs(
+        [(nonzero_spectrum(h, cov), sigma)],
+        [TrainingConfig(k, seed, trials, sampler) for k in ks],
+    )
+    draws = np.random.default_rng(seed)
+    below = np.tril_indices(p, -1)
+    costs = [[] for _ in ks]
+    for start in range(0, trials, chunk):
+        count = min(chunk, trials - start)
+        if sampler == "bartlett":
+            dof = np.array(ks)[:, None] - 1 - np.arange(p)
+            chi = np.sqrt(draws.chisquare(dof, size=(count, len(ks), p)))
+            lower = draws.standard_normal((count, below[0].size))
+        for j, k in enumerate(ks):
+            if sampler == "bartlett":
+                factors = np.zeros((count, p, p))
+                factors[:, below[0], below[1]] = lower
+                factors[:, np.arange(p), np.arange(p)] = chi[:, j]
+            else:
+                x = draws.standard_normal((count, k, p))
+                factors = np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
+            for b in factors:
+                s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
+                attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
+                cost = stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma)
+                costs[j].append(cost)
+    for (est,), k, row in zip(sweep, ks, costs):
+        assert len(row) == trials and est.k == k and est.trials == trials
+        assert est.mean == pytest.approx(np.mean(row), rel=1e-12, abs=0.0)
+        assert est.stderr == pytest.approx(np.std(row, ddof=1) / math.sqrt(trials), rel=1e-9)
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_sweep_rows_agree_with_independent_one_k_estimates(ieee30_h, sampler):
+    # shared draws change no row's law: each row against a lone, independently
+    # seeded estimate at its K (K = 700 streams the empirical scatter)
+    cov = toeplitz_covariance(ieee30_h.shape[1], 0.5)
+    sigma = sigma_from_snr(ieee30_h, cov, 20.0)
+    ks, trials = (40, 200, 700), 400 if sampler == "bartlett" else 150
+    sweep = spectral_ergodic_costs(
+        [(nonzero_spectrum(ieee30_h, cov), sigma)],
+        [TrainingConfig(k, 5, trials, sampler) for k in ks],
+    )
+    for (row,), k in zip(sweep, ks):
+        cfg = TrainingConfig(k, 500 + k, trials, sampler)
+        alone = estimate_ergodic_cost(ieee30_h, cov, sigma, cfg)
+        assert abs(row.mean - alone.mean) <= 4 * math.hypot(row.stderr, alone.stderr)
+
+
+@pytest.mark.parametrize(
+    "ks, changed, message",
+    [
+        ((5, 9), {"seed": 1}, "share"),
+        ((5, 9), {"trials": 11}, "share"),
+        ((5, 9), {"sampler": "empirical"}, "share"),
+        ((9, 5), {}, "strictly increasing"),
+        ((5, 5), {}, "strictly increasing"),
+        ((), {}, "at least one"),
+    ],
+    ids=["mixed-seed", "mixed-trials", "mixed-sampler", "decreasing-k", "repeated-k", "empty"],
+)
+def test_sweep_rejects_configs_of_different_draws(ks, changed, message):
+    system = (nonzero_spectrum(np.eye(2), np.eye(2)), 1.0)
+    cfgs = [TrainingConfig(k, seed=0, trials=10) for k in ks]
+    if changed:
+        cfgs[-1] = TrainingConfig(ks[-1], **{"seed": 0, "trials": 10, **changed})
+    with pytest.raises(ValueError, match=message):
+        spectral_ergodic_costs([system], cfgs)
+
+
+def test_one_k_estimates_are_pinned_bit_for_bit():
+    # one-K draws are those of a sweep-free Monte Carlo: mean and stderr of
+    # 4 systems x 4 K x both samplers, as float64 bytes, hash to the digest
+    # pinned before sweeps shared draws (numpy 2.4, OpenBLAS, x86-64;
+    # another BLAS or numpy may round the last bits differently)
+    rng = np.random.default_rng(2024)
+    systems = [
+        (np.array([[1.3]]), (2, 3, 10, 50)),
+        (rng.standard_normal((8, 4)), (5, 7, 20, 100)),
+        (rng.standard_normal((20, 10)), (11, 15, 40, 2000)),
+        (rng.standard_normal((3, 5)), (4, 6, 12, 60)),
+    ]
+    digest = hashlib.sha256()
+    for sampler in SAMPLERS:
+        for h, ks in systems:
+            cov = toeplitz_covariance(h.shape[1], 0.5)
+            for k in ks:
+                cfg = TrainingConfig(k, seed=k + 7, trials=300, sampler=sampler)
+                est = estimate_ergodic_cost(h, cov, 0.6, cfg)
+                digest.update(np.array([est.mean, est.stderr]).tobytes())
+    assert digest.hexdigest() == "6bf0d66741eb4df731267e5e8a8fe4001d579f98f92418cd7db3f931fa37a67a"
 
 
 @pytest.mark.parametrize("shape", ["wide", "rank_deficient"])
