@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Subcommands: ``parse``, ``model``, ``optimal``, ``ergodic``, ``bound``,
-``detect``, ``fig1``.  All experiment subcommands are seeded and
+``detect``, ``fig1``, ``run``.  All experiment subcommands are seeded and
 deterministic; precondition violations exit nonzero with a diagnostic.
 """
 
@@ -16,7 +16,6 @@ from .bounds import FORMULAS, spectral_upper_bound
 from .detection import error_exponent_estimate
 from .experiment import (
     DEFAULT_K_GRID,
-    ExperimentConfig,
     emit_fig1_dataset,
     load_experiment_config,
     run_experiment,
@@ -158,6 +157,12 @@ def _cmd_fig1(args) -> int:
     return 0
 
 
+def _cmd_run(args) -> int:
+    path = run_experiment(load_experiment_config(args.config))
+    print(f"wrote {path}")
+    return 0
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="stealthgrid",
@@ -213,8 +218,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-grid", type=_parse_k_grid, default=DEFAULT_K_GRID)
     p.add_argument("--formula", choices=FORMULAS, default="real_exact")
     p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
-    p.add_argument("--config", help="JSON config supplying an ExperimentConfig")
     p.set_defaults(handler=_cmd_fig1)
+
+    p = sub.add_parser("run", help="K-sweep described by a JSON config file")
+    p.add_argument("config", help="JSON file of ExperimentConfig fields")
+    p.set_defaults(handler=_cmd_run)
 
     return parser
 
@@ -223,11 +231,6 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "config", None):
-            config = load_experiment_config(args.config)
-            path = run_experiment(config)
-            print(f"wrote {path}")
-            return 0
         return args.handler(args)
     except (ValueError, OSError, np.linalg.LinAlgError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -55,7 +55,6 @@ class ExponentPoint:
     exponent: float
     radius: float  # one-standard-error radius on the exponent
     exceed_count: int  # raw count of clean aggregates beyond the threshold
-    estimable: bool  # False when the raw count is zero
 
 
 @dataclass(frozen=True)
@@ -213,7 +212,7 @@ def error_exponent_estimate(
     evaluates the tail of the aggregate statistic from its fitted Gaussian
     (the aggregate is a sum of n i.i.d. terms), which stays usable at
     block lengths where counting fails; ``tail="empirical"`` reports the
-    raw frequency and flags zero-count points as unestimable.
+    raw frequency and gives a zero-count point ``exponent = inf``.
     """
     if tail not in ("normal", "empirical"):
         raise ValueError(f"tail must be 'normal' or 'empirical', got {tail!r}")
@@ -233,22 +232,19 @@ def error_exponent_estimate(
         s0 = float(np.std(clean, ddof=1))
         if tail == "empirical":
             beta = exceed / trials
-            estimable = exceed > 0
-            log_beta = math.log(beta) if estimable else -math.inf
+            log_beta = math.log(beta) if exceed else -math.inf
             radius = (
-                math.sqrt(beta * (1.0 - beta) / trials) / (beta * n) if estimable else math.inf
+                math.sqrt(beta * (1.0 - beta) / trials) / (beta * n) if exceed else math.inf
             )
         else:
             if s0 == 0.0:
                 beta = 1.0 if tau <= m0 else 0.0
                 log_beta = 0.0 if tau <= m0 else -math.inf
-                estimable = tau <= m0
                 radius = 0.0
             else:
                 z = (tau - m0) / s0
                 log_beta = _log_normal_sf(z)
                 beta = math.exp(log_beta)
-                estimable = True
                 # delta method through the quantile and the fitted moments
                 m1 = float(np.mean(attacked))
                 s1 = float(np.std(attacked, ddof=1))
@@ -259,16 +255,14 @@ def error_exponent_estimate(
                 dz = math.sqrt(var_tau + s0**2 / trials) / s0
                 hazard = math.exp(-0.5 * z * z - log_beta) / math.sqrt(2.0 * math.pi)
                 radius = hazard * dz / n
-        exponent = -log_beta / n if estimable else math.inf
         points.append(
             ExponentPoint(
                 n=n,
                 tau=tau,
                 beta_hat=beta,
-                exponent=exponent,
+                exponent=-log_beta / n,
                 radius=radius,
                 exceed_count=exceed,
-                estimable=estimable,
             )
         )
     return ExponentEstimate(points=tuple(points), kl_marginals=gaussian_kl_marginals(derived))

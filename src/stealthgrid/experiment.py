@@ -40,8 +40,6 @@ _FIG1_RHOS = (0.1, 0.8)
 _ASYMPTOTIC_K = 10**8 + 1
 #: A bound more than this many Monte Carlo stderr below the mean is a violation.
 _VIOLATION_Z = 3.0
-#: Config fields that every config of one sweep must share: they fix the draws.
-_SWEEP_SHARED = ("seed", "k_grid", "trials", "sampler", "case_path", "h_path", "measurements")
 
 
 @dataclass
@@ -122,22 +120,21 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
 
     Returns the CSV path.
     """
-    return _run_sweep([config], [csv_name])[0]
+    return _run_sweep([config], [csv_name])[0][0]
 
 
-def _run_sweep(configs: list[ExperimentConfig], csv_names: list[str | None]) -> list[Path]:
+def _run_sweep(
+    configs: list[ExperimentConfig], csv_names: list[str | None]
+) -> list[tuple[Path, dict]]:
     """:func:`run_experiment` for configs of one system, seed, K grid, trial count and sampler.
 
-    The configs differ only in rho, SNR, formula and output, so one Monte
-    Carlo call draws the whole K grid and scores all their scenarios on the
-    same draws; every config gets the files that :func:`run_experiment`
-    alone writes.
+    The configs may differ only in rho, SNR, formula and output, so one
+    Monte Carlo call draws the whole K grid and scores all their scenarios
+    on the same draws; every config gets the files that
+    :func:`run_experiment` alone writes.  Returns each config's CSV path
+    and manifest.
     """
     first = configs[0]
-    for config in configs[1:]:
-        differ = [name for name in _SWEEP_SHARED if getattr(config, name) != getattr(first, name)]
-        if differ:
-            raise ValueError(f"configs of one sweep must share {differ}")
     h = load_measurement_matrix(first.case_path, first.h_path, first.measurements)
     scenarios = [Scenario.build(h, config.rho, config.snr_db) for config in configs]
     p = scenarios[0].spectrum.p  # the Monte Carlo rejects scenarios of another rank
@@ -164,8 +161,8 @@ def _write_outputs(
     csv_name: str | None,
     scenario: Scenario,
     estimates: list[ErgodicEstimate],
-) -> Path:
-    """Bounds for one config's K grid, then its CSV and manifest."""
+) -> tuple[Path, dict]:
+    """Bounds for one config's K grid, then its CSV and manifest; returns both."""
     sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
     f_star = optimal_cost(spectrum, sigma)
     rows = []
@@ -216,7 +213,7 @@ def _write_outputs(
     }
     manifest_path = out_dir / f"{stem}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
-    return csv_path
+    return csv_path, manifest
 
 
 def _config_dict(config: ExperimentConfig) -> dict:
@@ -236,7 +233,7 @@ def emit_fig1_dataset(
     """K-sweep of the bundled 30-bus system at SNR 20 dB, rho in {0.1, 0.8}.
 
     Writes ``fig1_rho01.csv`` and ``fig1_rho08.csv`` (plus manifests) into
-    ``output_dir`` and prints, per rho, the analytic large-K check from the
+    ``output_dir`` and prints, per rho, the analytic large-K check of its
     manifest: the bound at K-1 = 10^8 against the optimal cost.  The two
     rhos are one sweep, scored on the same Monte Carlo draws at each K; the
     files equal those of one :func:`run_experiment` call per rho.
@@ -255,13 +252,12 @@ def emit_fig1_dataset(
         for rho in _FIG1_RHOS
     ]
     names = [f"fig1_rho{rho:.1f}".replace("0.", "0") + ".csv" for rho in _FIG1_RHOS]
-    paths = _run_sweep(configs, names)
-    for rho, path in zip(_FIG1_RHOS, paths):
-        manifest = json.loads((path.parent / f"{path.stem}_manifest.json").read_text("utf-8"))
+    outputs = _run_sweep(configs, names)
+    for rho, (_, manifest) in zip(_FIG1_RHOS, outputs):
         asymptotic, f_star = manifest["bound_large_k"], manifest["optimal_cost"]
         rel = abs(asymptotic - f_star) / f_star
         print(
             f"rho={rho:g}: bound(K-1=1e8)={asymptotic:.6f}, "
             f"optimal={f_star:.6f}, relative gap={rel:.3e}"
         )
-    return paths
+    return [path for path, _ in outputs]

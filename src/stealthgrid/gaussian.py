@@ -114,14 +114,9 @@ def _as_matrix(cov) -> np.ndarray:
 
 @dataclass(frozen=True)
 class StateCovariance:
-    """Positive-definite covariance of the state variables.
-
-    ``rho`` records the decay parameter when the matrix was generated as the
-    exponential Toeplitz family, entry (i, j) = rho^|i-j|.
-    """
+    """Positive-definite covariance of the state variables."""
 
     sigma_xx: np.ndarray
-    rho: float | None = None
 
     def __post_init__(self) -> None:
         m = symmetrize(self.sigma_xx)
@@ -137,14 +132,11 @@ class StateCovariance:
 
 @dataclass(frozen=True)
 class AttackModel:
-    """Covariance of the additive Gaussian attack and how it was built."""
+    """Covariance of the additive Gaussian attack."""
 
     sigma_aa: np.ndarray
-    kind: str = "custom"  # one of: optimal, learned, custom
 
     def __post_init__(self) -> None:
-        if self.kind not in ("optimal", "learned", "custom"):
-            raise ValueError(f"unknown attack kind {self.kind!r}")
         object.__setattr__(self, "sigma_aa", symmetrize(self.sigma_aa))
 
 
@@ -202,7 +194,7 @@ def toeplitz_covariance(n: int, rho: float) -> StateCovariance:
     if not 0.0 <= rho < 1.0:
         raise ValueError(f"rho must lie in [0, 1), got {rho}")
     lags = np.abs(np.subtract.outer(np.arange(n), np.arange(n)))
-    return StateCovariance(sigma_xx=np.power(rho, lags), rho=float(rho))
+    return StateCovariance(sigma_xx=np.power(rho, lags))
 
 
 def sigma_from_snr(h: np.ndarray, sigma_xx, snr_db: float) -> float:
@@ -259,25 +251,26 @@ def optimal_attack_covariance(h: np.ndarray, sigma_xx) -> AttackModel:
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
     _check_finite(H=h, S_xx=sxx)
-    return AttackModel(sigma_aa=symmetrize(h @ sxx @ h.T), kind="optimal")
+    return AttackModel(sigma_aa=symmetrize(h @ sxx @ h.T))
 
 
-def attack_from_matrix(matrix: np.ndarray, kind: str = "custom", tol: float = PSD_TOL) -> AttackModel:
+def attack_from_matrix(matrix: np.ndarray) -> AttackModel:
     """Validate a user-supplied attack covariance.
 
-    Eigenvalues down to ``-tol * lambda_max`` are treated as roundoff and
-    clipped to zero; anything lower is rejected.
+    Eigenvalues down to ``-PSD_TOL * lambda_max`` are treated as roundoff
+    and clipped to zero; anything lower is rejected, as is a nan or inf.
     """
     sym = symmetrize(matrix)
+    _check_finite(matrix=sym)
     w, v = np.linalg.eigh(sym)
-    floor = -tol * max(float(w[-1]), 0.0)
+    floor = -PSD_TOL * max(float(w[-1]), 0.0)
     if np.any(w < floor):
         raise ValueError(
             f"attack covariance is not positive semidefinite (min eigenvalue {w[0]:.3e})"
         )
     if np.any(w < 0):
         sym = symmetrize((v * np.clip(w, 0.0, None)) @ v.T)
-    return AttackModel(sigma_aa=sym, kind=kind)
+    return AttackModel(sigma_aa=sym)
 
 
 def stealth_cost(attack: AttackModel, derived: DerivedCovariances, sigma: float) -> float:
@@ -304,8 +297,10 @@ def gaussian_mutual_information(
 ) -> float:
     """Mutual information between the states and the attacked measurements.
 
-    Closed Gaussian form 1/2 log( |S_yaya| / |S_aa + sigma^2 I| ).
+    Closed Gaussian form 1/2 log( |S_yaya| / |S_aa + sigma^2 I| ).  Raises
+    ``ValueError`` if S_aa or S_yaya holds a nan or inf.
     """
+    _check_finite(S_aa=attack.sigma_aa, S_yaya=derived.sigma_yaya)
     m = derived.m
     return 0.5 * (
         logdet_psd(derived.sigma_yaya)
@@ -331,16 +326,16 @@ def gaussian_kl_marginals(derived: DerivedCovariances) -> float:
     return zero_mean_gaussian_kl(derived.sigma_yaya, derived.sigma_yy)
 
 
-def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> SpectralData:
+def nonzero_spectrum(h: np.ndarray, sigma_xx) -> SpectralData:
     """Nonzero eigenvalues of H S_xx H^T and their count p.
 
     With F = H chol(S_xx), H S_xx H^T = F F^T shares its nonzero eigenvalues
     with F^T F, so the smaller of the two Gram matrices is decomposed: N x N
     when M > N, M x M otherwise.  Eigenvalues at or below
-    ``rank_tol * lambda_max`` are treated as zero.  Raises ``ValueError`` if
+    ``RANK_TOL * lambda_max`` are treated as zero.  Raises ``ValueError`` if
     H or S_xx holds a nan or inf.
 
-    Results are memoised on the shapes, ``rank_tol`` and a digest of the
+    Results are memoised on the shapes and a SHA-256 digest of the
     float64 bytes of H and S_xx, so a system swept over K or formulas is
     decomposed once and arrays changed in place are decomposed afresh.  The
     returned eigenvalues are shared, hence read-only.
@@ -350,16 +345,16 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx, rank_tol: float = RANK_TOL) -> Spe
     _check_finite(H=h, S_xx=sxx)
     digest = hashlib.sha256(np.ascontiguousarray(h))
     digest.update(np.ascontiguousarray(sxx))
-    key = (h.shape, sxx.shape, float(rank_tol), digest.digest())
-    return _SPECTRUM_MEMO.get(key, lambda: _spectrum(h, sxx, rank_tol))
+    key = (h.shape, sxx.shape, digest.digest())
+    return _SPECTRUM_MEMO.get(key, lambda: _spectrum(h, sxx))
 
 
-def _spectrum(h: np.ndarray, sxx: np.ndarray, rank_tol: float) -> SpectralData:
+def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:
     """:func:`nonzero_spectrum` without the memo; the eigenvalues come back read-only."""
     f = h @ np.linalg.cholesky(sxx)
     gram = f.T @ f if f.shape[0] > f.shape[1] else f @ f.T
     ev = np.linalg.eigvalsh(gram)[::-1]
-    kept = ev[ev > rank_tol * ev[0]] if ev.size and ev[0] > 0.0 else np.empty(0)
+    kept = ev[ev > RANK_TOL * ev[0]] if ev.size and ev[0] > 0.0 else np.empty(0)
     kept.setflags(write=False)
     return SpectralData(eigenvalues=kept, p=int(kept.size))
 

@@ -354,6 +354,7 @@ def build_dc_jacobian(
 def load_matrix_csv(path: str | Path) -> np.ndarray:
     """Load a rectangular numeric CSV (comma-separated, no header) as a matrix.
 
+    Cells follow the number grammar of case files (so ``2_0`` is rejected).
     Raises ``ValueError`` on ragged rows or non-numeric or non-finite cells,
     reporting the 1-based line and column.
     """
@@ -364,13 +365,11 @@ def load_matrix_csv(path: str | Path) -> np.ndarray:
         cells = raw.split(",")
         parsed = []
         for col_no, cell in enumerate(cells, start=1):
-            try:
-                parsed.append(float(cell))
-            except ValueError:
-                parsed.append(math.nan)
+            text = cell.strip()
+            parsed.append(float(text) if _NUMBER.fullmatch(text) else math.nan)
             if not math.isfinite(parsed[-1]):
                 raise ValueError(
-                    f"cell {cell.strip()!r} at line {line_no}, column {col_no} is not a finite "
+                    f"cell {text!r} at line {line_no}, column {col_no} is not a finite "
                     "number"
                 )
         if rows and len(parsed) != len(rows[0]):

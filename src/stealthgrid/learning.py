@@ -96,12 +96,11 @@ class ErgodicEstimate:
     k: int
 
 
-def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> SampleCovariance:
-    """Sample covariance of row-wise observations with divisor K-1.
+def sample_covariance(samples: np.ndarray) -> SampleCovariance:
+    """Centred sample covariance of row-wise observations with divisor K-1.
 
-    ``subtract_mean=True`` (default) centers the data, matching a scaled
-    Wishart law with K-1 degrees of freedom.  ``subtract_mean=False``
-    evaluates the uncentered variant (sum of raw outer products over K-1).
+    For K Gaussian observations it follows a scaled Wishart law with K-1
+    degrees of freedom.
 
     Parameters
     ----------
@@ -116,7 +115,7 @@ def sample_covariance(samples: np.ndarray, subtract_mean: bool = True) -> Sample
     k = x.shape[0]
     if k < 2:
         raise ValueError(f"need at least 2 samples, got {k}")
-    centered = x - x.mean(axis=0) if subtract_mean else x
+    centered = x - x.mean(axis=0)
     s = centered.T @ centered / (k - 1)
     return SampleCovariance(s_xx=s, dof=k - 1)
 
@@ -214,12 +213,14 @@ def draw_sample_covariance(
     ``empirical`` path draws K state vectors and centers them, the
     ``bartlett`` path draws the Wishart factor directly (cost independent
     of K, but it needs K-1 >= N).  Deterministic given (seed, sampler).
+    Raises ``ValueError`` if S_xx holds a nan or inf.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
     if k < 2:
         raise ValueError(f"need at least 2 training samples, got k={k}")
     sxx = _as_matrix(sigma_xx)
+    _check_finite(S_xx=sxx)
     _check_bartlett_dof(sampler, k, sxx.shape[0])
     white = _draw_factor(sxx.shape[0], k, sampler, np.random.default_rng(seed), 1)
     b = (np.linalg.cholesky(sxx) @ white)[0]
@@ -227,11 +228,15 @@ def draw_sample_covariance(
 
 
 def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel:
-    """Attack covariance built from a sample covariance: H S_xx H^T."""
+    """Attack covariance built from a sample covariance: H S_xx H^T.
+
+    Raises ``ValueError`` if H or S_xx holds a nan or inf.
+    """
     h = np.asarray(h, dtype=float)
+    _check_finite(H=h, S_xx=s.s_xx)
     if h.shape[1] != s.n:
         raise ValueError(f"H has {h.shape[1]} columns but S_xx is {s.n}-dimensional")
-    return AttackModel(sigma_aa=symmetrize(h @ s.s_xx @ h.T), kind="learned")
+    return AttackModel(sigma_aa=symmetrize(h @ s.s_xx @ h.T))
 
 
 def estimate_ergodic_cost(

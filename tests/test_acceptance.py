@@ -66,7 +66,7 @@ def test_criterion_1_effective_secrecy_identity():
             h = rng.standard_normal((m, n))
             cov = StateCovariance(sigma_xx=random_pd(rng, n))
             sigma = float(rng.uniform(0.5, 2.0))
-            attack = AttackModel(sigma_aa=random_psd(rng, m), kind="custom")
+            attack = AttackModel(sigma_aa=random_psd(rng, m))
             derived = derived_covariances(h, cov, sigma, attack)
             f = stealth_cost(attack, derived, sigma)
             identity = gaussian_mutual_information(attack, derived, sigma) + gaussian_kl_marginals(derived)
@@ -87,7 +87,7 @@ def test_criterion_2_optimum_closed_form_and_optimality(ieee30_h):
         scale = float(np.trace(attack.sigma_aa)) / attack.sigma_aa.shape[0]
         for _ in range(100):
             delta = random_psd(rng, 71, scale=scale * 10.0 ** rng.uniform(-3, 0))
-            perturbed = AttackModel(sigma_aa=attack.sigma_aa + delta, kind="custom")
+            perturbed = AttackModel(sigma_aa=attack.sigma_aa + delta)
             assert stealth_cost(perturbed, derived, sigma) >= f_star - 1e-10
 
 

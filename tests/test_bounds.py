@@ -506,7 +506,7 @@ def test_bound_follows_h_changed_in_place():
     h *= 1.5
     second = ergodic_upper_bound(h, sxx, 0.5, 12)
     # the spectrum computed afresh, without the memo, and the bound from H alone
-    fresh = gaussian._spectrum(h, sxx.sigma_xx, gaussian.RANK_TOL)
+    fresh = gaussian._spectrum(h, sxx.sigma_xx)
     np.testing.assert_array_equal(second.spectrum.eigenvalues, fresh.eigenvalues)
     assert second.value == spectral_upper_bound(fresh, 0.5, 7, 12).value
     assert second.value == pytest.approx(

@@ -239,14 +239,6 @@ def test_fig1_joint_sweep_writes_the_files_of_one_run_per_rho(tmp_path, capsys, 
     assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == joint
 
 
-def test_sweep_rejects_configs_that_draw_differently(tmp_path):
-    from stealthgrid.experiment import _run_sweep
-
-    configs = [small_config(tmp_path), small_config(tmp_path, rho=0.1, seed=12)]
-    with pytest.raises(ValueError, match=r"must share \['seed'\]"):
-        _run_sweep(configs, [None, None])
-
-
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -390,20 +382,25 @@ def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
     assert captured.out == ""
 
 
-def test_cli_fig1_config_file(tmp_path, capsys):
+def test_cli_run_config_file(tmp_path, capsys):
     raw = {
         "rho": 0.8,
         "seed": 9,
         "case_path": "bundled:ieee30",
         "k_grid": [50, 100],
         "trials": 3,
-        "output_dir": str(tmp_path),
+        "output_dir": str(tmp_path / "out"),
     }
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(raw))
-    assert main(["fig1", "--out", str(tmp_path), "--seed", "9", "--config", str(cfg)]) == 0
-    out = capsys.readouterr().out
-    assert "wrote" in out
+    assert main(["run", str(cfg)]) == 0
+    csv = tmp_path / "out" / "sweep_rho0.8_snr20.csv"
+    assert capsys.readouterr().out == f"wrote {csv}\n"
+    manifest = json.loads((tmp_path / "out" / "sweep_rho0.8_snr20_manifest.json").read_text())
+    assert manifest["config"]["seed"] == 9 and manifest["config"]["trials"] == 3
+    # the config file has its own subcommand; fig1 takes no config
+    with pytest.raises(SystemExit):
+        main(["fig1", "--out", str(tmp_path), "--seed", "9", "--config", str(cfg)])
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

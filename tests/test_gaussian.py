@@ -10,10 +10,13 @@ from stealthgrid import (
     StateCovariance,
     DerivedCovariances,
     SpectralData,
+    SampleCovariance,
     attack_from_matrix,
     derived_covariances,
+    draw_sample_covariance,
     gaussian_kl_marginals,
     gaussian_mutual_information,
+    learned_attack_covariance,
     nonzero_spectrum,
     optimal_attack_covariance,
     optimal_cost,
@@ -30,7 +33,7 @@ from helpers import random_pd, random_psd
 def scalar_system(h=2.0, sxx=1.0, sigma=1.0, saa=4.0):
     hm = np.array([[h]])
     cov = StateCovariance(sigma_xx=np.array([[sxx]]))
-    attack = AttackModel(sigma_aa=np.array([[saa]]), kind="custom")
+    attack = AttackModel(sigma_aa=np.array([[saa]]))
     derived = derived_covariances(hm, cov, sigma, attack)
     return hm, cov, attack, derived
 
@@ -44,7 +47,6 @@ def test_toeplitz_entries():
     cov = toeplitz_covariance(3, 0.5)
     expected = np.array([[1, 0.5, 0.25], [0.5, 1, 0.5], [0.25, 0.5, 1]])
     np.testing.assert_allclose(cov.sigma_xx, expected)
-    assert cov.rho == 0.5
 
 
 def test_toeplitz_rho_zero_is_identity():
@@ -98,7 +100,7 @@ def test_derived_difference_is_attack():
     rng = np.random.default_rng(0)
     h = rng.standard_normal((6, 4))
     cov = StateCovariance(sigma_xx=random_pd(rng, 4))
-    attack = AttackModel(sigma_aa=random_psd(rng, 6), kind="custom")
+    attack = AttackModel(sigma_aa=random_psd(rng, 6))
     derived = derived_covariances(h, cov, 0.7, attack)
     np.testing.assert_allclose(
         derived.sigma_yaya - derived.sigma_yy, attack.sigma_aa, atol=1e-12
@@ -111,13 +113,13 @@ def test_derived_zero_attack_covariances_match():
 
 
 def test_derived_zero_h_gives_noise_only():
-    attack = AttackModel(sigma_aa=np.zeros((3, 3)), kind="custom")
+    attack = AttackModel(sigma_aa=np.zeros((3, 3)))
     derived = derived_covariances(np.zeros((3, 2)), np.eye(2), 1.0, attack)
     np.testing.assert_allclose(derived.sigma_yy, np.eye(3))
 
 
 def test_derived_dimension_mismatch():
-    attack = AttackModel(sigma_aa=np.zeros((2, 2)), kind="custom")
+    attack = AttackModel(sigma_aa=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="columns"):
         derived_covariances(np.ones((2, 3)), np.eye(2), 1.0, attack)
 
@@ -130,7 +132,6 @@ def test_derived_dimension_mismatch():
 def test_optimal_attack_scalar():
     attack = optimal_attack_covariance(np.array([[2.0]]), np.array([[1.0]]))
     assert attack.sigma_aa[0, 0] == pytest.approx(4.0)
-    assert attack.kind == "optimal"
 
 
 def test_optimal_attack_zero_h():
@@ -161,7 +162,7 @@ def test_attack_from_matrix_rejects_indefinite():
 
 
 def test_stealth_cost_zero_system_is_zero():
-    attack = AttackModel(sigma_aa=np.zeros((2, 2)), kind="custom")
+    attack = AttackModel(sigma_aa=np.zeros((2, 2)))
     derived = derived_covariances(np.zeros((2, 2)), np.eye(2), 1.0, attack)
     assert stealth_cost(attack, derived, 1.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -177,7 +178,7 @@ def test_stealth_cost_scalar_no_attack():
 
 
 def test_mutual_information_zero_h():
-    attack = AttackModel(sigma_aa=np.eye(2), kind="custom")
+    attack = AttackModel(sigma_aa=np.eye(2))
     derived = derived_covariances(np.zeros((2, 2)), np.eye(2), 1.0, attack)
     assert gaussian_mutual_information(attack, derived, 1.0) == pytest.approx(0.0, abs=1e-14)
 
@@ -191,7 +192,7 @@ def test_mutual_information_scalar():
 
 def test_mutual_information_decreases_with_larger_attack():
     h, cov, attack, derived = scalar_system()
-    bigger = AttackModel(sigma_aa=attack.sigma_aa + np.eye(1), kind="custom")
+    bigger = AttackModel(sigma_aa=attack.sigma_aa + np.eye(1))
     derived_big = derived_covariances(h, cov, 1.0, bigger)
     assert gaussian_mutual_information(bigger, derived_big, 1.0) < gaussian_mutual_information(
         attack, derived, 1.0
@@ -311,6 +312,19 @@ def _poisoned_cost(bad):
     return stealth_cost(AttackModel(sigma_aa=_poisoned((3, 3), bad)), derived, 0.5)
 
 
+def _poisoned_information(bad):
+    h = np.random.default_rng(35).standard_normal((3, 2))
+    derived = derived_covariances(h, np.eye(2), 0.5, optimal_attack_covariance(h, np.eye(2)))
+    return gaussian_mutual_information(AttackModel(sigma_aa=_poisoned((3, 3), bad)), derived, 0.5)
+
+
+def _poisoned_draw(bad):
+    # the poison sits above the diagonal, where a Cholesky factor never looks
+    sxx = np.eye(3)
+    sxx[0, 1] = bad
+    return draw_sample_covariance(sxx, 10, 36)
+
+
 @NON_FINITE
 @pytest.mark.parametrize(
     "call, name",
@@ -321,9 +335,15 @@ def _poisoned_cost(bad):
         (_poisoned_cost, "S_aa"),
         (lambda bad: zero_mean_gaussian_kl(_poisoned((3, 3), bad), np.eye(3)), "cov_p"),
         (lambda bad: sample_covariance(_poisoned((5, 2), bad)), "samples"),
+        (lambda bad: attack_from_matrix(_poisoned((3, 3), bad)), "matrix"),
+        (_poisoned_information, "S_aa"),
+        (lambda bad: learned_attack_covariance(
+            _poisoned((3, 2), bad), SampleCovariance(s_xx=np.eye(2), dof=4)), "H"),
+        (_poisoned_draw, "S_xx"),
     ],
     ids=["optimal_attack_covariance", "derived_covariances", "stealth_cost",
-         "zero_mean_gaussian_kl", "sample_covariance"],
+         "zero_mean_gaussian_kl", "sample_covariance", "attack_from_matrix",
+         "gaussian_mutual_information", "learned_attack_covariance", "draw_sample_covariance"],
 )
 def test_non_finite_input_raises_naming_the_array(call, name, bad):
     # a nan or inf fails loudly instead of coming back as a nan cost or matrix
@@ -346,7 +366,7 @@ def test_spectrum_follows_arrays_changed_in_place():
     def check_fresh(previous):
         spec = nonzero_spectrum(h, sxx)
         # equal to the unmemoised computation on the arrays as they are now
-        np.testing.assert_array_equal(spec.eigenvalues, _spectrum(h, sxx, RANK_TOL).eigenvalues)
+        np.testing.assert_array_equal(spec.eigenvalues, _spectrum(h, sxx).eigenvalues)
         oracle = _gram_oracle_spectrum(h, sxx)
         np.testing.assert_allclose(spec.eigenvalues, oracle, rtol=0.0, atol=1e-12 * oracle[0])
         assert previous is None or not np.array_equal(spec.eigenvalues, previous.eigenvalues)
@@ -372,7 +392,7 @@ def test_effective_secrecy_identity_random_instances():
         h = rng.standard_normal((m, n))
         cov = StateCovariance(sigma_xx=random_pd(rng, n))
         sigma = float(rng.uniform(0.5, 2.0))
-        attack = AttackModel(sigma_aa=random_psd(rng, m), kind="custom")
+        attack = AttackModel(sigma_aa=random_psd(rng, m))
         derived = derived_covariances(h, cov, sigma, attack)
         f = stealth_cost(attack, derived, sigma)
         i = gaussian_mutual_information(attack, derived, sigma)
@@ -390,7 +410,7 @@ def test_optimum_never_beaten_by_psd_perturbations():
     f_star = stealth_cost(best, derived, sigma)
     for _ in range(50):
         delta = random_psd(rng, 8, scale=float(rng.uniform(0.01, 5.0)))
-        perturbed = AttackModel(sigma_aa=best.sigma_aa + delta, kind="custom")
+        perturbed = AttackModel(sigma_aa=best.sigma_aa + delta)
         assert stealth_cost(perturbed, derived, sigma) >= f_star - 1e-10
 
 

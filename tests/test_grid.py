@@ -220,3 +220,12 @@ def test_load_matrix_csv_non_numeric(tmp_path):
     path.write_text("1,2\n3,x\n")
     with pytest.raises(ValueError, match="line 2, column 2"):
         load_matrix_csv(path)
+
+
+@pytest.mark.parametrize("cell", ["2_0", "1_000"])
+def test_load_matrix_csv_rejects_underscored_numbers(tmp_path, cell):
+    # float() reads these as 20 and 1000; case files reject them, and so do CSVs
+    path = tmp_path / "m.csv"
+    path.write_text(f"1,2\n3,{cell}\n")
+    with pytest.raises(ValueError, match=f"cell '{cell}' at line 2, column 2"):
+        load_matrix_csv(path)

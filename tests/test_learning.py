@@ -53,14 +53,6 @@ def test_sample_covariance_rejects_single_sample():
         sample_covariance(np.array([1.0]))
 
 
-def test_sample_covariance_uncentered_variant():
-    x = np.array([1.0, 1.0, 1.0])
-    centered = sample_covariance(x)
-    raw = sample_covariance(x, subtract_mean=False)
-    assert centered.s_xx[0, 0] == pytest.approx(0.0)
-    assert raw.s_xx[0, 0] == pytest.approx(1.5)  # sum of squares over K-1
-
-
 # ---------------------------------------------------------------------------
 # draw_sample_covariance
 # ---------------------------------------------------------------------------
@@ -159,7 +151,6 @@ def test_learned_with_true_covariance_equals_optimal(ieee30_h):
     learned = learned_attack_covariance(ieee30_h, s)
     optimal = optimal_attack_covariance(ieee30_h, cov)
     np.testing.assert_allclose(learned.sigma_aa, optimal.sigma_aa, atol=1e-12)
-    assert learned.kind == "learned"
 
 
 def test_learned_with_zero_sample_is_zero():
