@@ -81,17 +81,62 @@ class ExperimentConfig:
             raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
 
 
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _is_str(value) -> bool:
+    return isinstance(value, str)
+
+
+def _is_str_or_null(value) -> bool:
+    return value is None or isinstance(value, str)
+
+
+_FLAGS = frozenset(f.name for f in fields(MeasurementSelection))
+
+#: Per config key, the JSON type it needs and a test of a parsed value.
+_CONFIG_TYPES = {
+    "rho": ("a number", _is_number),
+    "snr_db": ("a number", _is_number),
+    "seed": ("an integer", _is_int),
+    "trials": ("an integer", _is_int),
+    "k_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
+    "measurements": (
+        f"an object of true/false flags among {sorted(_FLAGS)}",
+        lambda v: isinstance(v, dict) and set(v) <= _FLAGS
+        and all(isinstance(flag, bool) for flag in v.values()),
+    ),
+    "case_path": ("a string or null", _is_str_or_null),
+    "h_path": ("a string or null", _is_str_or_null),
+    "formula": ("a string", _is_str),
+    "sampler": ("a string", _is_str),
+    "output_dir": ("a string", _is_str),
+}
+
+
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Load an :class:`ExperimentConfig` from a JSON file.
 
-    Keys are the dataclass field names; ``measurements`` is a mapping with
-    the :class:`MeasurementSelection` flags; ``k_grid`` is a list of ints.
-    Any other key is rejected.
+    The file holds one JSON object.  Keys are the dataclass field names;
+    ``measurements`` is a mapping with the :class:`MeasurementSelection`
+    flags; ``k_grid`` is a list of ints.  Any other key, or a value of the
+    wrong JSON type, raises ``ValueError`` naming the key.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
+    if not isinstance(raw, dict):
+        raise ValueError(f"config {path} must be a JSON object, got {type(raw).__name__}")
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown} in {path}")
+    for key, value in raw.items():
+        expected, valid = _CONFIG_TYPES[key]
+        if not valid(value):
+            raise ValueError(f"config key {key!r} must be {expected}, got {value!r} in {path}")
     if "measurements" in raw:
         raw["measurements"] = MeasurementSelection(**raw["measurements"])
     if "k_grid" in raw:

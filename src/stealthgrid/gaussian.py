@@ -298,9 +298,11 @@ def gaussian_mutual_information(
     """Mutual information between the states and the attacked measurements.
 
     Closed Gaussian form 1/2 log( |S_yaya| / |S_aa + sigma^2 I| ).  Raises
-    ``ValueError`` if S_aa or S_yaya holds a nan or inf.
+    ``ValueError`` if S_aa or S_yaya holds a nan or inf, or if sigma is not
+    finite and > 0.
     """
     _check_finite(S_aa=attack.sigma_aa, S_yaya=derived.sigma_yaya)
+    _check_sigma(sigma)
     m = derived.m
     return 0.5 * (
         logdet_psd(derived.sigma_yaya)

@@ -142,32 +142,32 @@ def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
     return max(1, _CHUNK_ENTRIES // (n * n if sampler == "bartlett" else k * n))
 
 
-def _draw_factors(
-    n: int, ks: Sequence[int], sampler: str, rng: np.random.Generator, count: int
-) -> Iterator[np.ndarray]:
-    """Per K in ``ks``, ``count`` white factors B, shape (count, n, ·), B B^T ~ Wishart(K-1, I_n).
+def _bartlett_draws(
+    n: int, ks: Sequence[int], rng: np.random.Generator, count: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Bartlett draws of ``count`` trials for every K in ``ks`` (needs K-1 >= n).
 
-    ``bartlett`` draws lower triangular Bartlett factors (chi distributions
-    on the diagonal, standard normals below; needs K-1 >= n): first the
-    chi-square diagonals of every K, shape (count, len(ks), n), then one set
-    of strictly lower normals that all K share.  Each K gets that triangle
-    with its own diagonal, in one array overwritten for the next K, so use
-    a factor before asking for the next.  ``empirical`` shares nothing: per K
-    in turn it draws K standard normal n-vectors per factor and centers them
-    (for K*n above ``_CHUNK_ENTRIES``, one factor at a time through its
-    streamed scatter).
+    First the chi diagonals of every K, shape (count, len(ks), n), then the
+    standard normals below the diagonal, which all K share, as strictly
+    lower triangular matrices L of shape (count, n, n).  The factor of the
+    j-th K is B = L + diag(chi[:, j]), and B B^T ~ Wishart(K-1, I_n).
     """
-    if sampler == "bartlett":
-        dof = np.asarray(ks)[:, None] - 1 - np.arange(n)
-        chi = np.sqrt(rng.chisquare(dof, size=(count, len(ks), n)))
-        below = _lower_indices(n)
-        t = np.zeros((count, n, n))
-        t[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
-        diag = t.reshape(count, n * n)[:, :: n + 1]
-        for j in range(len(ks)):
-            diag[...] = chi[:, j]
-            yield t
-        return
+    dof = np.asarray(ks)[:, None] - 1 - np.arange(n)
+    chi = np.sqrt(rng.chisquare(dof, size=(count, len(ks), n)))
+    below = _lower_indices(n)
+    lower = np.zeros((count, n, n))
+    lower[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
+    return chi, lower
+
+
+def _empirical_factors(
+    n: int, ks: Sequence[int], rng: np.random.Generator, count: int
+) -> Iterator[np.ndarray]:
+    """Per K in ``ks`` in turn, ``count`` centred factors B, B B^T ~ Wishart(K-1, I_n).
+
+    Each factor is K standard normal n-vectors, centred, shape (n, K) (for
+    K*n above ``_CHUNK_ENTRIES``, an n x n factor of their streamed scatter).
+    """
     for k in ks:
         if k * n > _CHUNK_ENTRIES:
             yield np.stack([_streamed_scatter_factor(n, k, rng) for _ in range(count)])
@@ -177,8 +177,46 @@ def _draw_factors(
 
 
 def _draw_factor(n: int, k: int, sampler: str, rng: np.random.Generator, count: int) -> np.ndarray:
-    """:func:`_draw_factors` for the one K ``k``."""
-    return next(_draw_factors(n, (k,), sampler, rng, count))
+    """``count`` white factors B, shape (count, n, ·), B B^T ~ Wishart(k-1, I_n).
+
+    ``bartlett`` draws lower triangular Bartlett factors (:func:`_bartlett_draws`),
+    ``empirical`` centred samples (:func:`_empirical_factors`).
+    """
+    if sampler == "bartlett":
+        chi, factor = _bartlett_draws(n, (k,), rng, count)
+        factor.reshape(count, n * n)[:, :: n + 1] = chi[:, 0]
+        return factor
+    return next(_empirical_factors(n, (k,), rng, count))
+
+
+def _white_grams(
+    n: int, ks: Sequence[int], sampler: str, rng: np.random.Generator, count: int
+) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Per K in ``ks``, ``count`` white Wishart(K-1, I_n) matrices G = B B^T as (W, d).
+
+    W, shape (count, n, n), holds G's strict lower triangle; its diagonal and
+    upper triangle are scratch.  d, shape (count, n), is G's diagonal.  The
+    draws are those of :func:`_draw_factor`, for all K at once: ``bartlett``
+    draws its chi diagonals and shared normals L once (:func:`_bartlett_draws`)
+    and, with B = L + diag(c) at each K, forms L L^T once; the strict lower
+    triangle of G is then that of L L^T + L diag(c), and diag(G) =
+    diag(L L^T) + c^2.  Its W is one array overwritten for the next K, so
+    use it before asking for the next.  ``empirical`` forms B B^T of each
+    K's factor in turn.
+    """
+    if sampler == "bartlett":
+        chi, lower = _bartlett_draws(n, ks, rng, count)
+        shared = lower @ np.swapaxes(lower, 1, 2)
+        shared_diag = np.diagonal(shared, axis1=1, axis2=2)
+        w = np.empty_like(shared)
+        for c in np.moveaxis(chi, 1, 0):
+            np.multiply(lower, c[:, None, :], out=w)
+            w += shared
+            yield w, shared_diag + c * c
+        return
+    for b in _empirical_factors(n, ks, rng, count):
+        g = b @ np.swapaxes(b, 1, 2)
+        yield g, np.diagonal(g, axis1=1, axis2=2).copy()
 
 
 def _streamed_scatter_factor(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -273,16 +311,23 @@ def spectral_ergodic_costs(
         1/2 [ sum_i A_ii / (s_i^2 + sigma^2) - log|A + sigma^2 I_p| + sum_i log(s_i^2 + sigma^2) ].
 
     The M - p noise directions outside U add log sigma^2 to both
-    log-determinants and cancel.  One generator seeded with the sweep's seed
-    draws the trials in consecutive chunks, in the order of
-    :func:`_draw_factors`: a Bartlett chunk of about ``_CHUNK_ENTRIES``
-    entries per K draws the chi-square diagonals of every K, then the
-    strictly lower normals that all K share; an empirical chunk, sized by
-    the largest K, draws each K's factors in turn.  Every K's trials keep
-    their law, so each row's mean and stderr mean what they would alone, but
-    Bartlett rows are correlated across K (common random numbers).  Each
-    estimate is reproducible bit for bit and equals the one from a call with
-    its system alone.  With p = 0 every trial costs 0.
+    log-determinants and cancel.  With D = diag(s) and the diagonal
+    Lambda = (K-1) sigma^2 D^-2, A + sigma^2 I_p = D (G + Lambda) D / (K-1), so
+
+        log|A + sigma^2 I_p| = log|G + Lambda| + sum_i log s_i^2 - p log(K-1).
+
+    Systems differ only in Lambda, and Cholesky reads only the lower
+    triangle and the diagonal: each chunk and K holds G's lower triangle in
+    one buffer, and each system rewrites its diagonal and factors it.  One
+    generator seeded with the sweep's seed draws the trials in consecutive
+    chunks, in the order of :func:`_white_grams`: a Bartlett chunk of about
+    ``_CHUNK_ENTRIES`` entries per K draws the chi-square diagonals of every
+    K, then the strictly lower normals that all K share; an empirical chunk,
+    sized by the largest K, draws each K's factors in turn.  Every K's
+    trials keep their law, so each row's mean and stderr mean what they
+    would alone, but Bartlett rows are correlated across K (common random
+    numbers).  Each estimate is reproducible bit for bit and equals the one
+    from a call with its system alone.  With p = 0 every trial costs 0.
     """
     if not cfgs:
         raise ValueError("a sweep needs at least one TrainingConfig")
@@ -306,33 +351,28 @@ def spectral_ergodic_costs(
     if p == 0:
         return [[ErgodicEstimate(mean=0.0, stderr=0.0, trials=trials, k=k) for _ in systems]
                 for k in ks]
-    # per system: s s^T, s^2 / (s^2 + sigma^2), sigma^2 and sum log(s^2 + sigma^2),
-    # s^2 the spectrum's eigenvalues; per K and system: the scale s s^T / (K-1),
-    # the trace weights s^2 / ((K-1)(s^2 + sigma^2)) and the two noise terms
-    unscaled = []
-    for spectrum, sigma in systems:
-        ev = spectrum.eigenvalues
-        shifted = ev + sigma**2
-        s = np.sqrt(ev)
-        unscaled.append((np.outer(s, s), ev / shifted, sigma**2, float(np.sum(np.log(shifted)))))
-    scored = [
-        [(outer / (k - 1), ratio / (k - 1), noise, logdet_syy)
-         for outer, ratio, noise, logdet_syy in unscaled]
-        for k in ks
-    ]
+    # per K and system: the trace weights s^2 / ((K-1)(s^2 + sigma^2)), the
+    # diagonal Lambda = (K-1) sigma^2 / s^2 and the constant terms
+    # sum log(s^2 + sigma^2) - sum log s^2 + p log(K-1), s^2 the spectrum's eigenvalues
+    scored = []
+    for k in ks:
+        per_system = []
+        for spectrum, sigma in systems:
+            ev, noise = spectrum.eigenvalues, sigma**2
+            offset = float(np.sum(np.log1p(noise / ev))) + p * np.log(k - 1)
+            per_system.append((ev / ((k - 1) * (ev + noise)), (k - 1) * noise / ev, offset))
+        scored.append(per_system)
     rng = np.random.default_rng(first.seed)
     chunk = _trials_per_chunk(first.sampler, ks[-1], p)
     costs = np.empty((len(ks), len(systems), trials))
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        factors = _draw_factors(p, ks, first.sampler, rng, count)
-        for per_k, scored_k, b in zip(costs, scored, factors):
-            g = b @ np.swapaxes(b, 1, 2)
-            g_diag = np.diagonal(g, axis1=1, axis2=2)
-            for row, (scale, weights, noise, logdet_syy) in zip(per_k, scored_k):
-                a = g * scale
-                a.reshape(count, p * p)[:, :: p + 1] += noise  # A + sigma^2 I_p, in place
-                row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(a) + logdet_syy)
+        grams = _white_grams(p, ks, first.sampler, rng, count)
+        for per_k, scored_k, (w, g_diag) in zip(costs, scored, grams):
+            w_diag = w.reshape(count, p * p)[:, :: p + 1]
+            for row, (weights, lam, offset) in zip(per_k, scored_k):
+                np.add(g_diag, lam, out=w_diag)  # G + Lambda on G's lower triangle, in place
+                row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(w) + offset)
 
     return [
         [

@@ -164,6 +164,42 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
         load_experiment_config(cfg_path)
 
 
+@pytest.mark.parametrize(
+    "changed, key",
+    [
+        ({"rho": "a"}, "'rho'"),
+        ({"snr_db": "20"}, "'snr_db'"),
+        ({"seed": 1.5}, "'seed'"),
+        ({"seed": True}, "'seed'"),
+        ({"trials": 10.0}, "'trials'"),
+        ({"k_grid": 50}, "'k_grid'"),
+        ({"k_grid": [50, 100.5]}, "'k_grid'"),
+        ({"measurements": 5}, "'measurements'"),
+        ({"measurements": {"include_to_flows": 1}}, "'measurements'"),
+        ({"measurements": {"include_bogus": True}}, "'measurements'"),
+        ({"case_path": 30}, "'case_path'"),
+        ({"formula": ["paper"]}, "'formula'"),
+        ({"output_dir": 7}, "'output_dir'"),
+        ([1, 2], "must be a JSON object, got list"),
+    ],
+    ids=[
+        "rho-string", "snr-string", "seed-float", "seed-bool", "trials-float", "k_grid-int",
+        "k_grid-float-entry", "measurements-int", "measurements-int-flag",
+        "measurements-unknown-flag", "case_path-int", "formula-list", "output_dir-int",
+        "top-level-array",
+    ],
+)
+def test_cli_run_rejects_config_values_of_the_wrong_type(tmp_path, capsys, changed, key):
+    raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "k_grid": [50], "trials": 2,
+           "output_dir": str(tmp_path)}
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({**raw, **changed} if isinstance(changed, dict) else changed))
+    assert main(["run", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and key in captured.err
+    assert captured.out == ""
+
+
 def test_load_experiment_config_roundtrip(tmp_path):
     raw = {
         "rho": 0.1,

@@ -281,6 +281,18 @@ def test_optimal_cost_rejects_sigma_not_finite_and_positive(sigma):
         optimal_cost(spec, sigma)
 
 
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+def test_mutual_information_rejects_sigma_not_finite_and_positive(sigma):
+    # unchecked, sigma enters squared: -1 would act as +1, and nan give nan
+    h = np.random.default_rng(35).standard_normal((3, 2))
+    attack = optimal_attack_covariance(h, np.eye(2))
+    derived = derived_covariances(h, np.eye(2), 0.5, attack)
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        gaussian_mutual_information(attack, derived, sigma)
+
+
 NON_FINITE = pytest.mark.parametrize(
     "bad", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"]
 )

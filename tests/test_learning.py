@@ -9,6 +9,7 @@ from scipy import stats
 
 from stealthgrid import (
     SampleCovariance,
+    SpectralData,
     StateCovariance,
     TrainingConfig,
     derived_covariances,
@@ -23,6 +24,7 @@ from stealthgrid import (
     stealth_cost,
     toeplitz_covariance,
 )
+from stealthgrid.gaussian import RANK_TOL, logdet_psd
 from stealthgrid.learning import SAMPLERS, _draw_factor, _trials_per_chunk
 
 
@@ -345,6 +347,57 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
         assert est.stderr == pytest.approx(np.std(row, ddof=1) / math.sqrt(trials), rel=1e-9)
 
 
+def _scaled_gram_costs(spectrum, sigma, k, sampler, seed, trials):
+    # the scoring before the diagonal identity: A = G * s s^T / (K-1), then
+    # log|A + sigma^2 I| by Cholesky, on factors re-drawn in the estimator's chunks
+    ev, p = spectrum.eigenvalues, spectrum.p
+    outer = np.outer(np.sqrt(ev), np.sqrt(ev)) / (k - 1)
+    draws = np.random.default_rng(seed)
+    chunk = _trials_per_chunk(sampler, k, p)
+    costs = []
+    for start in range(0, trials, chunk):
+        b = _draw_factor(p, k, sampler, draws, min(chunk, trials - start))
+        a = (b @ np.swapaxes(b, 1, 2)) * outer
+        trace = np.diagonal(a, axis1=1, axis2=2) @ (1.0 / (ev + sigma**2))
+        logdet = logdet_psd(a + sigma**2 * np.eye(p))
+        costs.append(0.5 * (trace - logdet + np.sum(np.log(ev + sigma**2))))
+    return np.concatenate(costs)
+
+
+@pytest.mark.parametrize(
+    "sampler, k", [("bartlett", 9), ("bartlett", 10**8 + 1), ("empirical", 4)],
+    ids=["bartlett-k=p+1", "bartlett-k=1e8+1", "empirical-singular-g"],
+)
+@pytest.mark.parametrize("decades", [1, 10], ids=["one-decade", "ten-decades"])
+def test_diagonal_identity_matches_scaled_gram_scoring(sampler, k, decades):
+    # log|A + sigma^2 I| = log|G + Lambda| + sum log s^2 - p log(K-1) against the
+    # direct A, on the same draws, p = 8, at SNR -10, 20 and 60 dB; the ten-decade
+    # spectrum reaches down to RANK_TOL of its largest eigenvalue; the empirical
+    # K-1 = 3 < p makes G singular, so only Lambda keeps G + Lambda definite
+    p, seed, trials = 8, 21, 300
+    ev = 40.0 * np.geomspace(1.0, RANK_TOL if decades == 10 else 0.1, p)
+    spectrum = SpectralData(eigenvalues=ev, p=p)
+    snrs = (-10.0, 20.0, 60.0)
+    sigmas = [math.sqrt(ev.sum() / (p * 10.0 ** (snr / 10.0))) for snr in snrs]
+    (estimates,) = spectral_ergodic_costs(
+        [(spectrum, sigma) for sigma in sigmas], [TrainingConfig(k, seed, trials, sampler)]
+    )
+    for est, sigma, snr in zip(estimates, sigmas, snrs):
+        oracle = _scaled_gram_costs(spectrum, sigma, k, sampler, seed, trials)
+        # at 60 dB the null directions of a singular G are held up only by Lambda,
+        # about 1e-6 of G's scale, so every Cholesky of G + Lambda or of
+        # A + sigma^2 I loses six digits: on these draws both scorings are off
+        # from a 50-digit reference by up to 6e-10 a trial
+        rel = 1e-10 if sampler == "empirical" and snr == 60.0 else 1e-12
+        assert est.mean == pytest.approx(oracle.mean(), rel=rel, abs=0.0)
+        # a trial's cost is a difference of log-determinants of order 10, which
+        # either scoring rounds by about 1e-14; at K = 1e8+1 the stderr (down to
+        # 3e-11) is so small that this is above 1e-9 of it
+        assert est.stderr == pytest.approx(
+            oracle.std(ddof=1) / math.sqrt(trials), rel=1e-9, abs=1e-14 / math.sqrt(trials)
+        )
+
+
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_sweep_rows_agree_with_independent_one_k_estimates(ieee30_h, sampler):
     # shared draws change no row's law: each row against a lone, independently
@@ -386,7 +439,9 @@ def test_sweep_rejects_configs_of_different_draws(ks, changed, message):
 def test_one_k_estimates_are_pinned_bit_for_bit():
     # one-K draws are those of a sweep-free Monte Carlo: mean and stderr of
     # 4 systems x 4 K x both samplers, as float64 bytes, hash to the digest
-    # pinned before sweeps shared draws (numpy 2.4, OpenBLAS, x86-64;
+    # of the scoring on the shared lower triangle of G + Lambda; the draws are
+    # those of the sweep-free Monte Carlo, and its values differ from these by
+    # rounding only, at most 6.9e-14 relative (numpy 2.4, OpenBLAS, x86-64;
     # another BLAS or numpy may round the last bits differently)
     rng = np.random.default_rng(2024)
     systems = [
@@ -403,7 +458,7 @@ def test_one_k_estimates_are_pinned_bit_for_bit():
                 cfg = TrainingConfig(k, seed=k + 7, trials=300, sampler=sampler)
                 est = estimate_ergodic_cost(h, cov, 0.6, cfg)
                 digest.update(np.array([est.mean, est.stderr]).tobytes())
-    assert digest.hexdigest() == "6bf0d66741eb4df731267e5e8a8fe4001d579f98f92418cd7db3f931fa37a67a"
+    assert digest.hexdigest() == "bd756d77edf503c5683cf9aa83b915d455bb0d3ebbe8ba622c0173aa0e9d26c0"
 
 
 @pytest.mark.parametrize("shape", ["wide", "rank_deficient"])
