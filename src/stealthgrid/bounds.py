@@ -21,6 +21,7 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _BoundedMemo,
+    _check_finite,
     _check_sigma,
     nonzero_spectrum,
 )
@@ -174,30 +175,68 @@ _NEWTON_STEPS = 60
 _STEP_TOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _allocation_roots(b: np.ndarray, t) -> np.ndarray:
-    """Per-coordinate positive root of b x^2 + x = t (stable for small b)."""
-    return 2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t))
+def _bracket(b: np.ndarray, four_b: np.ndarray, lo: float, hi: float):
+    """Where the dual level lies: (free, target, left, right, start).
+
+    The clipped sum is evaluated at all 2p breakpoints at once; the interval
+    [left, right] holding sum x = p fixes which coordinates are clipped.
+    ``free`` marks the others, whose roots must add up to ``target``.  On the
+    interval the sum is concave, so it lies above its chord, and the root
+    lies in [left, start] with ``start`` the chord's root.
+    """
+    p = b.size
+    enter = b * lo**2 + lo
+    leave = b * hi**2 + hi
+    levels = np.sort(np.concatenate([enter, leave]))
+    # the clipped roots 2t / (1 + sqrt(1 + 4 b t)) at every level, in place
+    column = levels[:, None]
+    roots = four_b * column
+    roots += 1.0
+    np.sqrt(roots, out=roots)
+    roots += 1.0
+    np.divide(2.0 * column, roots, out=roots)
+    np.maximum(roots, lo, out=roots)
+    sums = np.minimum(roots, hi, out=roots).sum(axis=1)
+    # sums[0] = p lo < p < p hi = sums[-1], so 1 <= j <= 2p - 1
+    j = int(np.searchsorted(sums, p))
+    left, right = float(levels[j - 1]), float(levels[j])
+    below, above = float(sums[j - 1]), float(sums[j])
+    start = min(max(left + (p - below) / (above - below) * (right - left), left), right)
+    at_lo = enter >= right
+    at_hi = leave <= left
+    free = ~(at_lo | at_hi)
+    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
+    return free, target, left, right, start
 
 
 def _level_in_interval(
-    b: np.ndarray, target: float, left: float, right: float
+    four_b: list[float], target: float, left: float, right: float, start: float
 ) -> tuple[float, int]:
     """The t in [left, right] with sum_i root_i(t) = target, and the Newton steps taken.
 
-    The sum is smooth, increasing and concave in t, with
-    d root_i / dt = 1 / (2 b_i root_i + 1) = 1 / sqrt(1 + 4 b_i t).  From the
-    left end the Newton iterates rise monotonically to the root; a step that
-    rounding pushes out of the shrinking bracket is replaced by bisection.
+    ``four_b`` holds 4 b_i of the free coordinates as Python floats: for a
+    few dozen of them, a step summed in floats costs less than the calls of
+    a numpy step.  The sum is smooth, increasing and concave in t,
+    with d root_i / dt = 1 / sqrt(1 + 4 b_i t).  From the chord root
+    ``start`` the first step lands at or below the level, and from there the
+    iterates rise monotonically to it; a step that rounding pushes out of
+    the shrinking bracket is replaced by bisection.
     """
-    t = left
+    sqrt = math.sqrt
+    t = start
     for steps in range(1, _NEWTON_STEPS + 1):
-        radical = np.sqrt(1.0 + 4.0 * b * t)
-        shortfall = target - float((2.0 * t / (1.0 + radical)).sum())
+        total = slope = 0.0
+        twice_t = 2.0 * t
+        for c in four_b:
+            radical = sqrt(1.0 + c * t)
+            total += twice_t / (1.0 + radical)
+            slope += 1.0 / radical
+        shortfall = target - total
         if shortfall > 0.0:
             left = t
         else:
             right = t
-        step = shortfall / float((1.0 / radical).sum())
+        step = shortfall / slope
         if shortfall == 0.0 or abs(step) <= _STEP_TOL * t:
             break
         t = t + step if left < t + step < right else 0.5 * (left + right)
@@ -211,34 +250,27 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     water-filling-like: every interior coordinate satisfies
     b_i x_i^2 + x_i = t for a shared dual level t, and the others sit on
     the box [lo, hi].  Coordinate i leaves lo at t = b_i lo^2 + lo and
-    reaches hi at t = b_i hi^2 + hi.  The clipped sum is evaluated at all
-    2p breakpoints at once; the interval holding sum x = p fixes which
-    coordinates are clipped, and Newton's method finds t inside it.
+    reaches hi at t = b_i hi^2 + hi.  The breakpoints bracket t and fix the
+    clipped coordinates, and Newton's method finds t from the chord root.
+    Raises ``ValueError`` if b holds a nan or inf, before any arithmetic.
     """
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a non-empty 1-D sequence")
-    if np.any(b <= 0.0):
+    _check_finite(b=b)
+    if (b <= 0.0).any():
         raise ValueError("all b_i must be positive")
     p = int(b.size)
     box = extreme_eig_bounds(p, k)
     lo, hi = box.lower_min, box.upper_max
 
-    enter = b * lo**2 + lo
-    leave = b * hi**2 + hi
-    levels = np.sort(np.concatenate([enter, leave]))
-    sums = np.clip(_allocation_roots(b, levels[:, None]), lo, hi).sum(axis=1)
-    # sums[0] = p lo < p < p hi = sums[-1], so 1 <= j <= 2p - 1
-    j = int(np.searchsorted(sums, p))
-    left, right = float(levels[j - 1]), float(levels[j])
-    at_lo = enter >= right
-    at_hi = leave <= left
-    free = ~(at_lo | at_hi)
-    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
-    t, steps = _level_in_interval(b[free], target, left, right)
-    x = np.clip(_allocation_roots(b, t), lo, hi)
+    four_b = 4.0 * b
+    free, target, left, right, start = _bracket(b, four_b, lo, hi)
+    t, steps = _level_in_interval(four_b[free].tolist(), target, left, right, start)
+    # the positive root of b x^2 + x = t, in a form stable for small b
+    x = np.minimum(np.maximum(2.0 * t / (1.0 + np.sqrt(1.0 + four_b * t)), lo), hi)
 
-    objective = float(math.fsum(np.log(b + 1.0 / x)))
+    objective = math.fsum(np.log(b + 1.0 / x).tolist())
     return BoundProgram(
         b=b, p=p, box_lo=lo, box_hi=hi, x_star=x, objective=objective, newton_steps=steps
     )
@@ -265,6 +297,19 @@ def _bound_program(spectrum: SpectralData, sigma: float, k: int) -> BoundProgram
     return _PROGRAM_MEMO.get((b.tobytes(), k), solve)
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a size that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+class _LowerBound(float):
+    """A :func:`logdet_lower_bound` value with the digamma sum and the program
+    (None when p = 0) it was built from, so a bound looks each up once."""
+
+    __slots__ = ("digamma_sum", "program")
+
+
 def logdet_lower_bound(
     spectrum: SpectralData, sigma: float, m: int, k: int, formula: str = "real_exact"
 ) -> float:
@@ -277,16 +322,23 @@ def logdet_lower_bound(
         expected_logdet + sum_i log(lambda_i/sigma^2 + 1/x_i*) + 2 M log sigma.
 
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
-    is exact.  The program is memoised per (lambda/sigma^2, K).
+    is exact.  The program is memoised per (lambda/sigma^2, K).  Raises
+    ``ValueError`` unless sigma is finite and > 0, M and K are integers,
+    M >= p and K - 1 >= p.
     """
     _check_sigma(sigma)
-    if spectrum.p == 0:
-        return 2.0 * m * math.log(sigma)
-    if k - 1 < spectrum.p:
-        raise ValueError(f"need k-1 >= p (got k-1={k - 1}, p={spectrum.p})")
-    program = _bound_program(spectrum, sigma, k)
-    logdet_term = expected_logdet_std_wishart(spectrum.p, k, formula)
-    return logdet_term + program.objective + 2.0 * m * math.log(sigma)
+    _check_count("m", m)
+    _check_count("k", k)
+    p = spectrum.p
+    if m < p:
+        raise ValueError(f"need m >= p (got m={m}, p={p})")
+    digamma_sum = expected_logdet_std_wishart(p, k, formula)
+    program = _bound_program(spectrum, sigma, k) if p else None
+    objective = program.objective if program else 0.0
+    lower = _LowerBound(digamma_sum + objective + 2.0 * m * math.log(sigma))
+    lower.digamma_sum = digamma_sum
+    lower.program = program
+    return lower
 
 
 @dataclass(frozen=True)
@@ -317,19 +369,20 @@ def spectral_upper_bound(
         log|S_yy| = sum_i log(lambda_i + sigma^2) + (M - p) log sigma^2.
 
     The bound decreases monotonically in K and converges to the optimal cost.
+    Inputs are checked as in :func:`logdet_lower_bound`.
     """
     lower = logdet_lower_bound(spectrum, sigma, m, k, formula)
     shifted = spectrum.eigenvalues + sigma**2
-    trace_term = float(np.sum(spectrum.eigenvalues / shifted))
-    logdet_syy = float(np.sum(np.log(shifted))) + (m - spectrum.p) * math.log(sigma**2)
+    trace_term = float((spectrum.eigenvalues / shifted).sum())
+    logdet_syy = float(np.log(shifted).sum()) + (m - spectrum.p) * math.log(sigma**2)
     return BoundResult(
         value=0.5 * (trace_term + logdet_syy - lower),
-        digamma_sum=_logdet_std_wishart(spectrum.p, k, formula),
-        logdet_lower=lower,
+        digamma_sum=lower.digamma_sum,
+        logdet_lower=float(lower),
         spectrum=spectrum,
         k=k,
         formula=formula,
-        program=_bound_program(spectrum, sigma, k) if spectrum.p else None,
+        program=lower.program,
     )
 
 

@@ -340,15 +340,21 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx) -> SpectralData:
     Results are memoised on the shapes and a SHA-256 digest of the
     float64 bytes of H and S_xx, so a system swept over K or formulas is
     decomposed once and arrays changed in place are decomposed afresh.  The
-    returned eigenvalues are shared, hence read-only.
+    returned eigenvalues are shared, hence read-only.  Only a miss checks
+    for a nan or inf: a hit matches the bytes of arrays that passed the
+    check, and a nan or inf written since changes the bytes.
     """
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
-    _check_finite(H=h, S_xx=sxx)
     digest = hashlib.sha256(np.ascontiguousarray(h))
     digest.update(np.ascontiguousarray(sxx))
     key = (h.shape, sxx.shape, digest.digest())
-    return _SPECTRUM_MEMO.get(key, lambda: _spectrum(h, sxx))
+
+    def decompose() -> SpectralData:
+        _check_finite(H=h, S_xx=sxx)
+        return _spectrum(h, sxx)
+
+    return _SPECTRUM_MEMO.get(key, decompose)
 
 
 def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:

@@ -283,6 +283,58 @@ def test_solver_satisfies_kkt_and_beats_feasible_perturbations(case):
             assert _allocation_objective(b, moved) >= program.objective - slack
 
 
+def _numpy_level(b, target, left, right):
+    """The dual level by Newton from the left end, one numpy call per sum (the
+    solver's earlier search, kept as an oracle)."""
+    t = left
+    for steps in range(1, bounds._NEWTON_STEPS + 1):
+        radical = np.sqrt(1.0 + 4.0 * b * t)
+        shortfall = target - float((2.0 * t / (1.0 + radical)).sum())
+        if shortfall > 0.0:
+            left = t
+        else:
+            right = t
+        step = shortfall / float((1.0 / radical).sum())
+        if shortfall == 0.0 or abs(step) <= bounds._STEP_TOL * t:
+            break
+        t = t + step if left < t + step < right else 0.5 * (left + right)
+    return t
+
+
+def _check_against_numpy_search(b, k):
+    program = solve_bound_program(b, k)
+    lo, hi, p = program.box_lo, program.box_hi, b.size
+    free, target, left, right, start = bounds._bracket(b, 4.0 * b, lo, hi)
+    t = _numpy_level(b[free], target, left, right)
+    # the sum is concave on [left, right], so the level lies left of the chord root
+    assert left <= start <= right
+    assert t <= start * (1.0 + bounds._STEP_TOL)
+    x = np.clip(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t)), lo, hi)
+    oracle = _allocation_objective(b, x)
+    # each of the p terms carries an absolute error of a few ulps however
+    # small it is, so an objective near 0 is compared on the scale p
+    assert abs(program.objective - oracle) <= 1e-13 * max(abs(oracle), p)
+    assert abs(program.x_star.sum() - p) <= 1e-12 * p
+    assert 1 <= program.newton_steps < bounds._NEWTON_STEPS
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bound_programs())
+def test_newton_from_the_chord_matches_the_numpy_search(case):
+    b, k, _ = case
+    _check_against_numpy_search(b, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 29, 117])
+@pytest.mark.parametrize("spread", ["narrow", "wide"])
+def test_newton_from_the_chord_matches_the_numpy_search_up_to_p_117(p, spread):
+    rng = np.random.default_rng([p, spread == "wide"])
+    exponents = rng.uniform(-6.0, 6.0, p) if spread == "wide" else rng.uniform(-0.5, 0.5, p)
+    b = 10.0 ** exponents
+    for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
+        _check_against_numpy_search(b, k)
+
+
 # ---------------------------------------------------------------------------
 # logdet_lower_bound
 # ---------------------------------------------------------------------------
@@ -328,6 +380,36 @@ def test_bounds_reject_sigma_not_finite_and_positive(bound, sigma):
     }[bound]
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
         call()
+
+
+THREE_SPEC = SpectralData(eigenvalues=np.array([3.0, 2.0, 1.0]), p=3)
+
+
+@pytest.mark.parametrize(
+    "m, k, message",
+    [
+        (1, 10, r"need m >= p \(got m=1, p=3\)"),
+        (2, 10, r"need m >= p \(got m=2, p=3\)"),
+        (5, 10.5, "k must be an integer, got 10.5"),
+        (5, 10.0, "k must be an integer, got 10.0"),
+        (5, True, "k must be an integer, got True"),
+        (5.0, 10, "m must be an integer, got 5.0"),
+        (True, 10, "m must be an integer, got True"),
+    ],
+    ids=["m=1", "m=p-1", "k=10.5", "k=10.0", "k=True", "m=5.0", "m=True"],
+)
+@pytest.mark.parametrize("bound", ["logdet_lower_bound", "spectral_upper_bound"])
+def test_bounds_reject_impossible_sizes(bound, m, k, message):
+    call = {"logdet_lower_bound": logdet_lower_bound, "spectral_upper_bound": spectral_upper_bound}
+    with pytest.raises(ValueError, match=message):
+        call[bound](THREE_SPEC, 0.5, m, k)
+
+
+def test_bounds_accept_numpy_integer_sizes():
+    plain = spectral_upper_bound(THREE_SPEC, 0.5, 3, 10)
+    numpy = spectral_upper_bound(THREE_SPEC, 0.5, np.int64(3), np.int64(10))
+    assert numpy.value == plain.value
+    assert logdet_lower_bound(THREE_SPEC, 0.5, np.int32(3), np.int32(10)) == plain.logdet_lower
 
 
 # ---------------------------------------------------------------------------
@@ -488,6 +570,22 @@ def test_both_formulas_share_one_program_solve(monkeypatch):
     assert calls == [20, 21]
 
 
+def test_a_bound_looks_up_its_program_and_digamma_sum_once(monkeypatch):
+    looked_up = []
+    program, digamma_sum = bounds._bound_program, bounds.expected_logdet_std_wishart
+
+    def counted(name, lookup):
+        return lambda *args: looked_up.append(name) or lookup(*args)
+
+    monkeypatch.setattr(bounds, "_bound_program", counted("program", program))
+    monkeypatch.setattr(bounds, "expected_logdet_std_wishart", counted("digamma", digamma_sum))
+    result = spectral_upper_bound(THREE_SPEC, 0.5, 3, 10)
+    assert sorted(looked_up) == ["digamma", "program"]
+    assert type(result.logdet_lower) is float
+    assert result.logdet_lower == logdet_lower_bound(THREE_SPEC, 0.5, 3, 10)
+    assert result.program is program(THREE_SPEC, 0.5, 10)
+
+
 def test_memoised_program_arrays_are_read_only():
     result = spectral_upper_bound(SCALAR_SPEC, 0.9, 1, 30)
     program = result.program
@@ -533,3 +631,32 @@ def test_non_finite_system_raises(call, where, bad):
     }[call]
     with pytest.raises(ValueError, match=f"^{where} has non-finite entries"):
         run()
+
+
+@pytest.mark.parametrize("where", ["H", "S_xx"])
+def test_nan_written_into_a_memoised_system_raises(where):
+    h = np.random.default_rng(44).standard_normal((5, 3))
+    sxx = toeplitz_covariance(3, 0.2).sigma_xx.copy()
+    nonzero_spectrum(h, sxx)
+    ergodic_upper_bound(h, sxx, 0.5, 10)
+    (h if where == "H" else sxx)[0, 0] = math.nan
+    with pytest.raises(ValueError, match=f"^{where} has non-finite entries"):
+        nonzero_spectrum(h, sxx)
+    with pytest.raises(ValueError, match=f"^{where} has non-finite entries"):
+        ergodic_upper_bound(h, sxx, 0.5, 10)
+
+
+def test_only_a_spectrum_memo_miss_checks_finiteness(monkeypatch):
+    checked = []
+    check_finite = gaussian._check_finite
+
+    def counting(**arrays):
+        checked.append(sorted(arrays))
+        check_finite(**arrays)
+
+    monkeypatch.setattr(gaussian, "_check_finite", counting)
+    h = np.random.default_rng(45).standard_normal((4, 3))
+    first = nonzero_spectrum(h, np.eye(3))
+    assert checked == [["H", "S_xx"]]
+    assert nonzero_spectrum(h, np.eye(3)) is first
+    assert checked == [["H", "S_xx"]]

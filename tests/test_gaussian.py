@@ -22,6 +22,7 @@ from stealthgrid import (
     optimal_cost,
     sample_covariance,
     sigma_from_snr,
+    solve_bound_program,
     stealth_cost,
     toeplitz_covariance,
     zero_mean_gaussian_kl,
@@ -352,10 +353,12 @@ def _poisoned_draw(bad):
         (lambda bad: learned_attack_covariance(
             _poisoned((3, 2), bad), SampleCovariance(s_xx=np.eye(2), dof=4)), "H"),
         (_poisoned_draw, "S_xx"),
+        (lambda bad: solve_bound_program([bad, 1.0], 10), "b"),
     ],
     ids=["optimal_attack_covariance", "derived_covariances", "stealth_cost",
          "zero_mean_gaussian_kl", "sample_covariance", "attack_from_matrix",
-         "gaussian_mutual_information", "learned_attack_covariance", "draw_sample_covariance"],
+         "gaussian_mutual_information", "learned_attack_covariance", "draw_sample_covariance",
+         "solve_bound_program"],
 )
 def test_non_finite_input_raises_naming_the_array(call, name, bad):
     # a nan or inf fails loudly instead of coming back as a nan cost or matrix
