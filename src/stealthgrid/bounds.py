@@ -12,6 +12,7 @@ any training size K.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -21,7 +22,6 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _BoundedMemo,
-    _check_finite,
     _check_sigma,
     nonzero_spectrum,
 )
@@ -73,6 +73,12 @@ def digamma(n: int) -> float:
     return float(_digamma(np.array(float(n))))
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a size that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 @dataclass(frozen=True)
 class EigBoundPair:
     """Bounds on the expected extreme eigenvalues of a white Wishart matrix."""
@@ -89,8 +95,11 @@ def extreme_eig_bounds(l: int, k: int) -> EigBoundPair:
         E[lambda_min] >= (1 - sqrt(L/(K-1)))^2
         E[lambda_max] <= (1 + sqrt(L/(K-1)))^2 + 1/(K-1)
 
-    Requires K-1 >= L; below that the lower bound does not apply.
+    Requires integers L >= 1 and K-1 >= L; below that the lower bound does
+    not apply.
     """
+    _check_count("l", l)
+    _check_count("k", k)
     if l < 1:
         raise ValueError(f"dimension must be >= 1, got {l}")
     if k - 1 < l:
@@ -117,8 +126,10 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> 
       exact for real-valued data and strictly smaller.
 
     The p digamma terms are evaluated as one array and summed with
-    ``math.fsum``; the value is memoised per (p, K, formula).
+    ``math.fsum``; the value is memoised per (p, K, formula).  K must be an
+    integer; it is checked before the memo, which would take 10.0 for 10.
     """
+    _check_count("k", k)
     return _logdet_std_wishart(p, k, formula)
 
 
@@ -175,37 +186,58 @@ _NEWTON_STEPS = 60
 _STEP_TOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _bracket(b: np.ndarray, four_b: np.ndarray, lo: float, hi: float):
+def _bracket(b, four_b, lo: float, hi: float):
     """Where the dual level lies: (free, target, left, right, start).
 
-    The clipped sum is evaluated at all 2p breakpoints at once; the interval
-    [left, right] holding sum x = p fixes which coordinates are clipped.
-    ``free`` marks the others, whose roots must add up to ``target``.  On the
+    Both breakpoints of a coordinate grow with b_i, so in ascending order of
+    b the coordinates that have reached hi at a level t come first and those
+    still at lo come last; a clipped sum at t costs two binary searches and
+    a root per coordinate in between.  Bisecting the 2p sorted breakpoints
+    with it finds the interval [left, right] with sums below p at ``left``
+    and at least p at ``right``, in O(p log p) float operations.  The
+    interval fixes which coordinates are clipped: ``free``, a boolean mask,
+    marks the others, whose roots must add up to ``target``.  On the
     interval the sum is concave, so it lies above its chord, and the root
     lies in [left, start] with ``start`` the chord's root.
     """
-    p = b.size
-    enter = b * lo**2 + lo
-    leave = b * hi**2 + hi
-    levels = np.sort(np.concatenate([enter, leave]))
-    # the clipped roots 2t / (1 + sqrt(1 + 4 b t)) at every level, in place
-    column = levels[:, None]
-    roots = four_b * column
-    roots += 1.0
-    np.sqrt(roots, out=roots)
-    roots += 1.0
-    np.divide(2.0 * column, roots, out=roots)
-    np.maximum(roots, lo, out=roots)
-    sums = np.minimum(roots, hi, out=roots).sum(axis=1)
-    # sums[0] = p lo < p < p hi = sums[-1], so 1 <= j <= 2p - 1
-    j = int(np.searchsorted(sums, p))
-    left, right = float(levels[j - 1]), float(levels[j])
-    below, above = float(sums[j - 1]), float(sums[j])
+    p = len(b)
+    ascending = sorted(b)
+    enter = [v * lo**2 + lo for v in ascending]
+    leave = [v * hi**2 + hi for v in ascending]
+    four_ascending = sorted(four_b)
+    levels = sorted(enter + leave)
+    sqrt = math.sqrt
+
+    def clipped_sum(t: float) -> float:
+        at_hi, free_end = bisect_right(leave, t), bisect_left(enter, t)
+        total = hi * at_hi + lo * (p - free_end)
+        twice_t = 2.0 * t
+        for c in four_ascending[at_hi:free_end]:
+            total += twice_t / (1.0 + sqrt(1.0 + c * t))
+        return total
+
+    # the sums at the first and last breakpoints are p lo < p < p hi, so the
+    # first breakpoint whose sum reaches p has an index j in 1..2p-1
+    i, j = 0, 2 * p - 1
+    below = above = None
+    while j - i > 1:
+        mid = (i + j) // 2
+        total = clipped_sum(levels[mid])
+        if total < p:
+            i, below = mid, total
+        else:
+            j, above = mid, total
+    if below is None:
+        below = clipped_sum(levels[i])
+    if above is None:
+        above = clipped_sum(levels[j])
+    left, right = levels[i], levels[j]
     start = min(max(left + (p - below) / (above - below) * (right - left), left), right)
-    at_lo = enter >= right
-    at_hi = leave <= left
-    free = ~(at_lo | at_hi)
-    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
+    # held at hi: leave <= left; held at lo: enter >= right; free: the b between
+    n_hi, free_end = bisect_right(leave, left), bisect_left(enter, right)
+    smallest, largest = ascending[n_hi], ascending[free_end - 1]
+    free = [smallest <= v <= largest for v in b]
+    target = p - lo * (p - free_end) - hi * n_hi
     return free, target, left, right, start
 
 
@@ -257,18 +289,23 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     b = np.asarray(b, dtype=float)
     if b.ndim != 1 or b.size == 0:
         raise ValueError("b must be a non-empty 1-D sequence")
-    _check_finite(b=b)
-    if (b <= 0.0).any():
+    values = b.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("b has non-finite entries")
+    if min(values) <= 0.0:
         raise ValueError("all b_i must be positive")
-    p = int(b.size)
+    p = len(values)
     box = extreme_eig_bounds(p, k)
     lo, hi = box.lower_min, box.upper_max
 
-    four_b = 4.0 * b
-    free, target, left, right, start = _bracket(b, four_b, lo, hi)
-    t, steps = _level_in_interval(four_b[free].tolist(), target, left, right, start)
+    four_b = [4.0 * v for v in values]
+    free, target, left, right, start = _bracket(values, four_b, lo, hi)
+    free_four_b = [c for c, is_free in zip(four_b, free) if is_free]
+    t, steps = _level_in_interval(free_four_b, target, left, right, start)
     # the positive root of b x^2 + x = t, in a form stable for small b
-    x = np.minimum(np.maximum(2.0 * t / (1.0 + np.sqrt(1.0 + four_b * t)), lo), hi)
+    sqrt = math.sqrt
+    roots = [2.0 * t / (1.0 + sqrt(1.0 + c * t)) for c in four_b]
+    x = np.array([lo if r < lo else hi if r > hi else r for r in roots])
 
     objective = math.fsum(np.log(b + 1.0 / x).tolist())
     return BoundProgram(
@@ -297,12 +334,6 @@ def _bound_program(spectrum: SpectralData, sigma: float, k: int) -> BoundProgram
     return _PROGRAM_MEMO.get((b.tobytes(), k), solve)
 
 
-def _check_count(name: str, value) -> None:
-    """Reject a size that is not an integer (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-
-
 class _LowerBound(float):
     """A :func:`logdet_lower_bound` value with the digamma sum and the program
     (None when p = 0) it was built from, so a bound looks each up once."""
@@ -328,7 +359,6 @@ def logdet_lower_bound(
     """
     _check_sigma(sigma)
     _check_count("m", m)
-    _check_count("k", k)
     p = spectrum.p
     if m < p:
         raise ValueError(f"need m >= p (got m={m}, p={p})")

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import math
+import re
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -335,6 +337,88 @@ def test_newton_from_the_chord_matches_the_numpy_search_up_to_p_117(p, spread):
         _check_against_numpy_search(b, k)
 
 
+def _scan_bracket(b, lo, hi):
+    """The bracket from the clipped sums at all 2p breakpoints in one 2p x p
+    table (the solver's earlier scan, kept as an oracle): (free, target, left,
+    right, sums, levels)."""
+    p = b.size
+    enter, leave = b * lo**2 + lo, b * hi**2 + hi
+    levels = np.sort(np.concatenate([enter, leave]))
+    roots = 2.0 * levels[:, None] / (1.0 + np.sqrt(1.0 + 4.0 * b * levels[:, None]))
+    sums = np.clip(roots, lo, hi).sum(axis=1)
+    j = int(np.searchsorted(sums, p))
+    left, right = float(levels[j - 1]), float(levels[j])
+    at_lo, at_hi = enter >= right, leave <= left
+    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
+    return ~(at_lo | at_hi), target, left, right, sums, levels
+
+
+def _check_against_scan(b, k):
+    program = solve_bound_program(b, k)
+    lo, hi, p = program.box_lo, program.box_hi, b.size
+    free, target, left, right, start = bounds._bracket(b, 4.0 * b, lo, hi)
+    scan_free, scan_target, scan_left, scan_right, sums, levels = _scan_bracket(b, lo, hi)
+    if (left, right) == (scan_left, scan_right):
+        np.testing.assert_array_equal(np.asarray(free, dtype=bool), scan_free)
+        assert target == scan_target
+    else:
+        # a tie: the intervals meet at a breakpoint where the scan's sum is p
+        shared = {left, right} & {scan_left, scan_right}
+        assert shared
+        assert min(abs(sums[levels == level][0] - p) for level in shared) <= 1e-12 * p
+    assert left <= start <= right
+    t = _numpy_level(b[scan_free], scan_target, scan_left, scan_right)
+    x = np.clip(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t)), lo, hi)
+    oracle = _allocation_objective(b, x)
+    assert abs(program.objective - oracle) <= 1e-13 * max(abs(program.objective), p)
+    assert abs(program.x_star.sum() - p) <= 1e-12 * p
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bound_programs())
+def test_bisected_breakpoints_match_the_scan(case):
+    b, k, _ = case
+    _check_against_scan(b, k)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 29, 60, 117, 300])
+@pytest.mark.parametrize("spread", ["narrow", "wide", "repeated"])
+def test_bisected_breakpoints_match_the_scan_up_to_p_300(p, spread):
+    rng = np.random.default_rng([p, ["narrow", "wide", "repeated"].index(spread)])
+    if spread == "repeated":  # equal b_i share their breakpoints
+        exponents = rng.choice([-1.0, 0.0, 0.5, 2.0], p)
+    else:
+        exponents = rng.uniform(-6.0, 6.0, p) if spread == "wide" else rng.uniform(-0.5, 0.5, p)
+    b = 10.0 ** exponents
+    for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
+        _check_against_scan(b, k)
+
+
+@pytest.mark.parametrize("k", [10.5, np.float64(10.0), True, "10"], ids=repr)
+@pytest.mark.parametrize(
+    "call, name",
+    [
+        (lambda k: solve_bound_program([1.0, 2.0, 3.0], k), "k"),
+        (lambda k: expected_logdet_std_wishart(3, k), "k"),
+        (lambda k: extreme_eig_bounds(3, k), "k"),
+        (lambda l: extreme_eig_bounds(l, 20), "l"),
+    ],
+    ids=["solve_bound_program", "expected_logdet_std_wishart", "extreme_eig_bounds", "l"],
+)
+def test_sizes_that_are_not_integers_are_rejected(call, name, k):
+    with pytest.raises(ValueError, match=f"^{name} must be an integer, got {re.escape(repr(k))}$"):
+        call(k)
+
+
+def test_numpy_integer_sizes_are_accepted():
+    k, l = np.int64(10), np.int64(3)
+    assert solve_bound_program([1.0, 2.0, 3.0], k).objective == (
+        solve_bound_program([1.0, 2.0, 3.0], 10).objective
+    )
+    assert expected_logdet_std_wishart(3, k) == expected_logdet_std_wishart(3, 10)
+    assert extreme_eig_bounds(l, k) == extreme_eig_bounds(3, 10)
+
+
 # ---------------------------------------------------------------------------
 # logdet_lower_bound
 # ---------------------------------------------------------------------------
@@ -660,3 +744,79 @@ def test_only_a_spectrum_memo_miss_checks_finiteness(monkeypatch):
     assert checked == [["H", "S_xx"]]
     assert nonzero_spectrum(h, np.eye(3)) is first
     assert checked == [["H", "S_xx"]]
+
+
+def _count_spectrum_work(monkeypatch) -> dict:
+    """Count the decompositions and SHA-256 digests of nonzero_spectrum."""
+    counts = {"decompose": 0, "digest": 0}
+    spectrum, sha256 = gaussian._spectrum, gaussian.hashlib.sha256
+
+    def decompose(*args):
+        counts["decompose"] += 1
+        return spectrum(*args)
+
+    def digest(*args):
+        counts["digest"] += 1
+        return sha256(*args)
+
+    monkeypatch.setattr(gaussian, "_spectrum", decompose)
+    monkeypatch.setattr(gaussian, "hashlib", SimpleNamespace(sha256=digest))
+    return counts
+
+
+def test_repeated_system_is_decomposed_and_digested_once(monkeypatch):
+    counts = _count_spectrum_work(monkeypatch)
+    h = np.random.default_rng(46).standard_normal((6, 4))
+    sxx = toeplitz_covariance(4, 0.3)
+    results = [
+        ergodic_upper_bound(h, sxx, 0.5, k, formula)
+        for k in range(5, 30)
+        for formula in FORMULAS
+    ]
+    assert len(results) == 50
+    assert counts == {"decompose": 1, "digest": 1}
+    assert all(r.spectrum is results[0].spectrum for r in results)
+
+
+@pytest.mark.parametrize("where", ["H", "S_xx", "StateCovariance"])
+def test_entry_changed_in_place_between_consecutive_calls_is_decomposed_afresh(where):
+    h = np.random.default_rng(47).standard_normal((6, 4))
+    cov = toeplitz_covariance(4, 0.6)
+    sxx = cov if where == "StateCovariance" else cov.sigma_xx.copy()
+    first = nonzero_spectrum(h, sxx)
+    assert nonzero_spectrum(h, sxx) is first
+    if where == "H":
+        h[2, 1] += 0.5
+    else:
+        gaussian._as_matrix(sxx)[1, 1] *= 1.5  # a larger diagonal keeps S_xx definite
+    second = nonzero_spectrum(h, sxx)
+    fresh = gaussian._spectrum(h, gaussian._as_matrix(sxx))
+    np.testing.assert_array_equal(second.eigenvalues, fresh.eigenvalues)
+    assert not np.array_equal(second.eigenvalues, first.eigenvalues)
+
+
+@pytest.mark.parametrize("where", ["H", "StateCovariance"])
+def test_nan_written_between_consecutive_calls_raises(monkeypatch, where):
+    counts = _count_spectrum_work(monkeypatch)
+    h = np.random.default_rng([48, where == "H"]).standard_normal((5, 3))
+    cov = toeplitz_covariance(3, 0.7)
+    nonzero_spectrum(h, cov)
+    nonzero_spectrum(h, cov)
+    assert counts == {"decompose": 1, "digest": 1}
+    (h if where == "H" else cov.sigma_xx)[0, 0] = math.nan
+    name = "H" if where == "H" else "S_xx"
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        nonzero_spectrum(h, cov)
+    with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
+        ergodic_upper_bound(h, cov, 0.5, 10)
+
+
+def test_alternating_systems_are_decomposed_once_each(monkeypatch):
+    counts = _count_spectrum_work(monkeypatch)
+    rng = np.random.default_rng(49)
+    systems = [(rng.standard_normal((5, 3)), toeplitz_covariance(3, rho)) for rho in (0.1, 0.9)]
+    first = [nonzero_spectrum(h, sxx) for h, sxx in systems]
+    for _ in range(10):
+        for (h, sxx), spectrum in zip(systems, first):
+            assert nonzero_spectrum(h, sxx) is spectrum
+    assert counts["decompose"] == 2
