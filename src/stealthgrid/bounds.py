@@ -22,6 +22,7 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _BoundedMemo,
+    _check_count,
     _check_sigma,
     nonzero_spectrum,
 )
@@ -71,12 +72,6 @@ def digamma(n: int) -> float:
     if n != int(n) or n <= 0:
         raise ValueError(f"digamma is defined here for positive integers, got {n}")
     return float(_digamma(np.array(float(n))))
-
-
-def _check_count(name: str, value) -> None:
-    """Reject a size that is not an integer (bools included)."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 @dataclass(frozen=True)

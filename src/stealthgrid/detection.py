@@ -16,7 +16,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gaussian import PSD_TOL, DerivedCovariances, gaussian_kl_marginals, logdet_psd, symmetrize
+from .gaussian import (
+    PSD_TOL,
+    RANK_TOL,
+    DerivedCovariances,
+    _check_count,
+    _check_finite,
+    gaussian_kl_marginals,
+    logdet_psd,
+    symmetrize,
+)
 
 __all__ = [
     "DetectionExperiment",
@@ -81,16 +90,21 @@ class _LrtModel:
         self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
         self.const = 0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya))
         # y = L z under a hypothesis of covariance L L^T, so y^T delta y = sum_j d_j z_j^2
-        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``, all m kept.
-        self.weights = {
+        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``.
+        weights = {
             attacked: np.linalg.eigvalsh(symmetrize(l.T @ self.delta @ l))
             for attacked, l in chol.items()
         }
         # nominal side: d = 1 - 1/eig(I + L^-1 S_aa L^-T), negative iff S_aa is not PSD
-        if self.weights[False][0] < -PSD_TOL:
+        if weights[False][0] < -PSD_TOL:
             raise ValueError(
                 "attack covariance sigma_yaya - sigma_yy is not positive semidefinite"
             )
+        # delta has rank at most rank(S_aa): the other weights are roundoff of exact
+        # zeros, and a zero weight leaves the aggregate's law unchanged.
+        self.weights = {
+            attacked: d[np.abs(d) > RANK_TOL * np.abs(d).max()] for attacked, d in weights.items()
+        }
 
     def log_lrt(self, y: np.ndarray) -> np.ndarray:
         """Log likelihood ratio of each observation (rows of y)."""
@@ -101,10 +115,14 @@ class _LrtModel:
     def aggregate_samples(
         self, attacked: bool, n: int, trials: int, rng: np.random.Generator
     ) -> np.ndarray:
-        """Sum of n per-observation log-LRTs for each of `trials` blocks, exact in law."""
+        """Sum of n per-observation log-LRTs for each of `trials` blocks, exact in law.
+
+        Each block costs one chi-square draw per kept weight; with none kept
+        (identical hypotheses) nothing is drawn and every block is n * const.
+        """
         d = self.weights[attacked]
         out = np.empty(trials)
-        step = max(1, _CHUNK_BUDGET // d.size)
+        step = max(1, _CHUNK_BUDGET // max(d.size, 1))
         for start in range(0, trials, step):
             stop = min(trials, start + step)
             chi2 = rng.chisquare(n, size=(stop - start, d.size))
@@ -117,8 +135,13 @@ def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float:
     """Log likelihood ratio of one measurement vector.
 
     log L(y) = 1/2 [ log(|S_yy| / |S_yaya|) + y^T (S_yy^-1 - S_yaya^-1) y ],
-    positive values favor the attacked hypothesis.
+    positive values favor the attacked hypothesis.  Raises ``ValueError`` if y
+    is not a vector of length m or holds a nan or inf.
     """
+    y = np.asarray(y, dtype=float)
+    if y.shape != (derived.m,):
+        raise ValueError(f"y must be a vector of length m = {derived.m}, got shape {y.shape}")
+    _check_finite(y=y)
     return float(_LrtModel(derived).log_lrt(y)[0])
 
 
@@ -130,14 +153,25 @@ def _check_design(block_lengths, epsilon: float, trials: int) -> None:
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
+    _check_count("trials", trials)
     if trials < 50 / epsilon:
         raise ValueError(
             f"need at least {math.ceil(50 / epsilon)} trials to place the "
             f"{epsilon} tail quantile, got {trials}"
         )
+    if not block_lengths:
+        raise ValueError("need at least one block length n")
     for n in block_lengths:
+        _check_count("block length n", n)
         if n < 1:
             raise ValueError(f"block length n must be >= 1, got {n}")
+
+
+def _calibrate(model: _LrtModel, n: int, epsilon: float, trials: int, seed: int) -> float:
+    """:func:`calibrate_threshold` on a built model, its arguments already checked."""
+    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
+    samples = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng)
+    return float(np.quantile(samples, 1.0 - epsilon))
 
 
 def calibrate_threshold(
@@ -150,18 +184,16 @@ def calibrate_threshold(
     the threshold has Type I rate about epsilon.
     """
     _check_design((n,), epsilon, trials)
-    model = _LrtModel(derived)
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    samples = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng)
-    return float(np.quantile(samples, 1.0 - epsilon))
+    return _calibrate(_LrtModel(derived), n, epsilon, trials, seed)
 
 
 def run_detection_experiment(
     derived: DerivedCovariances, n: int, epsilon: float, trials: int, seed: int
 ) -> DetectionExperiment:
     """Calibrate a threshold, then measure both error rates on fresh data."""
-    tau = calibrate_threshold(derived, n, epsilon, trials, seed)
+    _check_design((n,), epsilon, trials)
     model = _LrtModel(derived)
+    tau = _calibrate(model, n, epsilon, trials, seed)
     rng_h0 = np.random.default_rng(np.random.SeedSequence((seed, 1)))
     rng_h1 = np.random.default_rng(np.random.SeedSequence((seed, 2)))
     clean = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng_h0)
@@ -216,7 +248,7 @@ def error_exponent_estimate(
     """
     if tail not in ("normal", "empirical"):
         raise ValueError(f"tail must be 'normal' or 'empirical', got {tail!r}")
-    n_grid = [int(n) for n in n_grid]
+    n_grid = tuple(n_grid)
     _check_design(n_grid, epsilon, trials)
     model = _LrtModel(derived)
     points = []
@@ -257,10 +289,10 @@ def error_exponent_estimate(
                 radius = hazard * dz / n
         points.append(
             ExponentPoint(
-                n=n,
+                n=int(n),
                 tau=tau,
                 beta_hat=beta,
-                exponent=-log_beta / n,
+                exponent=0.0 - log_beta / n,  # not -log_beta / n: log_beta = 0 gives +0.0
                 radius=radius,
                 exceed_count=exceed,
             )

@@ -101,6 +101,12 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be finite and > 0, got {sigma}")
 
 
+def _check_count(name: str, value) -> None:
+    """Reject a size that is not an integer (bools included)."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
 def _check_finite(**arrays: np.ndarray) -> None:
     """Raise ``ValueError`` naming the first of ``arrays`` that holds a nan or inf."""
     for name, a in arrays.items():

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from helpers import random_pd
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stealthgrid import (
     DerivedCovariances,
@@ -35,12 +38,15 @@ def _full_rank_3x3() -> DerivedCovariances:
     return DerivedCovariances(sigma_yy=syy, sigma_yaya=syy + saa @ saa.T / 3.0)
 
 
+def _optimal_attack(h: np.ndarray, rho: float, snr_db: float) -> DerivedCovariances:
+    sxx = toeplitz_covariance(h.shape[1], rho)
+    attack = optimal_attack_covariance(h, sxx)
+    return derived_covariances(h, sxx, sigma_from_snr(h, sxx, snr_db), attack)
+
+
 def _optimal_attack_8x4() -> DerivedCovariances:
     """8 measurements, 4 states: the optimal attack has rank 4 of 8."""
-    h = np.random.default_rng(23).standard_normal((8, 4))
-    sxx = toeplitz_covariance(4, 0.5)
-    attack = optimal_attack_covariance(h, sxx)
-    return derived_covariances(h, sxx, sigma_from_snr(h, sxx, 20.0), attack)
+    return _optimal_attack(np.random.default_rng(23).standard_normal((8, 4)), 0.5, 20.0)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +68,21 @@ def test_lrt_scalar_at_origin():
 def test_lrt_scalar_away_from_origin():
     expected = 0.5 * math.log(0.5) + 0.5 * 4.0 * (1.0 - 0.5)
     assert lrt_statistic(np.array([2.0]), SCALAR_DERIVED) == pytest.approx(expected)
+
+
+@pytest.mark.parametrize(
+    "y, match",
+    [
+        (np.array([2.0, 1.0]), r"y must be a vector of length m = 1, got shape \(2,\)"),
+        (np.array([[2.0]]), r"y must be a vector of length m = 1, got shape \(1, 1\)"),
+        (np.array([math.nan]), "y has non-finite entries"),
+        (np.array([math.inf]), "y has non-finite entries"),
+    ],
+    ids=["length-2", "matrix", "nan", "inf"],
+)
+def test_lrt_rejects_a_malformed_observation(y, match):
+    with pytest.raises(ValueError, match=match):
+        lrt_statistic(y, SCALAR_DERIVED)
 
 
 # ---------------------------------------------------------------------------
@@ -119,6 +140,21 @@ def test_detection_rejects_empty_blocks(call):
         call(SCALAR_DERIVED, n=0, epsilon=0.05, trials=4000, seed=0)
 
 
+@pytest.mark.parametrize("call", [calibrate_threshold, run_detection_experiment])
+@pytest.mark.parametrize(
+    "n, trials, match",
+    [
+        (2.5, 4000, "block length n must be an integer, got 2.5"),
+        (True, 4000, "block length n must be an integer, got True"),
+        (5, 4000.0, "trials must be an integer, got 4000.0"),
+    ],
+    ids=["n-float", "n-bool", "trials-float"],
+)
+def test_detection_rejects_non_integral_counts(call, n, trials, match):
+    with pytest.raises(ValueError, match=match):
+        call(SCALAR_DERIVED, n=n, epsilon=0.05, trials=trials, seed=0)
+
+
 # ---------------------------------------------------------------------------
 # error_exponent_estimate
 # ---------------------------------------------------------------------------
@@ -136,6 +172,39 @@ def test_detection_rejects_empty_blocks(call):
 def test_exponent_rejects_out_of_domain_input(n_grid, trials, match):
     with pytest.raises(ValueError, match=match):
         error_exponent_estimate(SCALAR_DERIVED, n_grid=n_grid, epsilon=0.05, trials=trials)
+
+
+@pytest.mark.parametrize(
+    "n_grid, trials, match",
+    [
+        ((2.5, 10), 2000, "block length n must be an integer, got 2.5"),
+        ((True,), 2000, "block length n must be an integer, got True"),
+        ((10,), 2000.0, "trials must be an integer, got 2000.0"),
+        ((), 2000, "need at least one block length n"),
+    ],
+    ids=["n-float", "n-bool", "trials-float", "empty-grid"],
+)
+def test_exponent_rejects_non_integral_counts_and_empty_grid(n_grid, trials, match):
+    with pytest.raises(ValueError, match=match):
+        error_exponent_estimate(SCALAR_DERIVED, n_grid=n_grid, epsilon=0.05, trials=trials)
+
+
+def test_exponent_accepts_numpy_integers():
+    estimate = error_exponent_estimate(
+        SCALAR_DERIVED, n_grid=np.array([5, 10]), epsilon=0.05, trials=np.int64(2000)
+    )
+    assert [type(p.n) for p in estimate.points] == [int, int]
+    assert [p.n for p in estimate.points] == [5, 10]
+
+
+@pytest.mark.parametrize("tail", ["normal", "empirical"])
+def test_exponent_identical_hypotheses_is_positive_zero(tail):
+    estimate = error_exponent_estimate(
+        IDENTICAL, n_grid=(5, 10), epsilon=0.05, trials=2000, seed=0, tail=tail
+    )
+    for point in estimate.points:
+        assert point.exponent == 0.0
+        assert math.copysign(1.0, point.exponent) == 1.0
 
 
 def test_exponent_identical_hypotheses_is_zero():
@@ -268,9 +337,11 @@ def test_aggregate_matches_direct_simulation_and_exact_moments(derived, attacked
 def test_aggregate_chunks_are_one_chisquare_stream(monkeypatch):
     model = _LrtModel(_optimal_attack_8x4())
     n, trials = 7, 100
-    monkeypatch.setattr(detection, "_CHUNK_BUDGET", 24)  # 3 rows per chunk, 34 chunks
+    columns = model.weights[True].size
+    assert columns == 4
+    monkeypatch.setattr(detection, "_CHUNK_BUDGET", 24)  # 6 rows per chunk, 17 chunks
     chunked = model.aggregate_samples(True, n, trials, np.random.default_rng(5))
-    chi2 = np.random.default_rng(5).chisquare(n, size=(trials, 8))
+    chi2 = np.random.default_rng(5).chisquare(n, size=(trials, columns))
     whole = n * model.const + 0.5 * np.einsum("tm,m->t", chi2, model.weights[True])
     assert np.array_equal(chunked, whole)
 
@@ -281,3 +352,59 @@ def test_aggregate_identical_hypotheses_is_exactly_n_const(attacked):
     model = _LrtModel(DerivedCovariances(sigma_yy=syy, sigma_yaya=syy))
     samples = model.aggregate_samples(attacked, 9, 1000, np.random.default_rng(2))
     assert np.all(samples == 9 * model.const)
+
+
+# ---------------------------------------------------------------------------
+# the weights kept: delta has rank at most rank(S_aa)
+# ---------------------------------------------------------------------------
+
+
+def test_kept_weight_counts_follow_the_attack_rank(ieee30_h):
+    systems = {
+        "scalar": (SCALAR_DERIVED, 1),
+        "rank-deficient-8x4": (_optimal_attack_8x4(), 4),
+        "ieee30-optimal": (_optimal_attack(ieee30_h, 0.1, 20.0), 29),
+        "identical": (IDENTICAL, 0),
+    }
+    for name, (derived, kept) in systems.items():
+        model = _LrtModel(derived)
+        assert [model.weights[a].size for a in (False, True)] == [kept, kept], name
+
+
+@pytest.mark.parametrize("attacked", [False, True])
+def test_aggregate_without_weights_draws_nothing(attacked):
+    model = _LrtModel(IDENTICAL)
+    rng = np.random.default_rng(2)
+    state = rng.bit_generator.state
+    samples = model.aggregate_samples(attacked, 9, 1000, rng)
+    assert rng.bit_generator.state == state
+    assert np.all(samples == 9 * model.const)
+
+
+@st.composite
+def _rank_deficient_systems(draw):
+    """S_yy with eigenvalues in [0.5, 2] and S_aa of rank r <= m, eigenvalues in [0.1, 2]."""
+    m = draw(st.integers(1, 12))
+    rank = draw(st.integers(0, m))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    syy = random_pd(rng, m)
+    q, _ = np.linalg.qr(rng.standard_normal((m, m)))
+    basis = q[:, :rank]
+    saa = (basis * rng.uniform(0.1, 2.0, size=rank)) @ basis.T
+    derived = DerivedCovariances(sigma_yy=syy, sigma_yaya=syy + (saa + saa.T) / 2.0)
+    return derived, rank
+
+
+@settings(max_examples=200, derandomize=True, deadline=None)
+@given(_rank_deficient_systems(), st.integers(1, 50))
+def test_kept_weights_carry_the_exact_moments(system, n):
+    derived, rank = system
+    model = _LrtModel(derived)
+    for attacked, cov in ((False, derived.sigma_yy), (True, derived.sigma_yaya)):
+        d = model.weights[attacked]
+        assert d.size == rank
+        delta_cov = model.delta @ cov
+        exact_mean = n * (model.const + 0.5 * np.trace(delta_cov))
+        exact_var = 0.5 * n * np.trace(delta_cov @ delta_cov)
+        assert n * (model.const + 0.5 * d.sum()) == pytest.approx(exact_mean, rel=1e-12)
+        assert 0.5 * n * np.sum(d * d) == pytest.approx(exact_var, rel=1e-12)

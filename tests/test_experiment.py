@@ -334,6 +334,21 @@ def test_cli_detect(capsys):
     assert out.count("\n") >= 4
 
 
+def test_cli_detect_identical_hypotheses_prints_no_negative_zero(capsys):
+    assert main(["detect", "--attack-var", "0", "--trials", "2000", "--seed", "3"]) == 0
+    out = capsys.readouterr().out
+    rows = out.splitlines()[2:]
+    assert [row.split(",")[1] for row in rows] == ["0.0", "0.0", "0.0"]
+    assert "-0.0" not in out
+
+
+def test_cli_detect_rejects_an_empty_n_grid(capsys):
+    assert main(["detect", "--n-grid", ",", "--seed", "3"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: need at least one block length n\n"
+    assert captured.out == ""
+
+
 def test_cli_errors_exit_nonzero(capsys, tmp_path):
     assert main(["parse", str(tmp_path / "missing.m")]) == 1
     assert "error:" in capsys.readouterr().err
