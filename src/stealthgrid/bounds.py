@@ -15,6 +15,7 @@ import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -22,8 +23,10 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _BoundedMemo,
+    _SpectralContext,
     _check_count,
     _check_sigma,
+    _spectral_context,
     nonzero_spectrum,
 )
 
@@ -175,31 +178,57 @@ class BoundProgram:
         return abs(float(np.sum(self.x_star)) - self.p)
 
 
+class _Allocation(NamedTuple):
+    """What the allocation program needs of b alone, whatever K."""
+
+    b: np.ndarray
+    values: list[float]  # b as Python floats, finite and positive
+    four_b: list[float]  # 4 b_i in the order of b
+    ascending: list[float]  # b in ascending order
+    four_ascending: list[float]  # 4 b in ascending order
+
+
+def _prepare_allocation(b) -> _Allocation:
+    """Check b and build its :class:`_Allocation`; raises ``ValueError`` unless
+    b is a non-empty vector of finite positive numbers."""
+    b = np.asarray(b, dtype=float)
+    if b.ndim != 1 or b.size == 0:
+        raise ValueError("b must be a non-empty 1-D sequence")
+    values = b.tolist()
+    if not all(map(math.isfinite, values)):
+        raise ValueError("b has non-finite entries")
+    if min(values) <= 0.0:
+        raise ValueError("all b_i must be positive")
+    four_b = [4.0 * v for v in values]
+    return _Allocation(b, values, four_b, sorted(values), sorted(four_b))
+
+
 #: Cap on the Newton steps for the dual level; it converges in a handful.
 _NEWTON_STEPS = 60
 #: Newton stops once its step is within a few ulps of the level.
 _STEP_TOL = 4.0 * float(np.finfo(float).eps)
 
 
-def _bracket(b, four_b, lo: float, hi: float):
+def _bracket(allocation: _Allocation, lo: float, hi: float):
     """Where the dual level lies: (free, target, left, right, start).
 
     Both breakpoints of a coordinate grow with b_i, so in ascending order of
-    b the coordinates that have reached hi at a level t come first and those
-    still at lo come last; a clipped sum at t costs two binary searches and
-    a root per coordinate in between.  Bisecting the 2p sorted breakpoints
-    with it finds the interval [left, right] with sums below p at ``left``
-    and at least p at ``right``, in O(p log p) float operations.  The
+    b, which ``allocation`` holds for every K, the coordinates that have
+    reached hi at a level t come first and those still at lo come last; a
+    clipped sum at t costs two binary searches and a root per coordinate in
+    between.  Bisecting the 2p sorted breakpoints with it finds the
+    interval [left, right] with sums below p at ``left`` and at least p at
+    ``right``, in O(p log p) float operations.  The
     interval fixes which coordinates are clipped: ``free``, a boolean mask,
     marks the others, whose roots must add up to ``target``.  On the
     interval the sum is concave, so it lies above its chord, and the root
     lies in [left, start] with ``start`` the chord's root.
     """
-    p = len(b)
-    ascending = sorted(b)
-    enter = [v * lo**2 + lo for v in ascending]
-    leave = [v * hi**2 + hi for v in ascending]
-    four_ascending = sorted(four_b)
+    _, values, _, ascending, four_ascending = allocation
+    p = len(values)
+    lo_sq, hi_sq = lo**2, hi**2
+    enter = [v * lo_sq + lo for v in ascending]
+    leave = [v * hi_sq + hi for v in ascending]
     levels = sorted(enter + leave)
     sqrt = math.sqrt
 
@@ -231,7 +260,7 @@ def _bracket(b, four_b, lo: float, hi: float):
     # held at hi: leave <= left; held at lo: enter >= right; free: the b between
     n_hi, free_end = bisect_right(leave, left), bisect_left(enter, right)
     smallest, largest = ascending[n_hi], ascending[free_end - 1]
-    free = [smallest <= v <= largest for v in b]
+    free = [smallest <= v <= largest for v in values]
     target = p - lo * (p - free_end) - hi * n_hi
     return free, target, left, right, start
 
@@ -279,22 +308,22 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     the box [lo, hi].  Coordinate i leaves lo at t = b_i lo^2 + lo and
     reaches hi at t = b_i hi^2 + hi.  The breakpoints bracket t and fix the
     clipped coordinates, and Newton's method finds t from the chord root.
-    Raises ``ValueError`` if b holds a nan or inf, before any arithmetic.
+    Raises ``ValueError`` if b holds a nan, inf or non-positive entry, before
+    any arithmetic and before K is checked.
+
+    The work splits into a part that depends on b alone (the checks, b and
+    4b as floats and both in ascending order) and the solve at K (the box,
+    the bracket and Newton).  ``b`` may also be that first part, an
+    ``_Allocation``, which a bound prepares once for every K of its
+    spectrum and sigma.
     """
-    b = np.asarray(b, dtype=float)
-    if b.ndim != 1 or b.size == 0:
-        raise ValueError("b must be a non-empty 1-D sequence")
-    values = b.tolist()
-    if not all(map(math.isfinite, values)):
-        raise ValueError("b has non-finite entries")
-    if min(values) <= 0.0:
-        raise ValueError("all b_i must be positive")
+    allocation = b if isinstance(b, _Allocation) else _prepare_allocation(b)
+    b, values, four_b = allocation.b, allocation.values, allocation.four_b
     p = len(values)
     box = extreme_eig_bounds(p, k)
     lo, hi = box.lower_min, box.upper_max
 
-    four_b = [4.0 * v for v in values]
-    free, target, left, right, start = _bracket(values, four_b, lo, hi)
+    free, target, left, right, start = _bracket(allocation, lo, hi)
     free_four_b = [c for c, is_free in zip(four_b, free) if is_free]
     t, steps = _level_in_interval(free_four_b, target, left, right, start)
     # the positive root of b x^2 + x = t, in a form stable for small b
@@ -308,32 +337,33 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     )
 
 
-#: Allocation programs by (b, K), for :func:`logdet_lower_bound`.
+#: Allocation programs by (context key, K), for :func:`logdet_lower_bound`.
 _PROGRAM_MEMO = _BoundedMemo(256)
 
 
-def _bound_program(spectrum: SpectralData, sigma: float, k: int) -> BoundProgram:
-    """The allocation program at b = lambda / sigma^2 and K, memoised.
+def _bound_program(context: _SpectralContext, k: int) -> BoundProgram:
+    """The allocation program of a context at K, memoised.
 
     Both formulas share it, so a bound under the second one solves nothing.
     A stored program's arrays are shared, hence read-only.
     """
-    b = spectrum.eigenvalues / sigma**2
 
     def solve() -> BoundProgram:
-        program = solve_bound_program(b, k)
-        program.b.setflags(write=False)
+        if context.allocation is None:
+            context.allocation = _prepare_allocation(context.b)
+        program = solve_bound_program(context.allocation, k)
         program.x_star.setflags(write=False)
         return program
 
-    return _PROGRAM_MEMO.get((b.tobytes(), k), solve)
+    return _PROGRAM_MEMO.get((context.key, k), solve)
 
 
 class _LowerBound(float):
-    """A :func:`logdet_lower_bound` value with the digamma sum and the program
-    (None when p = 0) it was built from, so a bound looks each up once."""
+    """A :func:`logdet_lower_bound` value with the digamma sum, the program
+    (None when p = 0) and the context it was built from, so a bound looks
+    each up once."""
 
-    __slots__ = ("digamma_sum", "program")
+    __slots__ = ("digamma_sum", "program", "context")
 
 
 def logdet_lower_bound(
@@ -348,9 +378,11 @@ def logdet_lower_bound(
         expected_logdet + sum_i log(lambda_i/sigma^2 + 1/x_i*) + 2 M log sigma.
 
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
-    is exact.  The program is memoised per (lambda/sigma^2, K).  Raises
-    ``ValueError`` unless sigma is finite and > 0, M and K are integers,
-    M >= p and K - 1 >= p.
+    is exact.  The program is memoised per (lambda, sigma, K): 256 programs,
+    both formulas sharing one, each solved from the per-(lambda, sigma)
+    context that holds b checked and sorted.  Raises ``ValueError`` unless
+    sigma is finite and > 0, M and K are integers, M >= p and K - 1 >= p;
+    a call that raises stores nothing.
     """
     _check_sigma(sigma)
     _check_count("m", m)
@@ -358,11 +390,13 @@ def logdet_lower_bound(
     if m < p:
         raise ValueError(f"need m >= p (got m={m}, p={p})")
     digamma_sum = expected_logdet_std_wishart(p, k, formula)
-    program = _bound_program(spectrum, sigma, k) if p else None
+    context = _spectral_context(spectrum, sigma)
+    program = _bound_program(context, k) if p else None
     objective = program.objective if program else 0.0
     lower = _LowerBound(digamma_sum + objective + 2.0 * m * math.log(sigma))
     lower.digamma_sum = digamma_sum
     lower.program = program
+    lower.context = context
     return lower
 
 
@@ -394,14 +428,17 @@ def spectral_upper_bound(
         log|S_yy| = sum_i log(lambda_i + sigma^2) + (M - p) log sigma^2.
 
     The bound decreases monotonically in K and converges to the optimal cost.
-    Inputs are checked as in :func:`logdet_lower_bound`.
+    Both sums depend on (lambda, sigma) alone: they are read from the
+    memoised context that also holds the allocation program's b, so a sweep
+    over K and formulas computes them once, and each K pays only for its
+    box, its bracket and its Newton solve.  Inputs are checked as in
+    :func:`logdet_lower_bound`.
     """
     lower = logdet_lower_bound(spectrum, sigma, m, k, formula)
-    shifted = spectrum.eigenvalues + sigma**2
-    trace_term = float((spectrum.eigenvalues / shifted).sum())
-    logdet_syy = float(np.log(shifted).sum()) + (m - spectrum.p) * math.log(sigma**2)
+    context = lower.context
+    logdet_syy = context.log_shifted_sum + (m - spectrum.p) * math.log(sigma**2)
     return BoundResult(
-        value=0.5 * (trace_term + logdet_syy - lower),
+        value=0.5 * (context.trace_sum + logdet_syy - lower),
         digamma_sum=lower.digamma_sum,
         logdet_lower=float(lower),
         spectrum=spectrum,

@@ -22,8 +22,8 @@ from .gaussian import (
     DerivedCovariances,
     _check_count,
     _check_finite,
+    _logdet_of_factor,
     gaussian_kl_marginals,
-    logdet_psd,
     symmetrize,
 )
 
@@ -88,7 +88,7 @@ class _LrtModel:
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} is not positive definite") from None
         self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
-        self.const = 0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya))
+        self.const = 0.5 * (_logdet_of_factor(chol[False]) - _logdet_of_factor(chol[True]))
         # y = L z under a hypothesis of covariance L L^T, so y^T delta y = sum_j d_j z_j^2
         # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``.
         weights = {

@@ -90,7 +90,11 @@ def logdet_psd(m: np.ndarray) -> float | np.ndarray:
     matrix gives a float.  Raises ``numpy.linalg.LinAlgError`` if a matrix
     is not positive definite.
     """
-    chol = np.linalg.cholesky(m)
+    return _logdet_of_factor(np.linalg.cholesky(m))
+
+
+def _logdet_of_factor(chol: np.ndarray) -> float | np.ndarray:
+    """log|L L^T| from a Cholesky factor L, as :func:`logdet_psd` returns it."""
     logdet = 2.0 * np.sum(np.log(np.diagonal(chol, axis1=-2, axis2=-1)), axis=-1)
     return logdet if logdet.ndim else float(logdet)
 
@@ -391,11 +395,57 @@ def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:
     return SpectralData(eigenvalues=kept, p=int(kept.size))
 
 
+class _SpectralContext:
+    """What the optimal cost and the bound need of (spectrum, sigma) alone.
+
+    One per eigenvalue bytes and sigma (``key``), whatever K and the
+    bound's formula: ``b = lambda / sigma^2`` (read-only), the trace term
+    ``sum_i lambda_i / (lambda_i + sigma^2)`` and
+    ``sum_i log(lambda_i + sigma^2)``.  ``allocation`` is the bound
+    program's preparation of b, which :mod:`stealthgrid.bounds` makes on
+    the first program it solves: a context with p = 0, or one only the
+    optimal cost reads, never prepares b, and a b that fails the program's
+    checks raises on every call.
+    """
+
+    __slots__ = ("key", "b", "trace_sum", "log_shifted_sum", "allocation")
+
+    def __init__(self, key: tuple, eigenvalues: np.ndarray, sigma: float):
+        self.key = key
+        shifted = eigenvalues + sigma**2
+        self.trace_sum = float((eigenvalues / shifted).sum())
+        # nan if an eigenvalue written in place since is <= -sigma^2: the bound
+        # rejects that b before it reads the sum, and the optimal cost never does
+        with np.errstate(invalid="ignore", divide="ignore"):
+            self.log_shifted_sum = float(np.log(shifted).sum())
+        self.b = eigenvalues / sigma**2
+        self.b.setflags(write=False)
+        self.allocation = None
+
+
+#: :func:`_spectral_context`'s contexts, by (eigenvalue bytes, sigma).
+_CONTEXT_MEMO = _BoundedMemo(64)
+
+
+def _spectral_context(spectrum: SpectralData, sigma: float) -> _SpectralContext:
+    """The memoised context of (spectrum, sigma), for a sigma already checked.
+
+    Keyed on the bytes of the eigenvalues, so eigenvalues changed in place
+    get a new context.
+    """
+    eigenvalues = spectrum.eigenvalues
+    key = (eigenvalues.tobytes(), sigma)
+    return _CONTEXT_MEMO.get(key, lambda: _SpectralContext(key, eigenvalues, sigma))
+
+
 def optimal_cost(spectrum: SpectralData, sigma: float) -> float:
-    """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2)."""
+    """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2).
+
+    The sum is the trace term of the bound, read from the same memoised
+    context.
+    """
     _check_sigma(sigma)
-    ev = spectrum.eigenvalues
-    return 0.5 * float(np.sum(ev / (ev + sigma**2)))
+    return 0.5 * _spectral_context(spectrum, sigma).trace_sum
 
 
 @dataclass(frozen=True)

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import re
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -306,7 +308,7 @@ def _numpy_level(b, target, left, right):
 def _check_against_numpy_search(b, k):
     program = solve_bound_program(b, k)
     lo, hi, p = program.box_lo, program.box_hi, b.size
-    free, target, left, right, start = bounds._bracket(b, 4.0 * b, lo, hi)
+    free, target, left, right, start = bounds._bracket(bounds._prepare_allocation(b), lo, hi)
     t = _numpy_level(b[free], target, left, right)
     # the sum is concave on [left, right], so the level lies left of the chord root
     assert left <= start <= right
@@ -356,7 +358,7 @@ def _scan_bracket(b, lo, hi):
 def _check_against_scan(b, k):
     program = solve_bound_program(b, k)
     lo, hi, p = program.box_lo, program.box_hi, b.size
-    free, target, left, right, start = bounds._bracket(b, 4.0 * b, lo, hi)
+    free, target, left, right, start = bounds._bracket(bounds._prepare_allocation(b), lo, hi)
     scan_free, scan_target, scan_left, scan_right, sums, levels = _scan_bracket(b, lo, hi)
     if (left, right) == (scan_left, scan_right):
         np.testing.assert_array_equal(np.asarray(free, dtype=bool), scan_free)
@@ -629,6 +631,56 @@ def test_spectral_upper_bound_rank_zero_is_zero(formula):
     assert result.value == pytest.approx(_h_oracle_bound(h, sxx, 0.7, 2, formula), abs=1e-12)
 
 
+def test_bound_path_is_pinned_bit_for_bit(ieee30_h):
+    # value, digamma sum, log-det lower bound, program objective, Newton steps
+    # and x* of 4 systems x 3 SNR x 6 K x both formulas, as float64/int64
+    # bytes, hash to the digest of the bound computed afresh on every call,
+    # before its per-(spectrum, sigma) context (numpy 2.4, OpenBLAS, x86-64;
+    # another BLAS or numpy may round the last bits of the spectrum differently)
+    rng = np.random.default_rng(2026)
+    systems = [
+        (ieee30_h, 0.1),
+        (rng.standard_normal((8, 4)), 0.5),
+        (rng.standard_normal((20, 10)), 0.8),
+        (rng.standard_normal((5, 9)), 0.3),
+    ]
+    digest = hashlib.sha256()
+    for h, rho in systems:
+        cov = toeplitz_covariance(h.shape[1], rho)
+        spectrum = nonzero_spectrum(h, cov)
+        p = spectrum.p
+        for snr_db in (0.0, 20.0, 40.0):
+            sigma = sigma_from_snr(h, cov, snr_db)
+            for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
+                for formula in FORMULAS:
+                    r = spectral_upper_bound(spectrum, sigma, h.shape[0], k, formula)
+                    program = r.program
+                    digest.update(
+                        np.array([r.value, r.digamma_sum, r.logdet_lower, program.objective])
+                    )
+                    digest.update(np.array([program.newton_steps], dtype=np.int64))
+                    digest.update(program.x_star)
+    assert digest.hexdigest() == "621b019b86bc232fd5a14619b8a14ea0226016bd952665412eaf921db1d5f894"
+
+
+@pytest.mark.parametrize(
+    "sigma, m, k, logdet_lower",
+    [(0.7, 5, 2, -3.5667494393873245), (3.0, 4, 10**8 + 1, 8.788898309344878)],
+)
+def test_rank_zero_bound_prepares_no_program(monkeypatch, sigma, m, k, logdet_lower):
+    def refuse(b):
+        raise AssertionError("prepared an allocation for p = 0")
+
+    monkeypatch.setattr(bounds, "_prepare_allocation", refuse)
+    empty = SpectralData(eigenvalues=np.empty(0), p=0)
+    for formula in FORMULAS:
+        result = spectral_upper_bound(empty, sigma, m, k, formula)
+        # the values of the bound computed afresh on every call
+        assert (result.value, result.logdet_lower, result.digamma_sum) == (0.0, logdet_lower, 0.0)
+        assert result.program is None
+    assert optimal_cost(empty, sigma) == 0.0
+
+
 # ---------------------------------------------------------------------------
 # memoised inputs and non-finite systems
 # ---------------------------------------------------------------------------
@@ -667,7 +719,117 @@ def test_a_bound_looks_up_its_program_and_digamma_sum_once(monkeypatch):
     assert sorted(looked_up) == ["digamma", "program"]
     assert type(result.logdet_lower) is float
     assert result.logdet_lower == logdet_lower_bound(THREE_SPEC, 0.5, 3, 10)
-    assert result.program is program(THREE_SPEC, 0.5, 10)
+    assert result.program is program(gaussian._spectral_context(THREE_SPEC, 0.5), 10)
+
+
+def _fresh_memos(monkeypatch) -> None:
+    """Empty context and program memos for the rest of a test."""
+    monkeypatch.setattr(gaussian, "_CONTEXT_MEMO", gaussian._BoundedMemo(64))
+    monkeypatch.setattr(bounds, "_PROGRAM_MEMO", gaussian._BoundedMemo(256))
+
+
+def _bound_terms(spectrum: SpectralData, sigma: float, m: int, k: int) -> tuple:
+    results = [spectral_upper_bound(spectrum, sigma, m, k, f) for f in FORMULAS]
+    return (
+        [(r.value, r.logdet_lower, r.program.objective) for r in results],
+        results[0].program.x_star.tolist(),
+        optimal_cost(spectrum, sigma),
+    )
+
+
+def test_a_sweep_builds_one_context_and_solves_each_k_once(monkeypatch):
+    built, prepared, solved = [], [], []
+    context, prepare = gaussian._SpectralContext, bounds._prepare_allocation
+
+    class CountedContext(context):
+        def __init__(self, *args):
+            built.append(args[0])
+            super().__init__(*args)
+
+    monkeypatch.setattr(gaussian, "_SpectralContext", CountedContext)
+    monkeypatch.setattr(bounds, "_prepare_allocation", lambda b: prepared.append(b) or prepare(b))
+    monkeypatch.setattr(
+        bounds, "solve_bound_program", lambda b, k: solved.append(k) or solve_bound_program(b, k)
+    )
+    # eigenvalues no other test uses, so the memos are cold for them
+    ev = np.sort(np.random.default_rng(50).uniform(0.2, 4.0, 6))[::-1]
+    spectrum = SpectralData(eigenvalues=ev, p=6)
+    ks = [int(k) for k in np.unique(np.round(np.geomspace(7, 10**6, 50)))]
+    assert len(ks) == 50
+    results = [spectral_upper_bound(spectrum, 0.3, 9, k, f) for k in ks for f in FORMULAS]
+    assert optimal_cost(spectrum, 0.3) == 0.5 * float(np.sum(ev / (ev + 0.3**2)))
+    assert len(built) == 1 and len(prepared) == 1
+    assert solved == ks
+    assert all(r.program is s.program for r, s in zip(results[::2], results[1::2]))
+    assert all(r.program.b is results[0].program.b for r in results)
+
+
+def test_eigenvalues_changed_in_place_get_fresh_terms(monkeypatch):
+    ev = np.array([2.5, 1.25, 0.5])  # user-built, writable
+    spectrum = SpectralData(eigenvalues=ev, p=3)
+    first = _bound_terms(spectrum, 0.6, 4, 11)
+    ev *= 1.75
+    second = _bound_terms(spectrum, 0.6, 4, 11)
+    _fresh_memos(monkeypatch)
+    assert _bound_terms(spectrum, 0.6, 4, 11) == second
+    assert second[0] != first[0] and second[2] != first[2]
+
+
+def test_a_new_sigma_gets_a_new_context(monkeypatch):
+    ev = np.array([3.5, 0.75])
+    spectrum = SpectralData(eigenvalues=ev, p=2)
+    contexts = [gaussian._spectral_context(spectrum, sigma) for sigma in (0.5, 0.8, 0.5)]
+    assert contexts[0] is contexts[2] and contexts[1] is not contexts[0]
+    np.testing.assert_array_equal(contexts[1].b, ev / 0.8**2)
+    terms = [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.5, 0.8)]
+    assert terms[0] != terms[1]
+    _fresh_memos(monkeypatch)
+    assert [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.8, 0.5)] == terms[::-1]
+
+
+@pytest.mark.parametrize(
+    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
+)
+def test_a_sigma_that_fails_its_check_stores_nothing(monkeypatch, sigma):
+    _fresh_memos(monkeypatch)
+    for call in (
+        lambda: spectral_upper_bound(THREE_SPEC, sigma, 3, 10),
+        lambda: logdet_lower_bound(THREE_SPEC, sigma, 3, 10),
+        lambda: optimal_cost(THREE_SPEC, sigma),
+    ):
+        with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+            call()
+    assert not gaussian._CONTEXT_MEMO._entries and not bounds._PROGRAM_MEMO._entries
+
+
+def test_eigenvalue_written_below_minus_sigma_sq_raises_as_before():
+    # the context's log sum is nan then; the optimal cost does not read it and
+    # the bound rejects b first, with no RuntimeWarning on the way
+    ev = np.array([2.0, 1.0])
+    spectrum = SpectralData(eigenvalues=ev, p=2)
+    ev[1] = -2.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_cost(spectrum, 1.0) == 0.5 * float(np.sum(ev / (ev + 1.0)))
+        with pytest.raises(ValueError, match="all b_i must be positive"):
+            spectral_upper_bound(spectrum, 1.0, 3, 10)
+
+
+def test_a_b_mutated_after_solve_bound_program_leaves_memoised_programs(monkeypatch):
+    ev = np.array([4.0, 1.5, 0.25])
+    spectrum = SpectralData(eigenvalues=ev, p=3)
+    before = _bound_terms(spectrum, 0.7, 5, 12)  # K = 13 is not memoised yet
+    b = ev / 0.7**2
+    programs = [solve_bound_program(b, k) for k in (12, 13)]
+    assert all(program.b is b for program in programs)  # the caller's array, as passed
+    expected = (programs[1].objective, programs[1].x_star.tolist())
+    b *= 3.0
+    assert _bound_terms(spectrum, 0.7, 5, 12) == before
+    at_13 = spectral_upper_bound(spectrum, 0.7, 5, 13).program
+    assert (at_13.objective, at_13.x_star.tolist()) == expected
+    np.testing.assert_array_equal(at_13.b, ev / 0.7**2)
+    _fresh_memos(monkeypatch)
+    assert _bound_terms(spectrum, 0.7, 5, 12) == before
 
 
 def test_memoised_program_arrays_are_read_only():

@@ -23,6 +23,7 @@ from stealthgrid import (
 )
 from stealthgrid import detection
 from stealthgrid.detection import _LrtModel
+from stealthgrid.gaussian import logdet_psd
 
 SCALAR_DERIVED = DerivedCovariances(
     sigma_yy=np.array([[1.0]]), sigma_yaya=np.array([[2.0]])
@@ -357,6 +358,24 @@ def test_aggregate_identical_hypotheses_is_exactly_n_const(attacked):
 # ---------------------------------------------------------------------------
 # the weights kept: delta has rank at most rank(S_aa)
 # ---------------------------------------------------------------------------
+
+
+def test_a_model_factors_each_covariance_once(monkeypatch):
+    factored = []
+    cholesky = np.linalg.cholesky
+
+    def counting(a):
+        factored.append(a)
+        return cholesky(a)
+
+    derived = _full_rank_3x3()
+    monkeypatch.setattr(np.linalg, "cholesky", counting)
+    model = _LrtModel(derived)
+    monkeypatch.undo()
+    assert len(factored) == 2
+    assert factored[0] is derived.sigma_yy and factored[1] is derived.sigma_yaya
+    # the log-determinants come from the same factors logdet_psd would make
+    assert model.const == 0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya))
 
 
 def test_kept_weight_counts_follow_the_attack_rank(ieee30_h):
