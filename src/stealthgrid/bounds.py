@@ -22,7 +22,6 @@ import numpy as np
 from .gaussian import (
     SpectralData,
     StateCovariance,
-    _BoundedMemo,
     _SpectralContext,
     _check_count,
     _check_sigma,
@@ -337,25 +336,21 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     )
 
 
-#: Allocation programs by (context key, K), for :func:`logdet_lower_bound`.
-_PROGRAM_MEMO = _BoundedMemo(256)
-
-
 def _bound_program(context: _SpectralContext, k: int) -> BoundProgram:
-    """The allocation program of a context at K, memoised.
+    """The allocation program of a context at K; the context keeps the last one.
 
     Both formulas share it, so a bound under the second one solves nothing.
-    A stored program's arrays are shared, hence read-only.
+    A kept program's arrays are shared, hence read-only.
     """
-
-    def solve() -> BoundProgram:
-        if context.allocation is None:
-            context.allocation = _prepare_allocation(context.b)
-        program = solve_bound_program(context.allocation, k)
-        program.x_star.setflags(write=False)
-        return program
-
-    return _PROGRAM_MEMO.get((context.key, k), solve)
+    last = context.last_program
+    if last is not None and last[0] == k:
+        return last[1]
+    if context.allocation is None:
+        context.allocation = _prepare_allocation(context.b)
+    program = solve_bound_program(context.allocation, k)
+    program.x_star.setflags(write=False)
+    context.last_program = (k, program)
+    return program
 
 
 class _LowerBound(float):
@@ -378,11 +373,11 @@ def logdet_lower_bound(
         expected_logdet + sum_i log(lambda_i/sigma^2 + 1/x_i*) + 2 M log sigma.
 
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
-    is exact.  The program is memoised per (lambda, sigma, K): 256 programs,
-    both formulas sharing one, each solved from the per-(lambda, sigma)
-    context that holds b checked and sorted.  Raises ``ValueError`` unless
-    sigma is finite and > 0, M and K are integers, M >= p and K - 1 >= p;
-    a call that raises stores nothing.
+    is exact.  The last (lambda, sigma) context is kept, and it keeps the
+    last program it solved, at one K for both formulas, from b checked and
+    sorted once per context.  Raises ``ValueError`` unless sigma and
+    sigma^2 are finite and > 0, M and K are integers, M >= p and
+    K - 1 >= p; a call that raises stores nothing.
     """
     _check_sigma(sigma)
     _check_count("m", m)
@@ -428,10 +423,10 @@ def spectral_upper_bound(
         log|S_yy| = sum_i log(lambda_i + sigma^2) + (M - p) log sigma^2.
 
     The bound decreases monotonically in K and converges to the optimal cost.
-    Both sums depend on (lambda, sigma) alone: they are read from the
-    memoised context that also holds the allocation program's b, so a sweep
-    over K and formulas computes them once, and each K pays only for its
-    box, its bracket and its Newton solve.  Inputs are checked as in
+    Both sums depend on (lambda, sigma) alone: they are read from the kept
+    context that also holds the allocation program's b, so a sweep over K
+    and formulas computes them once, and each K pays only for its box, its
+    bracket and its Newton solve.  Inputs are checked as in
     :func:`logdet_lower_bound`.
     """
     lower = logdet_lower_bound(spectrum, sigma, m, k, formula)

@@ -14,9 +14,7 @@ between the attacked and nominal measurement distributions.
 
 from __future__ import annotations
 
-import hashlib
 import math
-from collections import OrderedDict
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,34 +45,9 @@ PSD_TOL = 1e-8
 RANK_TOL = 1e-10
 
 
-class _BoundedMemo:
-    """At most ``size`` values by key, the least recently used evicted first.
-
-    A value is stored only once ``compute`` has returned, so an exception is
-    never cached.  Values are shared between callers: store read-only arrays.
-    """
-
-    def __init__(self, size: int):
-        self._size = size
-        self._entries: OrderedDict = OrderedDict()
-
-    def get(self, key, compute):
-        entries = self._entries
-        if key in entries:
-            entries.move_to_end(key)
-            return entries[key]
-        value = compute()
-        entries[key] = value
-        if len(entries) > self._size:
-            entries.popitem(last=False)
-        return value
-
-
-#: :func:`nonzero_spectrum`'s results, by system.
-_SPECTRUM_MEMO = _BoundedMemo(64)
-#: The previous :func:`nonzero_spectrum` call: (H, S_xx, their shapes, copies
-#: of their bytes, the spectrum), or None before the first call.
-_previous_system: tuple | None = None
+#: The last :func:`nonzero_spectrum` call: ((H shape, S_xx shape, H bytes,
+#: S_xx bytes), spectrum), or None before the first call.
+_last_system: tuple | None = None
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
@@ -100,9 +73,11 @@ def _logdet_of_factor(chol: np.ndarray) -> float | np.ndarray:
 
 
 def _check_sigma(sigma: float) -> None:
-    """Reject a noise level that is not finite and > 0 (nan included)."""
-    if not (math.isfinite(sigma) and sigma > 0.0):
-        raise ValueError(f"sigma must be finite and > 0, got {sigma}")
+    """Reject a noise level that is not finite and > 0 (nan included), or
+    whose square is not: sigma = 1e300 overflows it, sigma = 1e-300 gives 0."""
+    s = float(sigma)
+    if not (s > 0.0 and 0.0 < s * s < math.inf):
+        raise ValueError(f"sigma must be finite and > 0, and so must sigma^2, got {sigma}")
 
 
 def _check_count(name: str, value) -> None:
@@ -198,10 +173,11 @@ def toeplitz_covariance(n: int, rho: float) -> StateCovariance:
     Parameters
     ----------
     n:
-        Dimension, at least 1.
+        Dimension, an integer at least 1.
     rho:
         Decay parameter in [0, 1); rho = 0 gives the identity.
     """
+    _check_count("n", n)
     if n < 1:
         raise ValueError(f"dimension must be >= 1, got {n}")
     if not 0.0 <= rho < 1.0:
@@ -350,43 +326,27 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx) -> SpectralData:
     ``RANK_TOL * lambda_max`` are treated as zero.  Raises ``ValueError`` if
     H or S_xx holds a nan or inf.
 
-    Results are memoised on the shapes and a SHA-256 digest of the
-    float64 bytes of H and S_xx, so a system swept over K or formulas is
-    decomposed once and arrays changed in place are decomposed afresh.  A
-    call with the same H and S_xx objects as the previous call, whose shapes
-    and bytes still equal copies kept from it, skips the digest.  The
-    returned eigenvalues are shared, hence read-only.  Only a miss checks
-    for a nan or inf: a hit matches the bytes of arrays that passed the
-    check, and a nan or inf written since changes the bytes.
+    The last system is kept with its spectrum: a call whose H and S_xx equal
+    it in shape and float64 bytes returns the same spectrum, so a system
+    swept over K or formulas is decomposed once, whatever objects hold it,
+    and arrays changed in place are decomposed afresh.  The returned
+    eigenvalues are shared, hence read-only.  Only a miss checks for a nan
+    or inf: a hit matches the bytes of arrays that passed the check.
     """
-    global _previous_system
+    global _last_system
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
-    shapes = (h.shape, sxx.shape)
-    if _previous_system is not None:
-        last_h, last_sxx, last_shapes, h_bytes, sxx_bytes, spectrum = _previous_system
-        if (
-            h is last_h
-            and sxx is last_sxx
-            and shapes == last_shapes
-            and h.tobytes() == h_bytes
-            and sxx.tobytes() == sxx_bytes
-        ):
-            return spectrum
-    digest = hashlib.sha256(np.ascontiguousarray(h))
-    digest.update(np.ascontiguousarray(sxx))
-
-    def decompose() -> SpectralData:
-        _check_finite(H=h, S_xx=sxx)
-        return _spectrum(h, sxx)
-
-    spectrum = _SPECTRUM_MEMO.get((*shapes, digest.digest()), decompose)
-    _previous_system = (h, sxx, shapes, h.tobytes(), sxx.tobytes(), spectrum)
+    key = (h.shape, sxx.shape, h.tobytes(), sxx.tobytes())
+    if _last_system is not None and _last_system[0] == key:
+        return _last_system[1]
+    _check_finite(H=h, S_xx=sxx)
+    spectrum = _spectrum(h, sxx)
+    _last_system = (key, spectrum)
     return spectrum
 
 
 def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:
-    """:func:`nonzero_spectrum` without the memo; the eigenvalues come back read-only."""
+    """:func:`nonzero_spectrum` without its slot; the eigenvalues come back read-only."""
     f = h @ np.linalg.cholesky(sxx)
     gram = f.T @ f if f.shape[0] > f.shape[1] else f @ f.T
     ev = np.linalg.eigvalsh(gram)[::-1]
@@ -398,51 +358,55 @@ def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:
 class _SpectralContext:
     """What the optimal cost and the bound need of (spectrum, sigma) alone.
 
-    One per eigenvalue bytes and sigma (``key``), whatever K and the
+    Built for one eigenvalue bytes and sigma (``key``), whatever K and the
     bound's formula: ``b = lambda / sigma^2`` (read-only), the trace term
     ``sum_i lambda_i / (lambda_i + sigma^2)`` and
     ``sum_i log(lambda_i + sigma^2)``.  ``allocation`` is the bound
     program's preparation of b, which :mod:`stealthgrid.bounds` makes on
     the first program it solves: a context with p = 0, or one only the
     optimal cost reads, never prepares b, and a b that fails the program's
-    checks raises on every call.
+    checks raises on every call.  ``last_program`` is the last (K, program)
+    solved from it, which both formulas share.
     """
 
-    __slots__ = ("key", "b", "trace_sum", "log_shifted_sum", "allocation")
+    __slots__ = ("key", "b", "trace_sum", "log_shifted_sum", "allocation", "last_program")
 
     def __init__(self, key: tuple, eigenvalues: np.ndarray, sigma: float):
         self.key = key
         shifted = eigenvalues + sigma**2
         self.trace_sum = float((eigenvalues / shifted).sum())
-        # nan if an eigenvalue written in place since is <= -sigma^2: the bound
-        # rejects that b before it reads the sum, and the optimal cost never does
-        with np.errstate(invalid="ignore", divide="ignore"):
+        # nan if an eigenvalue written in place since is <= -sigma^2, and b holds
+        # an inf if sigma^2 is subnormal: the bound rejects that b before it reads
+        # the sum, and the optimal cost reads neither
+        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
             self.log_shifted_sum = float(np.log(shifted).sum())
-        self.b = eigenvalues / sigma**2
+            self.b = eigenvalues / sigma**2
         self.b.setflags(write=False)
         self.allocation = None
+        self.last_program = None
 
 
-#: :func:`_spectral_context`'s contexts, by (eigenvalue bytes, sigma).
-_CONTEXT_MEMO = _BoundedMemo(64)
+#: The last context :func:`_spectral_context` returned, or None before the first.
+_last_context: _SpectralContext | None = None
 
 
 def _spectral_context(spectrum: SpectralData, sigma: float) -> _SpectralContext:
-    """The memoised context of (spectrum, sigma), for a sigma already checked.
+    """The context of (spectrum, sigma), for a sigma already checked.
 
-    Keyed on the bytes of the eigenvalues, so eigenvalues changed in place
-    get a new context.
+    The last context is kept and returned while the bytes of the eigenvalues
+    and sigma equal its key, so eigenvalues changed in place get a new one.
     """
-    eigenvalues = spectrum.eigenvalues
-    key = (eigenvalues.tobytes(), sigma)
-    return _CONTEXT_MEMO.get(key, lambda: _SpectralContext(key, eigenvalues, sigma))
+    global _last_context
+    key = (spectrum.eigenvalues.tobytes(), sigma)
+    if _last_context is None or _last_context.key != key:
+        _last_context = _SpectralContext(key, spectrum.eigenvalues, sigma)
+    return _last_context
 
 
 def optimal_cost(spectrum: SpectralData, sigma: float) -> float:
     """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2).
 
-    The sum is the trace term of the bound, read from the same memoised
-    context.
+    The sum is the trace term of the bound, read from the same context.
     """
     _check_sigma(sigma)
     return 0.5 * _spectral_context(spectrum, sigma).trace_sum

@@ -20,6 +20,7 @@ from .gaussian import (
     SpectralData,
     StateCovariance,
     _as_matrix,
+    _check_count,
     _check_finite,
     _check_sigma,
     logdet_psd,
@@ -51,7 +52,11 @@ _CHUNK_ENTRIES = 2**14
 
 @dataclass(frozen=True)
 class TrainingConfig:
-    """Size and reproducibility knobs of the training-data experiment."""
+    """Size and reproducibility knobs of the training-data experiment.
+
+    ``k``, ``seed`` and ``trials`` must be integers (numpy's included, bools
+    not); anything else raises ``ValueError``.
+    """
 
     k: int
     seed: int
@@ -59,6 +64,8 @@ class TrainingConfig:
     sampler: str = "bartlett"
 
     def __post_init__(self) -> None:
+        for name in ("k", "trials", "seed"):
+            _check_count(name, getattr(self, name))
         if self.k < 2:
             raise ValueError(f"need at least 2 training samples, got k={self.k}")
         if self.trials < 1:
@@ -251,10 +258,11 @@ def draw_sample_covariance(
     ``empirical`` path draws K state vectors and centers them, the
     ``bartlett`` path draws the Wishart factor directly (cost independent
     of K, but it needs K-1 >= N).  Deterministic given (seed, sampler).
-    Raises ``ValueError`` if S_xx holds a nan or inf.
+    Raises ``ValueError`` if K is not an integer or S_xx holds a nan or inf.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+    _check_count("k", k)
     if k < 2:
         raise ValueError(f"need at least 2 training samples, got k={k}")
     sxx = _as_matrix(sigma_xx)

@@ -1,4 +1,4 @@
-"""Monte Carlo oracles shared by the module and acceptance tests.
+"""Monte Carlo oracles and parametrizations shared by the module and acceptance tests.
 
 These draw from the raw distributions directly (no library sampling code)
 so they stay independent of the paths they are used to check.
@@ -6,7 +6,18 @@ so they stay independent of the paths they are used to check.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
+import pytest
+
+#: Noise levels every sigma check rejects: sigma, or its square, is not finite
+#: and > 0 (1e300 squares to inf, 1e-300 to 0).
+BAD_SIGMA = pytest.mark.parametrize(
+    "sigma",
+    [math.nan, math.inf, 0.0, -1.0, 1e300, 1e-300],
+    ids=["nan", "inf", "zero", "negative", "square_inf", "square_zero"],
+)
 
 
 def standard_wishart_extremes(

@@ -4,7 +4,6 @@ import hashlib
 import math
 import re
 import warnings
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -31,7 +30,7 @@ from stealthgrid import (
 )
 from stealthgrid import bounds, gaussian
 from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma
-from helpers import grid_oracle_objective, standard_wishart_extremes
+from helpers import BAD_SIGMA, grid_oracle_objective, standard_wishart_extremes
 
 SCALAR_SPEC = nonzero_spectrum(np.array([[1.0]]), np.array([[1.0]]))
 
@@ -449,9 +448,7 @@ def test_logdet_lower_is_below_mc_expectation(formula):
     assert vals.mean() >= bound - 3.0 * stderr
 
 
-@pytest.mark.parametrize(
-    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-)
+@BAD_SIGMA
 @pytest.mark.parametrize(
     "bound", ["logdet_lower_bound", "spectral_upper_bound", "ergodic_upper_bound"]
 )
@@ -722,10 +719,11 @@ def test_a_bound_looks_up_its_program_and_digamma_sum_once(monkeypatch):
     assert result.program is program(gaussian._spectral_context(THREE_SPEC, 0.5), 10)
 
 
-def _fresh_memos(monkeypatch) -> None:
-    """Empty context and program memos for the rest of a test."""
-    monkeypatch.setattr(gaussian, "_CONTEXT_MEMO", gaussian._BoundedMemo(64))
-    monkeypatch.setattr(bounds, "_PROGRAM_MEMO", gaussian._BoundedMemo(256))
+def _fresh_slots(monkeypatch) -> None:
+    """Empty spectrum and context slots (the program slot lives in the context)
+    for the rest of a test."""
+    monkeypatch.setattr(gaussian, "_last_system", None)
+    monkeypatch.setattr(gaussian, "_last_context", None)
 
 
 def _bound_terms(spectrum: SpectralData, sigma: float, m: int, k: int) -> tuple:
@@ -770,7 +768,7 @@ def test_eigenvalues_changed_in_place_get_fresh_terms(monkeypatch):
     first = _bound_terms(spectrum, 0.6, 4, 11)
     ev *= 1.75
     second = _bound_terms(spectrum, 0.6, 4, 11)
-    _fresh_memos(monkeypatch)
+    _fresh_slots(monkeypatch)
     assert _bound_terms(spectrum, 0.6, 4, 11) == second
     assert second[0] != first[0] and second[2] != first[2]
 
@@ -778,28 +776,45 @@ def test_eigenvalues_changed_in_place_get_fresh_terms(monkeypatch):
 def test_a_new_sigma_gets_a_new_context(monkeypatch):
     ev = np.array([3.5, 0.75])
     spectrum = SpectralData(eigenvalues=ev, p=2)
-    contexts = [gaussian._spectral_context(spectrum, sigma) for sigma in (0.5, 0.8, 0.5)]
-    assert contexts[0] is contexts[2] and contexts[1] is not contexts[0]
-    np.testing.assert_array_equal(contexts[1].b, ev / 0.8**2)
+    contexts = [gaussian._spectral_context(spectrum, sigma) for sigma in (0.5, 0.5, 0.8, 0.5)]
+    assert contexts[0] is contexts[1] and contexts[2] is not contexts[1]
+    np.testing.assert_array_equal(contexts[2].b, ev / 0.8**2)
+    # only the last context is kept: 0.5 after 0.8 builds an equal one afresh
+    first, again = contexts[0], contexts[3]
+    assert again is not first and again is not contexts[2]
+    np.testing.assert_array_equal(again.b, first.b)
+    assert (again.trace_sum, again.log_shifted_sum) == (first.trace_sum, first.log_shifted_sum)
     terms = [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.5, 0.8)]
     assert terms[0] != terms[1]
-    _fresh_memos(monkeypatch)
+    _fresh_slots(monkeypatch)
     assert [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.8, 0.5)] == terms[::-1]
 
 
-@pytest.mark.parametrize(
-    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-)
+@BAD_SIGMA
 def test_a_sigma_that_fails_its_check_stores_nothing(monkeypatch, sigma):
-    _fresh_memos(monkeypatch)
+    _fresh_slots(monkeypatch)
+    kept = spectral_upper_bound(THREE_SPEC, 0.5, 3, 10).program
+    context = gaussian._last_context
     for call in (
-        lambda: spectral_upper_bound(THREE_SPEC, sigma, 3, 10),
-        lambda: logdet_lower_bound(THREE_SPEC, sigma, 3, 10),
+        lambda: spectral_upper_bound(THREE_SPEC, sigma, 3, 11),
+        lambda: logdet_lower_bound(THREE_SPEC, sigma, 3, 11),
         lambda: optimal_cost(THREE_SPEC, sigma),
     ):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             call()
-    assert not gaussian._CONTEXT_MEMO._entries and not bounds._PROGRAM_MEMO._entries
+    assert gaussian._last_context is context
+    assert context.key == (THREE_SPEC.eigenvalues.tobytes(), 0.5)
+    assert context.last_program == (10, kept)
+
+
+def test_a_sigma_with_a_subnormal_square_reaches_the_check_on_b():
+    # sigma^2 = 1e-320 passes the sigma check; b = lambda / sigma^2 overflows
+    # to inf, which the bound rejects, with no RuntimeWarning on the way
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert optimal_cost(THREE_SPEC, 1e-160) == 1.5
+        with pytest.raises(ValueError, match="b has non-finite entries"):
+            spectral_upper_bound(THREE_SPEC, 1e-160, 3, 10)
 
 
 def test_eigenvalue_written_below_minus_sigma_sq_raises_as_before():
@@ -828,7 +843,7 @@ def test_a_b_mutated_after_solve_bound_program_leaves_memoised_programs(monkeypa
     at_13 = spectral_upper_bound(spectrum, 0.7, 5, 13).program
     assert (at_13.objective, at_13.x_star.tolist()) == expected
     np.testing.assert_array_equal(at_13.b, ev / 0.7**2)
-    _fresh_memos(monkeypatch)
+    _fresh_slots(monkeypatch)
     assert _bound_terms(spectrum, 0.7, 5, 12) == before
 
 
@@ -909,24 +924,19 @@ def test_only_a_spectrum_memo_miss_checks_finiteness(monkeypatch):
 
 
 def _count_spectrum_work(monkeypatch) -> dict:
-    """Count the decompositions and SHA-256 digests of nonzero_spectrum."""
-    counts = {"decompose": 0, "digest": 0}
-    spectrum, sha256 = gaussian._spectrum, gaussian.hashlib.sha256
+    """Count the decompositions of nonzero_spectrum."""
+    counts = {"decompose": 0}
+    spectrum = gaussian._spectrum
 
     def decompose(*args):
         counts["decompose"] += 1
         return spectrum(*args)
 
-    def digest(*args):
-        counts["digest"] += 1
-        return sha256(*args)
-
     monkeypatch.setattr(gaussian, "_spectrum", decompose)
-    monkeypatch.setattr(gaussian, "hashlib", SimpleNamespace(sha256=digest))
     return counts
 
 
-def test_repeated_system_is_decomposed_and_digested_once(monkeypatch):
+def test_repeated_system_is_decomposed_once(monkeypatch):
     counts = _count_spectrum_work(monkeypatch)
     h = np.random.default_rng(46).standard_normal((6, 4))
     sxx = toeplitz_covariance(4, 0.3)
@@ -936,7 +946,7 @@ def test_repeated_system_is_decomposed_and_digested_once(monkeypatch):
         for formula in FORMULAS
     ]
     assert len(results) == 50
-    assert counts == {"decompose": 1, "digest": 1}
+    assert counts == {"decompose": 1}
     assert all(r.spectrum is results[0].spectrum for r in results)
 
 
@@ -964,7 +974,7 @@ def test_nan_written_between_consecutive_calls_raises(monkeypatch, where):
     cov = toeplitz_covariance(3, 0.7)
     nonzero_spectrum(h, cov)
     nonzero_spectrum(h, cov)
-    assert counts == {"decompose": 1, "digest": 1}
+    assert counts == {"decompose": 1}
     (h if where == "H" else cov.sigma_xx)[0, 0] = math.nan
     name = "H" if where == "H" else "S_xx"
     with pytest.raises(ValueError, match=f"^{name} has non-finite entries"):
@@ -973,12 +983,69 @@ def test_nan_written_between_consecutive_calls_raises(monkeypatch, where):
         ergodic_upper_bound(h, cov, 0.5, 10)
 
 
-def test_alternating_systems_are_decomposed_once_each(monkeypatch):
-    counts = _count_spectrum_work(monkeypatch)
+def test_alternating_systems_return_their_own_spectra():
     rng = np.random.default_rng(49)
     systems = [(rng.standard_normal((5, 3)), toeplitz_covariance(3, rho)) for rho in (0.1, 0.9)]
-    first = [nonzero_spectrum(h, sxx) for h, sxx in systems]
     for _ in range(10):
-        for (h, sxx), spectrum in zip(systems, first):
-            assert nonzero_spectrum(h, sxx) is spectrum
-    assert counts["decompose"] == 2
+        for h, sxx in systems:
+            spectrum, fresh = nonzero_spectrum(h, sxx), gaussian._spectrum(h, sxx.sigma_xx)
+            assert spectrum.p == fresh.p
+            np.testing.assert_array_equal(spectrum.eigenvalues, fresh.eigenvalues)
+
+
+def test_a_sweep_decomposes_each_system_once_and_solves_each_setting_and_k_once(monkeypatch):
+    # the traffic of a bound sweep: H, rho and SNR outermost, a new state
+    # covariance object per setting, K and the formula innermost
+    _fresh_slots(monkeypatch)
+    decomposed = _count_spectrum_work(monkeypatch)
+    built, solved = [], []
+    context = gaussian._SpectralContext
+
+    class CountedContext(context):
+        def __init__(self, *args):
+            built.append(args[2])
+            super().__init__(*args)
+
+    monkeypatch.setattr(gaussian, "_SpectralContext", CountedContext)
+    monkeypatch.setattr(
+        bounds, "solve_bound_program", lambda b, k: solved.append(k) or solve_bound_program(b, k)
+    )
+    rng = np.random.default_rng(51)
+    hs = [rng.standard_normal((7, 4)), rng.standard_normal((9, 5))]
+    ks = [12, 20, 50]
+    results, sigmas = [], []
+    for h in hs:
+        for rho in (0.2, 0.7):
+            for snr_db in (10.0, 30.0):
+                cov = toeplitz_covariance(h.shape[1], rho)
+                sigma = sigma_from_snr(h, cov, snr_db)
+                sigmas.append(sigma)
+                results += [ergodic_upper_bound(h, cov, sigma, k, f) for k in ks for f in FORMULAS]
+    assert decomposed == {"decompose": 4}
+    assert built == sigmas
+    assert solved == ks * 8
+    assert all(r.program is s.program for r, s in zip(results[::2], results[1::2]))
+
+
+def test_a_monte_carlo_sweep_decomposes_each_system_once(monkeypatch):
+    # the traffic of mc_small: every K and sampler of one system in a row
+    _fresh_slots(monkeypatch)
+    decomposed = _count_spectrum_work(monkeypatch)
+    rng = np.random.default_rng(52)
+    for m, n in ((1, 1), (8, 4), (20, 10)):
+        h, cov = rng.standard_normal((m, n)), toeplitz_covariance(n, 0.5)
+        for k in (n + 2, n + 5, n + 20):
+            for sampler in ("bartlett", "empirical"):
+                cfg = TrainingConfig(k=k, seed=3, trials=4, sampler=sampler)
+                estimate_ergodic_cost(h, cov, 0.5, cfg)
+    assert decomposed == {"decompose": 3}
+
+
+def test_systems_of_equal_bytes_and_other_shapes_get_their_own_spectra():
+    entries = np.arange(1.0, 7.0)
+    wide, tall = entries.reshape(2, 3), entries.reshape(3, 2)
+    first = nonzero_spectrum(wide, np.eye(3))
+    second = nonzero_spectrum(tall, np.eye(2))
+    np.testing.assert_array_equal(first.eigenvalues, gaussian._spectrum(wide, np.eye(3)).eigenvalues)
+    np.testing.assert_array_equal(second.eigenvalues, gaussian._spectrum(tall, np.eye(2)).eigenvalues)
+    assert not np.array_equal(first.eigenvalues, second.eigenvalues)

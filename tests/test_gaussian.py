@@ -28,7 +28,7 @@ from stealthgrid import (
     zero_mean_gaussian_kl,
 )
 from stealthgrid.gaussian import RANK_TOL, _spectrum
-from helpers import random_pd, random_psd
+from helpers import BAD_SIGMA, random_pd, random_psd
 
 
 def scalar_system(h=2.0, sxx=1.0, sigma=1.0, saa=4.0):
@@ -64,6 +64,19 @@ def test_toeplitz_two_by_two_eigenvalues():
 def test_toeplitz_rejects_bad_rho(rho):
     with pytest.raises(ValueError, match="rho"):
         toeplitz_covariance(3, rho)
+
+
+@pytest.mark.parametrize(
+    "n", [2.5, 3.0, np.float64(3.0), True, "3"], ids=["2.5", "3.0", "float64", "True", "str"]
+)
+def test_toeplitz_rejects_a_dimension_that_is_not_an_integer(n):
+    with pytest.raises(ValueError, match="n must be an integer"):
+        toeplitz_covariance(n, 0.3)
+
+
+def test_toeplitz_accepts_a_numpy_integer_dimension():
+    expected = toeplitz_covariance(3, 0.3).sigma_xx
+    np.testing.assert_array_equal(toeplitz_covariance(np.int64(3), 0.3).sigma_xx, expected)
 
 
 # ---------------------------------------------------------------------------
@@ -273,18 +286,14 @@ def test_optimal_cost_closed_form_scalar():
     assert optimal_cost(spec, 1.0) == pytest.approx(0.4)
 
 
-@pytest.mark.parametrize(
-    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-)
+@BAD_SIGMA
 def test_optimal_cost_rejects_sigma_not_finite_and_positive(sigma):
     spec = nonzero_spectrum(np.array([[2.0]]), np.array([[1.0]]))
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
         optimal_cost(spec, sigma)
 
 
-@pytest.mark.parametrize(
-    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-)
+@BAD_SIGMA
 def test_mutual_information_rejects_sigma_not_finite_and_positive(sigma):
     # unchecked, sigma enters squared: -1 would act as +1, and nan give nan
     h = np.random.default_rng(35).standard_normal((3, 2))
@@ -292,6 +301,20 @@ def test_mutual_information_rejects_sigma_not_finite_and_positive(sigma):
     derived = derived_covariances(h, np.eye(2), 0.5, attack)
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
         gaussian_mutual_information(attack, derived, sigma)
+
+
+@BAD_SIGMA
+@pytest.mark.parametrize("call", ["derived_covariances", "stealth_cost"])
+def test_covariances_and_cost_reject_sigma_not_finite_and_positive(call, sigma):
+    h = np.random.default_rng(36).standard_normal((3, 2))
+    attack = optimal_attack_covariance(h, np.eye(2))
+    derived = derived_covariances(h, np.eye(2), 0.5, attack)
+    run = {
+        "derived_covariances": lambda: derived_covariances(h, np.eye(2), sigma, attack),
+        "stealth_cost": lambda: stealth_cost(attack, derived, sigma),
+    }[call]
+    with pytest.raises(ValueError, match="sigma must be finite and > 0"):
+        run()
 
 
 NON_FINITE = pytest.mark.parametrize(

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -26,6 +27,7 @@ from stealthgrid import (
 )
 from stealthgrid.gaussian import RANK_TOL, logdet_psd
 from stealthgrid.learning import SAMPLERS, _draw_factor, _trials_per_chunk
+from helpers import BAD_SIGMA
 
 
 # ---------------------------------------------------------------------------
@@ -103,6 +105,20 @@ def test_draw_samplers_differ_for_same_seed_but_share_law():
     a = draw_sample_covariance(cov, 8, seed=1, sampler="bartlett").s_xx[0, 0]
     b = draw_sample_covariance(cov, 8, seed=1, sampler="empirical").s_xx[0, 0]
     assert a != b
+
+
+@pytest.mark.parametrize(
+    "k", [10.5, np.float64(10.0), True, "10"], ids=["10.5", "float64", "True", "str"]
+)
+def test_draw_rejects_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match="k must be an integer"):
+        draw_sample_covariance(toeplitz_covariance(3, 0.4), k, seed=1)
+
+
+def test_draw_accepts_a_numpy_integer_k():
+    cov = toeplitz_covariance(3, 0.4)
+    expected = draw_sample_covariance(cov, 10, seed=1).s_xx
+    assert draw_sample_covariance(cov, np.int64(10), seed=1).s_xx.tobytes() == expected.tobytes()
 
 
 def test_bartlett_requires_enough_dof():
@@ -485,9 +501,7 @@ def test_rank_p_monte_carlo_matches_full_dimensional_draws(shape):
     assert abs(est.mean - costs.mean()) <= 4.0 * combined
 
 
-@pytest.mark.parametrize(
-    "sigma", [math.nan, math.inf, 0.0, -1.0], ids=["nan", "inf", "zero", "negative"]
-)
+@BAD_SIGMA
 def test_ergodic_rejects_sigma_not_finite_and_positive(sigma):
     cfg = TrainingConfig(k=10, seed=0, trials=20)
     with pytest.raises(ValueError, match="sigma must be finite and > 0"):
@@ -526,3 +540,9 @@ def test_training_config_validation():
         TrainingConfig(k=5, seed=0, trials=0)
     with pytest.raises(ValueError, match="sampler"):
         TrainingConfig(k=5, seed=0, sampler="other")
+    for name in ("k", "trials", "seed"):
+        for bad in (10.5, np.float64(10.0), True, "10"):
+            with pytest.raises(ValueError, match=re.escape(f"{name} must be an integer, got {bad!r}")):
+                TrainingConfig(**{"k": 10, "seed": 0, "trials": 10, name: bad})
+    cfg = TrainingConfig(k=np.int64(10), seed=np.uint64(2**63), trials=np.int32(10))
+    assert (cfg.k, cfg.seed, cfg.trials) == (10, 2**63, 10)
