@@ -37,8 +37,8 @@ __all__ = [
     "error_exponent_estimate",
 ]
 
-#: Chi-square entries drawn per chunk of blocks (32 MB of float64 at most).
-_CHUNK_BUDGET = 4_000_000
+#: Chi-square entries drawn at a time: 128 KB of float64, whatever trials and rank.
+_CHUNK_BUDGET = 2**14
 
 
 @dataclass(frozen=True)
@@ -119,6 +119,11 @@ class _LrtModel:
 
         Each block costs one chi-square draw per kept weight; with none kept
         (identical hypotheses) nothing is drawn and every block is n * const.
+        The draws come in row chunks of at most ``_CHUNK_BUDGET`` entries,
+        one stream of the generator whatever the chunk size, and each chunk's
+        weighted sums are written straight into the result, which is then
+        scaled and shifted in place: the memory is the result plus one
+        128 KB chunk, not trials x rank.
         """
         d = self.weights[attacked]
         out = np.empty(trials)
@@ -127,22 +132,33 @@ class _LrtModel:
             stop = min(trials, start + step)
             chi2 = rng.chisquare(n, size=(stop - start, d.size))
             # einsum sums each row alike in every chunk; BLAS gemv would not
-            out[start:stop] = n * self.const + 0.5 * np.einsum("tm,m->t", chi2, d)
+            np.einsum("tm,m->t", chi2, d, out=out[start:stop])
+        # the bits of n * const + 0.5 * sums: the same two roundings per entry
+        out *= 0.5
+        out += n * self.const
         return out
 
 
-def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float:
-    """Log likelihood ratio of one measurement vector.
+def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float | np.ndarray:
+    """Log likelihood ratio of one measurement vector, or of each row of a stream.
 
     log L(y) = 1/2 [ log(|S_yy| / |S_yaya|) + y^T (S_yy^-1 - S_yaya^-1) y ],
-    positive values favor the attacked hypothesis.  Raises ``ValueError`` if y
-    is not a vector of length m or holds a nan or inf.
+    positive values favor the attacked hypothesis.  A vector of length m
+    gives a float; a (T, m) array gives the T values, all scored on one
+    model, so a stream pays for the factorizations once.  Raises
+    ``ValueError`` if y has another shape or holds a nan or inf, and as
+    :class:`_LrtModel` does if a covariance is not positive definite or the
+    attack covariance is not positive semidefinite.
     """
     y = np.asarray(y, dtype=float)
-    if y.shape != (derived.m,):
-        raise ValueError(f"y must be a vector of length m = {derived.m}, got shape {y.shape}")
+    if y.ndim not in (1, 2) or y.shape[-1] != derived.m:
+        raise ValueError(
+            f"y must be a vector of length m = {derived.m}, got shape {y.shape} "
+            "(a stream of T vectors is a (T, m) array)"
+        )
     _check_finite(y=y)
-    return float(_LrtModel(derived).log_lrt(y)[0])
+    values = _LrtModel(derived).log_lrt(y)
+    return float(values[0]) if y.ndim == 1 else values
 
 
 def _check_design(block_lengths, epsilon: float, trials: int) -> None:
@@ -167,11 +183,37 @@ def _check_design(block_lengths, epsilon: float, trials: int) -> None:
             raise ValueError(f"block length n must be >= 1, got {n}")
 
 
+def _linear_quantile(samples: np.ndarray, q: float) -> float:
+    """``np.quantile(samples, q)`` bit for bit, for finite samples; partitions them in place.
+
+    numpy's default ("linear") method: the virtual index v = (n - 1) q falls
+    between the order statistics a at i = floor(v) and b at i + 1, and the
+    quantile is numpy's lerp with g = v - i, a + (b - a) g, or
+    b - (b - a)(1 - g) once g >= 1/2.  At v = n - 1 numpy takes the maximum
+    as both a and b, from index -1, so its g is v + 1.  The samples here
+    are always finite, so numpy's handling of nan is not needed, and
+    skipping it skips the ``np.unique`` call whose first use imports
+    ``numpy.ma``.
+    """
+    n = samples.size
+    virtual = (n - 1) * q
+    if virtual < n - 1:
+        i = math.floor(virtual)
+        j, gamma = i + 1, virtual - i
+    else:
+        i = j = n - 1
+        gamma = virtual + 1.0
+    samples.partition((i, j))
+    a, b = float(samples[i]), float(samples[j])
+    diff = b - a
+    return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
+
+
 def _calibrate(model: _LrtModel, n: int, epsilon: float, trials: int, seed: int) -> float:
     """:func:`calibrate_threshold` on a built model, its arguments already checked."""
     rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
     samples = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng)
-    return float(np.quantile(samples, 1.0 - epsilon))
+    return _linear_quantile(samples, 1.0 - epsilon)
 
 
 def calibrate_threshold(
@@ -190,22 +232,27 @@ def calibrate_threshold(
 def run_detection_experiment(
     derived: DerivedCovariances, n: int, epsilon: float, trials: int, seed: int
 ) -> DetectionExperiment:
-    """Calibrate a threshold, then measure both error rates on fresh data."""
+    """Calibrate a threshold, then measure both error rates on fresh data.
+
+    Each sample array is reduced to its rate and freed before the next is
+    drawn; each hypothesis has its own seed, so the order changes no value.
+    """
     _check_design((n,), epsilon, trials)
     model = _LrtModel(derived)
     tau = _calibrate(model, n, epsilon, trials, seed)
-    rng_h0 = np.random.default_rng(np.random.SeedSequence((seed, 1)))
-    rng_h1 = np.random.default_rng(np.random.SeedSequence((seed, 2)))
-    clean = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng_h0)
-    attacked = model.aggregate_samples(attacked=True, n=n, trials=trials, rng=rng_h1)
+
+    def draw(attacked: bool, stream: int) -> np.ndarray:
+        rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
+        return model.aggregate_samples(attacked=attacked, n=n, trials=trials, rng=rng)
+
     return DetectionExperiment(
         n=n,
         epsilon=epsilon,
         tau=tau,
         trials=trials,
         seed=seed,
-        alpha_hat=float(np.mean(clean > tau)),
-        beta_hat=float(np.mean(attacked <= tau)),
+        alpha_hat=float(np.mean(draw(False, 1) > tau)),
+        beta_hat=float(np.mean(draw(True, 2) <= tau)),
     )
 
 
@@ -245,6 +292,12 @@ def error_exponent_estimate(
     (the aggregate is a sum of n i.i.d. terms), which stays usable at
     block lengths where counting fails; ``tail="empirical"`` reports the
     raw frequency and gives a zero-count point ``exponent = inf``.
+
+    At each n the attacked samples are drawn and reduced to their moments
+    (normal tail) and their quantile, and freed, before the clean samples
+    are drawn; each hypothesis has its own seed, so the order changes no
+    value.  Memory is one array of ``trials`` floats and its reductions'
+    temporaries, plus the 128 KB chunk of :meth:`_LrtModel.aggregate_samples`.
     """
     if tail not in ("normal", "empirical"):
         raise ValueError(f"tail must be 'normal' or 'empirical', got {tail!r}")
@@ -254,14 +307,20 @@ def error_exponent_estimate(
     points = []
     for grid_index, n in enumerate(n_grid):
         rng_h1 = np.random.default_rng(np.random.SeedSequence((seed, grid_index, 1)))
-        rng_h0 = np.random.default_rng(np.random.SeedSequence((seed, grid_index, 0)))
         attacked = model.aggregate_samples(attacked=True, n=n, trials=trials, rng=rng_h1)
+        if tail == "normal":
+            m1 = float(np.mean(attacked))
+            s1 = float(np.std(attacked, ddof=1))
+        tau = _linear_quantile(attacked, epsilon)  # reorders attacked: moments first
+        del attacked
+        rng_h0 = np.random.default_rng(np.random.SeedSequence((seed, grid_index, 0)))
         clean = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng_h0)
-        tau = float(np.quantile(attacked, epsilon))
         exceed = int(np.count_nonzero(clean >= tau))
+        if tail == "normal":
+            m0 = float(np.mean(clean))
+            s0 = float(np.std(clean, ddof=1))
+        del clean
 
-        m0 = float(np.mean(clean))
-        s0 = float(np.std(clean, ddof=1))
         if tail == "empirical":
             beta = exceed / trials
             log_beta = math.log(beta) if exceed else -math.inf
@@ -278,8 +337,6 @@ def error_exponent_estimate(
                 log_beta = _log_normal_sf(z)
                 beta = math.exp(log_beta)
                 # delta method through the quantile and the fitted moments
-                m1 = float(np.mean(attacked))
-                s1 = float(np.std(attacked, ddof=1))
                 density = math.exp(-0.5 * ((tau - m1) / s1) ** 2) / (
                     s1 * math.sqrt(2.0 * math.pi)
                 )

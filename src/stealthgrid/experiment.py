@@ -16,7 +16,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import FORMULAS, spectral_upper_bound
-from .gaussian import Scenario, optimal_cost
+from .gaussian import Scenario, _check_count, optimal_cost
 from .grid import MeasurementSelection, load_measurement_matrix
 from .learning import SAMPLERS, ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
 
@@ -48,7 +48,9 @@ class ExperimentConfig:
 
     Exactly one of ``case_path`` (MATPOWER case; ``"bundled:ieee30"`` for
     the packaged test system) or ``h_path`` (precomputed measurement
-    matrix as headerless CSV) must be set.
+    matrix as headerless CSV) must be set.  Every ``k_grid`` entry must be
+    an integer (a Python or numpy integer; a float, bool or string raises
+    ``ValueError``).
     """
 
     rho: float
@@ -68,7 +70,10 @@ class ExperimentConfig:
             raise ValueError("exactly one of case_path or h_path must be set")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        self.k_grid = tuple(int(k) for k in self.k_grid)
+        k_grid = tuple(self.k_grid)
+        for k in k_grid:
+            _check_count("K in k_grid", k)
+        self.k_grid = tuple(map(int, k_grid))  # numpy integers as Python ints
         if len(self.k_grid) == 0:
             raise ValueError("k_grid must not be empty")
         if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import math
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +26,7 @@ from stealthgrid import (
     zero_mean_gaussian_kl,
 )
 from stealthgrid import detection
-from stealthgrid.detection import _LrtModel
+from stealthgrid.detection import _LrtModel, _linear_quantile
 from stealthgrid.gaussian import logdet_psd
 
 SCALAR_DERIVED = DerivedCovariances(
@@ -75,15 +79,61 @@ def test_lrt_scalar_away_from_origin():
     "y, match",
     [
         (np.array([2.0, 1.0]), r"y must be a vector of length m = 1, got shape \(2,\)"),
-        (np.array([[2.0]]), r"y must be a vector of length m = 1, got shape \(1, 1\)"),
+        (np.array([[2.0, 1.0]]), r"y must be a vector of length m = 1, got shape \(1, 2\)"),
+        (np.array([[[2.0]]]), r"y must be a vector of length m = 1, got shape \(1, 1, 1\)"),
         (np.array([math.nan]), "y has non-finite entries"),
         (np.array([math.inf]), "y has non-finite entries"),
+        (np.array([[1.0], [math.nan]]), "y has non-finite entries"),
     ],
-    ids=["length-2", "matrix", "nan", "inf"],
+    ids=["length-2", "matrix", "3-d", "nan", "inf", "nan-in-stream"],
 )
 def test_lrt_rejects_a_malformed_observation(y, match):
     with pytest.raises(ValueError, match=match):
         lrt_statistic(y, SCALAR_DERIVED)
+
+
+def test_lrt_scores_a_stream_on_one_model(monkeypatch, ieee30_h):
+    derived = _optimal_attack(ieee30_h, 0.1, 20.0)
+    z = np.random.default_rng(8).standard_normal((40, derived.m))
+    y = z @ np.linalg.cholesky(derived.sigma_yaya).T
+    rows = [lrt_statistic(row, derived) for row in y]
+    assert all(type(value) is float for value in rows)
+    built = []
+    init = _LrtModel.__init__
+
+    def counting(self, d):
+        built.append(d)
+        init(self, d)
+
+    monkeypatch.setattr(_LrtModel, "__init__", counting)
+    stream = lrt_statistic(y, derived)
+    assert len(built) == 1
+    assert stream.shape == (40,)
+    np.testing.assert_allclose(stream, rows, rtol=1e-12, atol=0.0)
+
+
+def test_lrt_scalar_stream_matches_its_vectors():
+    stream = lrt_statistic(np.array([[0.0], [2.0]]), SCALAR_DERIVED)
+    assert stream.tolist() == [
+        lrt_statistic(np.array([0.0]), SCALAR_DERIVED),
+        lrt_statistic(np.array([2.0]), SCALAR_DERIVED),
+    ]
+
+
+@pytest.mark.parametrize("y", [np.zeros(2), np.zeros((3, 2))], ids=["vector", "stream"])
+@pytest.mark.parametrize(
+    "derived, match",
+    [
+        (DerivedCovariances(np.array([[1.0, 0.0], [0.0, math.nan]]), np.eye(2)), "sigma_yy has non-finite"),
+        (DerivedCovariances(-np.eye(2), np.eye(2)), "sigma_yy is not positive definite"),
+        (DerivedCovariances(np.eye(2), np.diag([1.0, -1.0])), "sigma_yaya is not positive definite"),
+        (DerivedCovariances(np.eye(2), np.diag([2.0, 0.5])), "not positive semidefinite"),
+    ],
+    ids=["nan-covariance", "nominal-not-pd", "attacked-not-pd", "attack-not-psd"],
+)
+def test_lrt_keeps_the_model_checks_for_vectors_and_streams(y, derived, match):
+    with pytest.raises(ValueError, match=match):
+        lrt_statistic(y, derived)
 
 
 # ---------------------------------------------------------------------------
@@ -427,3 +477,104 @@ def test_kept_weights_carry_the_exact_moments(system, n):
         exact_var = 0.5 * n * np.trace(delta_cov @ delta_cov)
         assert n * (model.const + 0.5 * d.sum()) == pytest.approx(exact_mean, rel=1e-12)
         assert 0.5 * n * np.sum(d * d) == pytest.approx(exact_var, rel=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# the detection kernel's quantile, memory, imports and pinned values
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def _same_bits(a: float, b: float) -> bool:
+    return np.float64(a).tobytes() == np.float64(b).tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 10, 101, 1000])
+def test_linear_quantile_is_numpys_bit_for_bit(n):
+    rng = np.random.default_rng(n)
+    qs = [0.0, _EPS, 0.5, 1.0 - _EPS, 1.0, *rng.random(20).tolist()]
+    distinct = rng.standard_normal(n)
+    ties = rng.integers(-2, 3, size=n).astype(float)
+    for values in (distinct, ties, np.full(n, 0.5)):
+        for q in qs:
+            samples = values.copy()
+            assert _same_bits(_linear_quantile(samples, q), np.quantile(values, q)), (q, values)
+            assert np.array_equal(np.sort(samples), np.sort(values))  # a reordering
+
+
+def test_linear_quantile_is_numpys_on_random_sizes_and_levels():
+    rng = np.random.default_rng(2024)
+    for _ in range(2000):
+        n = int(rng.integers(1, 300))
+        values = rng.standard_normal(n) * 10.0 ** rng.uniform(-3, 3)
+        q = float(rng.random())
+        assert _same_bits(_linear_quantile(values.copy(), q), np.quantile(values, q)), (n, q)
+
+
+def test_a_detection_run_never_imports_numpy_ma():
+    # np.quantile reaches np.unique, whose first call imports numpy.ma
+    code = """
+import sys
+import numpy as np
+from stealthgrid import (
+    DerivedCovariances, calibrate_threshold, error_exponent_estimate, run_detection_experiment,
+)
+derived = DerivedCovariances(sigma_yy=np.array([[1.0]]), sigma_yaya=np.array([[2.0]]))
+for tail in ("normal", "empirical"):
+    error_exponent_estimate(derived, n_grid=(1, 5), trials=2000, seed=0, tail=tail)
+run_detection_experiment(derived, n=5, epsilon=0.05, trials=2000, seed=0)
+calibrate_threshold(derived, n=5, epsilon=0.05, trials=2000, seed=0)
+sys.exit("numpy.ma imported" if "numpy.ma" in sys.modules else 0)
+"""
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert result.returncode == 0, result.stderr
+
+
+def test_detection_memory_is_one_sample_array_and_one_chunk(ieee30_h):
+    # 29 kept weights: drawing all trials at once would hold trials x 29 floats
+    derived = _optimal_attack(ieee30_h, 0.1, 20.0)
+    trials = 20_000
+    bound = 4 * trials * 8 + 4 * 2**14 * 8  # a few sample arrays and 128 KB chunks
+    calls = {
+        f"exponent-{tail}": lambda tail=tail: error_exponent_estimate(
+            derived, n_grid=(1, 2, 5), trials=trials, seed=1, tail=tail
+        )
+        for tail in ("normal", "empirical")
+    }
+    calls["experiment"] = lambda: run_detection_experiment(
+        derived, n=5, epsilon=0.05, trials=trials, seed=1
+    )
+    for call in calls.values():  # first-call allocations are not the kernel's
+        call()
+    tracemalloc.start()
+    try:
+        for name, call in calls.items():
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            call()
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak <= bound, (name, peak, bound)
+    finally:
+        tracemalloc.stop()
+
+
+def test_detection_is_pinned_bit_for_bit(ieee30_h):
+    # both calls, both tails, on 1, 4 and 29 kept weights; 16 385 trials leave
+    # a last chunk of one row at 1 and 4 weights.  The digest is that of the
+    # kernel that drew all rows at once and took np.quantile (numpy 2.4,
+    # OpenBLAS, x86-64; another BLAS may round the weights differently)
+    digest = hashlib.sha256()
+    for derived in (SCALAR_DERIVED, _optimal_attack_8x4(), _optimal_attack(ieee30_h, 0.1, 20.0)):
+        for tail in ("normal", "empirical"):
+            estimate = error_exponent_estimate(
+                derived, n_grid=(1, 5, 20), epsilon=0.05, trials=16_385, seed=11, tail=tail
+            )
+            for p in estimate.points:
+                digest.update(
+                    np.array([p.tau, p.beta_hat, p.exponent, p.radius, estimate.kl_marginals])
+                )
+                digest.update(np.array([p.n, p.exceed_count], dtype=np.int64))
+        result = run_detection_experiment(derived, n=5, epsilon=0.05, trials=16_385, seed=11)
+        digest.update(np.array([result.tau, result.alpha_hat, result.beta_hat]))
+    assert digest.hexdigest() == "302347bdf3f3c1fd6698969897c32ad926e49690efa6879e69e94752b32006e1"

@@ -156,6 +156,18 @@ def test_config_validation():
         ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(100,), formula="?")
 
 
+@pytest.mark.parametrize("k", [50.7, True, "50"], ids=["float", "bool", "string"])
+def test_config_rejects_a_k_that_is_not_an_integer(k):
+    with pytest.raises(ValueError, match=f"K in k_grid must be an integer, got {k!r}"):
+        ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(k, 100.2))
+
+
+def test_config_accepts_numpy_integer_ks():
+    config = ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=np.array([50, 100]))
+    assert config.k_grid == (50, 100)
+    assert [type(k) for k in config.k_grid] == [int, int]
+
+
 def test_load_experiment_config_rejects_unknown_keys(tmp_path):
     raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "trails": 4, "threads": 2}
     cfg_path = tmp_path / "cfg.json"
