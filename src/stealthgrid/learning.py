@@ -43,10 +43,11 @@ SAMPLERS = ("bartlett", "empirical")
 
 _MAX_SEED = 2**64
 
-#: float64 entries drawn per chunk of Monte Carlo trials (p*p per Bartlett
-#: trial, K*p per empirical one, p the rank of the attack): large enough to
-#: amortize numpy's per-call overhead, small enough to keep the working set a
-#: few hundred kB.
+#: float64 entries per Monte Carlo array: a chunk scores about this many in its
+#: p x p Gram stack, max(1, _CHUNK_ENTRIES // p^2) trials for both samplers, and
+#: the empirical sampler draws at most this many normals at a time (several
+#: whole trials, or row blocks of one); large enough to amortize numpy's
+#: per-call overhead, small enough to keep each array within 128 kB.
 _CHUNK_ENTRIES = 2**14
 
 
@@ -144,9 +145,9 @@ def _lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
     return np.tril_indices(n, -1)
 
 
-def _trials_per_chunk(sampler: str, k: int, n: int) -> int:
-    """Trials drawn together by the Monte Carlo: about ``_CHUNK_ENTRIES`` random entries."""
-    return max(1, _CHUNK_ENTRIES // (n * n if sampler == "bartlett" else k * n))
+def _trials_per_chunk(n: int) -> int:
+    """Trials per Monte Carlo chunk: their n x n Grams hold about ``_CHUNK_ENTRIES`` floats."""
+    return max(1, _CHUNK_ENTRIES // (n * n))
 
 
 def _bartlett_draws(
@@ -167,83 +168,73 @@ def _bartlett_draws(
     return chi, lower
 
 
-def _empirical_factors(
-    n: int, ks: Sequence[int], rng: np.random.Generator, count: int
-) -> Iterator[np.ndarray]:
-    """Per K in ``ks`` in turn, ``count`` centred factors B, B B^T ~ Wishart(K-1, I_n).
+def _bartlett_factors(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` lower triangular factors B, shape (count, n, n), B B^T ~ Wishart(k-1, I_n)."""
+    chi, factor = _bartlett_draws(n, (k,), rng, count)
+    factor.reshape(count, n * n)[:, :: n + 1] = chi[:, 0]
+    return factor
 
-    Each factor is K standard normal n-vectors, centred, shape (n, K) (for
-    K*n above ``_CHUNK_ENTRIES``, an n x n factor of their streamed scatter).
+
+def _empirical_grams(k: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill ``out``, shape (count, n, n), with G = X^T X - s s^T / k and return it.
+
+    Each trial's X is k standard normal n-vectors, one per row, and s its
+    column sums, so G is their centred scatter, Wishart(k-1, I_n), without
+    a centred copy.  The trials are drawn in turn, row-major, in blocks of
+    about ``_CHUNK_ENTRIES`` normals: several whole trials per block when
+    k*n fits, else row blocks of one trial.
     """
-    for k in ks:
-        if k * n > _CHUNK_ENTRIES:
-            yield np.stack([_streamed_scatter_factor(n, k, rng) for _ in range(count)])
-        else:
-            x = rng.standard_normal((count, k, n))
-            yield np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
-
-
-def _draw_factor(n: int, k: int, sampler: str, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` white factors B, shape (count, n, ·), B B^T ~ Wishart(k-1, I_n).
-
-    ``bartlett`` draws lower triangular Bartlett factors (:func:`_bartlett_draws`),
-    ``empirical`` centred samples (:func:`_empirical_factors`).
-    """
-    if sampler == "bartlett":
-        chi, factor = _bartlett_draws(n, (k,), rng, count)
-        factor.reshape(count, n * n)[:, :: n + 1] = chi[:, 0]
-        return factor
-    return next(_empirical_factors(n, (k,), rng, count))
+    count, n, _ = out.shape
+    per_block = _CHUNK_ENTRIES // max(1, k * n)
+    if per_block:
+        for start in range(0, count, per_block):
+            x = rng.standard_normal((min(per_block, count - start), k, n))
+            g = out[start:start + len(x)]
+            np.matmul(np.swapaxes(x, 1, 2), x, out=g)
+            u = np.ones(k) @ x / np.sqrt(k)
+            del x  # freed before the outer products' temporary
+            g -= u[:, :, None] @ u[:, None, :]  # "*" would buffer 192 kB to broadcast
+        return out
+    rows = max(1, _CHUNK_ENTRIES // n)
+    block = np.empty((rows, n))
+    for g in out:
+        g.fill(0.0)
+        total = np.zeros(n)
+        for start in range(0, k, rows):
+            x = rng.standard_normal(out=block[:k - start])
+            total += x.sum(axis=0)
+            g += x.T @ x
+        u = total / np.sqrt(k)
+        g -= np.outer(u, u)
+    return out
 
 
 def _white_grams(
-    n: int, ks: Sequence[int], sampler: str, rng: np.random.Generator, count: int
-) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Per K in ``ks``, ``count`` white Wishart(K-1, I_n) matrices G = B B^T as (W, d).
+    ks: Sequence[int], sampler: str, rng: np.random.Generator, w: np.ndarray
+) -> Iterator[np.ndarray]:
+    """Per K in ``ks``, write count white Wishart(K-1, I_n) matrices G into ``w``; yield diag(G).
 
-    W, shape (count, n, n), holds G's strict lower triangle; its diagonal and
-    upper triangle are scratch.  d, shape (count, n), is G's diagonal.  The
-    draws are those of :func:`_draw_factor`, for all K at once: ``bartlett``
-    draws its chi diagonals and shared normals L once (:func:`_bartlett_draws`)
-    and, with B = L + diag(c) at each K, forms L L^T once; the strict lower
-    triangle of G is then that of L L^T + L diag(c), and diag(G) =
-    diag(L L^T) + c^2.  Its W is one array overwritten for the next K, so
-    use it before asking for the next.  ``empirical`` forms B B^T of each
-    K's factor in turn.
+    ``w``, shape (count, n, n), gets G's strict lower triangle; its diagonal
+    and upper triangle are scratch.  It is overwritten for the next K, so use
+    it first.  ``bartlett`` draws the chi diagonals of every K and the shared
+    normals L once (:func:`_bartlett_draws`) and, with B = L + diag(c) at
+    each K, forms L L^T once; the strict lower triangle of G = B B^T is then
+    that of L L^T + L diag(c), and diag(G) = diag(L L^T) + c^2.
+    ``empirical`` draws each K's centred scatters in turn (:func:`_empirical_grams`).
     """
+    count, n, _ = w.shape
     if sampler == "bartlett":
         chi, lower = _bartlett_draws(n, ks, rng, count)
         shared = lower @ np.swapaxes(lower, 1, 2)
         shared_diag = np.diagonal(shared, axis1=1, axis2=2)
-        w = np.empty_like(shared)
         for c in np.moveaxis(chi, 1, 0):
             np.multiply(lower, c[:, None, :], out=w)
             w += shared
-            yield w, shared_diag + c * c
+            yield shared_diag + c * c
         return
-    for b in _empirical_factors(n, ks, rng, count):
-        g = b @ np.swapaxes(b, 1, 2)
-        yield g, np.diagonal(g, axis1=1, axis2=2).copy()
-
-
-def _streamed_scatter_factor(n: int, k: int, rng: np.random.Generator) -> np.ndarray:
-    """Empirical factor for large k: B (n x n) with B B^T the centred scatter of k draws.
-
-    Draws the same normal stream as one (k, n) array, in row blocks of about
-    ``_CHUNK_ENTRIES`` entries, so the working set does not grow with k.
-    """
-    rows = max(1, _CHUNK_ENTRIES // n)
-    total = np.zeros(n)
-    scatter = np.zeros((n, n))
-    for start in range(0, k, rows):
-        x = rng.standard_normal((min(rows, k - start), n))
-        total += x.sum(axis=0)
-        scatter += x.T @ x
-    mean = total / k
-    # zero-mean draws: the raw scatter is about k times the subtracted term, so
-    # the subtraction loses almost no precision; eigenvalues below zero are round-off
-    w, v = np.linalg.eigh(scatter - k * np.outer(mean, mean))
-    return v * np.sqrt(np.clip(w, 0.0, None))
+    for k in ks:
+        _empirical_grams(k, rng, w)
+        yield np.diagonal(w, axis1=1, axis2=2).copy()
 
 
 def draw_sample_covariance(
@@ -255,10 +246,12 @@ def draw_sample_covariance(
     """Draw one sample covariance of K Gaussian state realizations.
 
     Both samplers realize the same law, (1/(K-1)) Wishart(K-1, S_xx): the
-    ``empirical`` path draws K state vectors and centers them, the
-    ``bartlett`` path draws the Wishart factor directly (cost independent
-    of K, but it needs K-1 >= N).  Deterministic given (seed, sampler).
-    Raises ``ValueError`` if K is not an integer or S_xx holds a nan or inf.
+    ``empirical`` path draws K white state vectors, takes their centred
+    scatter G (:func:`_empirical_grams`) and returns L G L^T / (K-1) with
+    L = chol(S_xx); the ``bartlett`` path draws the Wishart factor directly
+    (cost independent of K, but it needs K-1 >= N).  Deterministic given
+    (seed, sampler).  Raises ``ValueError`` if K is not an integer or S_xx
+    holds a nan or inf.
     """
     if sampler not in SAMPLERS:
         raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
@@ -268,9 +261,12 @@ def draw_sample_covariance(
     sxx = _as_matrix(sigma_xx)
     _check_finite(S_xx=sxx)
     _check_bartlett_dof(sampler, k, sxx.shape[0])
-    white = _draw_factor(sxx.shape[0], k, sampler, np.random.default_rng(seed), 1)
-    b = (np.linalg.cholesky(sxx) @ white)[0]
-    return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
+    n, rng, left = sxx.shape[0], np.random.default_rng(seed), np.linalg.cholesky(sxx)
+    if sampler == "bartlett":
+        b = (left @ _bartlett_factors(n, k, rng, 1))[0]
+        return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
+    g = _empirical_grams(k, rng, np.empty((1, n, n)))[0]
+    return SampleCovariance(s_xx=left @ g @ left.T / (k - 1), dof=k - 1)
 
 
 def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel:
@@ -328,10 +324,12 @@ def spectral_ergodic_costs(
     triangle and the diagonal: each chunk and K holds G's lower triangle in
     one buffer, and each system rewrites its diagonal and factors it.  One
     generator seeded with the sweep's seed draws the trials in consecutive
-    chunks, in the order of :func:`_white_grams`: a Bartlett chunk of about
-    ``_CHUNK_ENTRIES`` entries per K draws the chi-square diagonals of every
-    K, then the strictly lower normals that all K share; an empirical chunk,
-    sized by the largest K, draws each K's factors in turn.  Every K's
+    chunks of ``max(1, _CHUNK_ENTRIES // p^2)`` trials, whose Gram stack
+    then holds about ``_CHUNK_ENTRIES`` entries, in the order of
+    :func:`_white_grams`: a Bartlett chunk draws the chi-square diagonals of
+    every K, then the strictly lower normals that all K share; an empirical
+    chunk draws each K's trials in turn, K x p normals a trial, and sums
+    their scatter in draw blocks (:func:`_empirical_grams`).  Every K's
     trials keep their law, so each row's mean and stderr mean what they
     would alone, but Bartlett rows are correlated across K (common random
     numbers).  Each estimate is reproducible bit for bit and equals the one
@@ -371,13 +369,14 @@ def spectral_ergodic_costs(
             per_system.append((ev / ((k - 1) * (ev + noise)), (k - 1) * noise / ev, offset))
         scored.append(per_system)
     rng = np.random.default_rng(first.seed)
-    chunk = _trials_per_chunk(first.sampler, ks[-1], p)
+    chunk = min(_trials_per_chunk(p), trials)
+    grams = np.empty((chunk, p, p))  # one Gram stack for every chunk and K
     costs = np.empty((len(ks), len(systems), trials))
     for start in range(0, trials, chunk):
         count = min(chunk, trials - start)
-        grams = _white_grams(p, ks, first.sampler, rng, count)
-        for per_k, scored_k, (w, g_diag) in zip(costs, scored, grams):
-            w_diag = w.reshape(count, p * p)[:, :: p + 1]
+        w = grams[:count]
+        w_diag = w.reshape(count, p * p)[:, :: p + 1]
+        for per_k, scored_k, g_diag in zip(costs, scored, _white_grams(ks, first.sampler, rng, w)):
             for row, (weights, lam, offset) in zip(per_k, scored_k):
                 np.add(g_diag, lam, out=w_diag)  # G + Lambda on G's lower triangle, in place
                 row[start:start + count] = 0.5 * (g_diag @ weights - logdet_psd(w) + offset)

@@ -6,6 +6,7 @@ so they stay independent of the paths they are used to check.
 
 from __future__ import annotations
 
+import ctypes
 import math
 
 import numpy as np
@@ -18,6 +19,42 @@ BAD_SIGMA = pytest.mark.parametrize(
     [math.nan, math.inf, 0.0, -1.0, 1e300, 1e-300],
     ids=["nan", "inf", "zero", "negative", "square_inf", "square_zero"],
 )
+
+
+def blas_kernel() -> bytes | None:
+    """Name of the core kernel numpy's OpenBLAS runs, e.g. ``b'SkylakeX'``, or None.
+
+    The last bits of BLAS and LAPACK results depend on it; ``OPENBLAS_CORETYPE``
+    overrides the one OpenBLAS picks for the CPU.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename()
+    return None
+
+
+def pinned_digest(digests: dict[bytes, str]) -> str:
+    """The digest pinned for the running BLAS kernel; fails naming an unlisted kernel."""
+    kernel = blas_kernel()
+    if kernel not in digests:
+        pytest.fail(f"no digest pinned for BLAS kernel {kernel!r}; pinned: {sorted(digests)}")
+    return digests[kernel]
+
+
+def centred_factors(x: np.ndarray) -> np.ndarray:
+    """Centred factors B, shape (count, n, K), of trial-major draws x, shape (count, K, n).
+
+    B B^T is each trial's centred scatter (x - mean)^T (x - mean): the reference
+    for the empirical sampler's Gram G = X^T X - s s^T / K.
+    """
+    return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
 
 
 def standard_wishart_extremes(

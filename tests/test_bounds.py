@@ -30,7 +30,7 @@ from stealthgrid import (
 )
 from stealthgrid import bounds, gaussian
 from stealthgrid.bounds import EULER_GAMMA, FORMULAS, _digamma
-from helpers import BAD_SIGMA, grid_oracle_objective, standard_wishart_extremes
+from helpers import BAD_SIGMA, grid_oracle_objective, pinned_digest, standard_wishart_extremes
 
 SCALAR_SPEC = nonzero_spectrum(np.array([[1.0]]), np.array([[1.0]]))
 
@@ -628,12 +628,22 @@ def test_spectral_upper_bound_rank_zero_is_zero(formula):
     assert result.value == pytest.approx(_h_oracle_bound(h, sxx, 0.7, 2, formula), abs=1e-12)
 
 
+#: per BLAS kernel (helpers.blas_kernel), the digest of the bound path
+BOUND_PATH_DIGESTS = {
+    b"SkylakeX": "621b019b86bc232fd5a14619b8a14ea0226016bd952665412eaf921db1d5f894",
+    b"Haswell": "7801c92f660709d440765b467ec42c1dfd7fbaec06668f141edad258554e4815",
+    b"Sandybridge": "468cc27112a39d3ea92549284d6b81c2b222a9cc1f11b2dfb16802b157e4b54e",
+    b"Nehalem": "adb35214ad5c56b59222d5c4b7c570c26e51c341ceda0a8874ef4d05110b680b",
+    b"Katmai": "59d7b8817a097be9853b20853cc5340f0044befdef71779764a512597088818e",
+}
+
+
 def test_bound_path_is_pinned_bit_for_bit(ieee30_h):
     # value, digamma sum, log-det lower bound, program objective, Newton steps
     # and x* of 4 systems x 3 SNR x 6 K x both formulas, as float64/int64
     # bytes, hash to the digest of the bound computed afresh on every call,
-    # before its per-(spectrum, sigma) context (numpy 2.4, OpenBLAS, x86-64;
-    # another BLAS or numpy may round the last bits of the spectrum differently)
+    # before its per-(spectrum, sigma) context (numpy 2.4, x86-64 OpenBLAS,
+    # one digest per kernel: each rounds the last bits of the spectrum its way)
     rng = np.random.default_rng(2026)
     systems = [
         (ieee30_h, 0.1),
@@ -657,7 +667,7 @@ def test_bound_path_is_pinned_bit_for_bit(ieee30_h):
                     )
                     digest.update(np.array([program.newton_steps], dtype=np.int64))
                     digest.update(program.x_star)
-    assert digest.hexdigest() == "621b019b86bc232fd5a14619b8a14ea0226016bd952665412eaf921db1d5f894"
+    assert digest.hexdigest() == pinned_digest(BOUND_PATH_DIGESTS)
 
 
 def test_random_allocation_programs_are_pinned_bit_for_bit():

@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -26,8 +27,15 @@ from stealthgrid import (
     toeplitz_covariance,
 )
 from stealthgrid.gaussian import RANK_TOL, logdet_psd
-from stealthgrid.learning import SAMPLERS, _draw_factor, _trials_per_chunk
-from helpers import BAD_SIGMA
+from stealthgrid.learning import SAMPLERS, _bartlett_factors, _empirical_grams, _trials_per_chunk
+from helpers import BAD_SIGMA, centred_factors, pinned_digest
+
+
+def _white_factors(p, k, sampler, rng, count):
+    """The Monte Carlo's white draws of ``count`` trials as factors B, B B^T = G."""
+    if sampler == "bartlett":
+        return _bartlett_factors(p, k, rng, count)
+    return centred_factors(rng.standard_normal((count, k, p)))
 
 
 # ---------------------------------------------------------------------------
@@ -68,14 +76,14 @@ def test_draw_scalar_matches_chi_square_moments():
     draws = 100_000
     cov = StateCovariance(sigma_xx=np.array([[1.0]]))
     left = np.linalg.cholesky(cov.sigma_xx)
-    b = _draw_factor(1, d + 1, "bartlett", np.random.default_rng(99), draws)
+    b = _bartlett_factors(1, d + 1, np.random.default_rng(99), draws)
     vals = b[:, 0, 0] ** 2 / d
     tol = 3.0 * math.sqrt(2.0 / d) / math.sqrt(draws)
     assert abs(vals.mean() - 1.0) <= tol
     # draw_sample_covariance is chol(S_xx) times the count=1 white draw of the same path
     for i in range(5):
         seed = np.random.SeedSequence((99, i))
-        one = (left @ _draw_factor(1, d + 1, "bartlett", np.random.default_rng(seed), 1))[0]
+        one = (left @ _bartlett_factors(1, d + 1, np.random.default_rng(seed), 1))[0]
         assert draw_sample_covariance(cov, d + 1, seed=seed).s_xx[0, 0] == (one @ one.T / d)[0, 0]
 
 
@@ -128,6 +136,12 @@ def test_bartlett_requires_enough_dof():
     # the empirical path accepts the same K and yields a singular PSD matrix
     s = draw_sample_covariance(cov, 4, seed=0, sampler="empirical")
     assert np.linalg.eigvalsh(s.s_xx).min() >= -1e-12
+
+
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_draw_of_an_empty_covariance_is_empty(sampler):
+    s = draw_sample_covariance(np.zeros((0, 0)), 5, seed=1, sampler=sampler)
+    assert s.s_xx.shape == (0, 0) and s.dof == 4
 
 
 @pytest.mark.parametrize("n, k", [(29, 1000), (150, 120)], ids=["full-rank", "singular"])
@@ -271,13 +285,13 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
     p = nonzero_spectrum(h, cov).p
     v_p = np.linalg.svd(h @ chol)[2][:p].T
     k = n + 3 if sampler == "bartlett" else 3  # empirical: singular sample covariances
-    chunk = _trials_per_chunk(sampler, k, p or n)  # p = 0 draws nothing
+    chunk = _trials_per_chunk(p or n)  # p = 0 draws nothing
     trials = 2 * chunk + chunk // 3 + 1
     est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, seed, trials, sampler))
     draws = np.random.default_rng(seed)
     costs = []
     for start in range(0, trials, chunk):
-        for b in _draw_factor(p, k, sampler, draws, min(chunk, trials - start)):
+        for b in _white_factors(p, k, sampler, draws, min(chunk, trials - start)):
             s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
             attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
             costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
@@ -295,7 +309,7 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
 )
 def test_shared_draws_equal_single_system_calls(sampler, k):
     # two systems of one rank scored on one set of draws give the bits of two lone calls
-    # K = 5000: 5000 x 4 entries exceed the chunk, so the empirical scatter is streamed
+    # K = 5000: 5000 x 4 normals exceed a draw block, so each trial is drawn in row blocks
     h = np.random.default_rng(3).standard_normal((8, 4))
     systems = [
         (nonzero_spectrum(h, toeplitz_covariance(4, rho)), sigma)
@@ -320,8 +334,8 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
     # documented order, each trial scored through the M x M stealth cost:
     # per chunk, bartlett draws the chi-square diagonals of both K and then
     # the strictly lower normals both K share; empirical draws each K's
-    # centred samples in turn, in chunks sized by the larger K; here two
-    # full chunks and a ragged last one
+    # samples in turn, scored here through their centred factors; chunks
+    # hold 2^14 // p^2 trials for both, here two full chunks and a ragged last one
     h = np.random.default_rng(8).standard_normal((7, 4))
     cov = toeplitz_covariance(4, 0.6)
     sigma, seed = 0.7, 12
@@ -329,7 +343,7 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
     p = nonzero_spectrum(h, cov).p
     v_p = np.linalg.svd(h @ chol)[2][:p].T
     ks = (p + 3, p + 9) if sampler == "bartlett" else (3, 6)
-    chunk = _trials_per_chunk(sampler, ks[-1], p)
+    chunk = _trials_per_chunk(p)
     trials = 2 * chunk + chunk // 3 + 1
     sweep = spectral_ergodic_costs(
         [(nonzero_spectrum(h, cov), sigma)],
@@ -350,8 +364,7 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
                 factors[:, below[0], below[1]] = lower
                 factors[:, np.arange(p), np.arange(p)] = chi[:, j]
             else:
-                x = draws.standard_normal((count, k, p))
-                factors = np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
+                factors = centred_factors(draws.standard_normal((count, k, p)))
             for b in factors:
                 s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
                 attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
@@ -369,10 +382,10 @@ def _scaled_gram_costs(spectrum, sigma, k, sampler, seed, trials):
     ev, p = spectrum.eigenvalues, spectrum.p
     outer = np.outer(np.sqrt(ev), np.sqrt(ev)) / (k - 1)
     draws = np.random.default_rng(seed)
-    chunk = _trials_per_chunk(sampler, k, p)
+    chunk = _trials_per_chunk(p)
     costs = []
     for start in range(0, trials, chunk):
-        b = _draw_factor(p, k, sampler, draws, min(chunk, trials - start))
+        b = _white_factors(p, k, sampler, draws, min(chunk, trials - start))
         a = (b @ np.swapaxes(b, 1, 2)) * outer
         trace = np.diagonal(a, axis1=1, axis2=2) @ (1.0 / (ev + sigma**2))
         logdet = logdet_psd(a + sigma**2 * np.eye(p))
@@ -452,13 +465,34 @@ def test_sweep_rejects_configs_of_different_draws(ks, changed, message):
         spectral_ergodic_costs([system], cfgs)
 
 
+#: per sampler and BLAS kernel (helpers.blas_kernel), the digest of the one-K estimates
+ONE_K_DIGESTS = {
+    "bartlett": {
+        b"SkylakeX": "4ca50b12a38d198bcb37d38c79ba8e4263b85f54226b1034bd87c7661257756c",
+        b"Haswell": "fd23d69309a0bccbdfdc46f06ca7147eeafeec0d42fd6d0b849b8246684834bc",
+        b"Sandybridge": "ad8db7eac41d1312fd42124636f185c872ef3529cdf694c930305254c8aa1a8d",
+        b"Nehalem": "309175be97c1c5275a97fa5ba9040636b856548e2d4d6315b94469fdc186ecc2",
+        b"Katmai": "6b493c14dc30cf558526d3fcf2ad6c76ab0cdf8378866a29fb3b70a5ae315827",
+    },
+    "empirical": {
+        b"SkylakeX": "28e7f4cea7ca41e0dc2c77a133eb1adc6de4c920efc5373831f093622fe0f929",
+        b"Haswell": "78a4e52e8f8546f3cabb100c66ad9554781083d71abb960e7d0de58abce7fd63",
+        b"Sandybridge": "d7f38cd3f0b2724aae9426db79c3ff04d84b8fe89ed8ca1a026aa8ffca381326",
+        b"Nehalem": "b7aa7123f4f66a830bb6c72159a3e8e07cde5a0763433ba3f446e03fc580b96c",
+        b"Katmai": "56c8b233d98b0bab34850fd67e7d765739a60c5408580564a677affe0cd8459a",
+    },
+}
+
+
 def test_one_k_estimates_are_pinned_bit_for_bit():
-    # one-K draws are those of a sweep-free Monte Carlo: mean and stderr of
-    # 4 systems x 4 K x both samplers, as float64 bytes, hash to the digest
-    # of the scoring on the shared lower triangle of G + Lambda; the draws are
-    # those of the sweep-free Monte Carlo, and its values differ from these by
-    # rounding only, at most 6.9e-14 relative (numpy 2.4, OpenBLAS, x86-64;
-    # another BLAS or numpy may round the last bits differently)
+    # mean and stderr of 4 systems x 4 K, as float64 bytes, hash to one digest
+    # per sampler and BLAS kernel (numpy 2.4, x86-64 OpenBLAS).  Bartlett: the
+    # scoring on the shared lower triangle of G + Lambda, whose values differ
+    # from the sweep-free Monte Carlo's by rounding only, at most 6.9e-14
+    # relative.  Empirical: G = X^T X - s s^T / K summed in draw blocks, whose
+    # values differ from those of the centred factors of the same draws by at
+    # most 2.5e-16 relative in the mean and 1.2e-13 in the stderr (SkylakeX;
+    # 3.8e-16 and 1.8e-13 over the five kernels)
     rng = np.random.default_rng(2024)
     systems = [
         (np.array([[1.3]]), (2, 3, 10, 50)),
@@ -466,15 +500,55 @@ def test_one_k_estimates_are_pinned_bit_for_bit():
         (rng.standard_normal((20, 10)), (11, 15, 40, 2000)),
         (rng.standard_normal((3, 5)), (4, 6, 12, 60)),
     ]
-    digest = hashlib.sha256()
     for sampler in SAMPLERS:
+        digest = hashlib.sha256()
         for h, ks in systems:
             cov = toeplitz_covariance(h.shape[1], 0.5)
             for k in ks:
                 cfg = TrainingConfig(k, seed=k + 7, trials=300, sampler=sampler)
                 est = estimate_ergodic_cost(h, cov, 0.6, cfg)
                 digest.update(np.array([est.mean, est.stderr]).tobytes())
-    assert digest.hexdigest() == "bd756d77edf503c5683cf9aa83b915d455bb0d3ebbe8ba622c0173aa0e9d26c0"
+        assert digest.hexdigest() == pinned_digest(ONE_K_DIGESTS[sampler]), sampler
+
+
+@pytest.mark.parametrize(
+    "n, k, count",
+    [(10, 51, 70), (29, 1000, 3), (12, 5, 9)],
+    ids=["trials-per-block", "row-blocks", "singular"],
+)
+def test_empirical_grams_equal_centred_scatter(n, k, count):
+    # G = X^T X - s s^T / K against the centred factors of the same draws:
+    # K n = 510 puts 32 trials in a draw block (here 32, 32 and 6); K n =
+    # 29 000 > 2^14 draws each trial in row blocks; K - 1 = 4 < n makes G singular
+    grams = _empirical_grams(k, np.random.default_rng(4), np.empty((count, n, n)))
+    b = centred_factors(np.random.default_rng(4).standard_normal((count, k, n)))
+    for g, want in zip(grams, b @ np.swapaxes(b, 1, 2)):
+        assert np.linalg.norm(g - want) <= 1e-12 * np.linalg.norm(want)
+    if k - 1 < n:
+        eigenvalues = np.linalg.eigvalsh(grams)
+        assert np.all(np.abs(eigenvalues[:, : n - k + 1]) <= 1e-12 * eigenvalues[:, -1:])
+
+
+@pytest.mark.parametrize(
+    "k, trials", [(50, 2000), (5000, 40)], ids=["trials-per-block", "row-blocks"]
+)
+def test_empirical_memory_is_one_draw_block_and_one_gram_stack(ieee30_h, k, trials):
+    # p = 29: a chunk's Gram stack holds 2^14 // 29^2 = 19 trials, 128 kB, and
+    # a draw block at most 2^14 normals, 128 kB: 11 trials at K = 50, row
+    # blocks of 564 at K = 5000.  Around them: a few p x p matrices and O(trials) floats
+    cov = toeplitz_covariance(29, 0.5)
+    system = (nonzero_spectrum(ieee30_h, cov), sigma_from_snr(ieee30_h, cov, 20.0))
+    cfg = TrainingConfig(k, seed=1, trials=trials, sampler="empirical")
+    bound = 2 * 2**14 * 8 + 8 * 29 * 29 * 8 + 4 * trials * 8
+    spectral_ergodic_costs([system], [cfg])  # first-call allocations are not the kernel's
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        spectral_ergodic_costs([system], [cfg])
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert peak <= bound, (peak, bound)
 
 
 @pytest.mark.parametrize("shape", ["wide", "rank_deficient"])
