@@ -22,11 +22,10 @@ import numpy as np
 from .gaussian import (
     SpectralData,
     StateCovariance,
-    _SpectralContext,
     _check_count,
     _check_sigma,
-    _spectral_context,
     nonzero_spectrum,
+    optimal_cost,
 )
 
 __all__ = [
@@ -71,7 +70,7 @@ def _digamma(x: np.ndarray) -> np.ndarray:
 
 def digamma(n: int) -> float:
     """Digamma function at a positive integer, accurate to about 1e-15."""
-    if n != int(n) or n <= 0:
+    if not (0 < n < math.inf and n == int(n)):  # nan and inf fail before int()
         raise ValueError(f"digamma is defined here for positive integers, got {n}")
     return float(_digamma(np.array(float(n))))
 
@@ -123,9 +122,11 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> 
       exact for real-valued data and strictly smaller.
 
     The p digamma terms are evaluated as one array and summed with
-    ``math.fsum``; the value is memoised per (p, K, formula).  K must be an
-    integer; it is checked before the memo, which would take 10.0 for 10.
+    ``math.fsum``; the value is memoised per (p, K, formula).  p and K must
+    be integers; they are checked before the memo, which would take 10.0
+    for 10.
     """
+    _check_count("p", p)
     _check_count("k", k)
     return _logdet_std_wishart(p, k, formula)
 
@@ -336,8 +337,40 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     )
 
 
-def _bound_program(context: _SpectralContext, k: int) -> BoundProgram:
-    """The allocation program of a context at K; the context keeps the last one.
+class _BoundContext:
+    """What the bound needs of (spectrum, sigma) alone, whatever K and formula.
+
+    Built for one eigenvalue bytes and sigma (``key``): the trace term
+    ``sum_i lambda_i / (lambda_i + sigma^2)``, ``sum_i log(lambda_i + sigma^2)``
+    and ``allocation``, the program's preparation of the read-only
+    ``b = lambda / sigma^2`` (None when p = 0).  A b that fails the
+    program's checks raises here, so no context holds it.  ``last_program``
+    is the last (K, program) solved from it, which both formulas share.
+    """
+
+    __slots__ = ("key", "trace_sum", "log_shifted_sum", "allocation", "last_program")
+
+    def __init__(self, key: tuple, spectrum: SpectralData, sigma: float):
+        self.key = key
+        ev = spectrum.eigenvalues
+        with np.errstate(over="ignore"):  # an inf if sigma^2 is subnormal: the checks reject it
+            b = ev / sigma**2
+        b.setflags(write=False)
+        self.allocation = _prepare_allocation(b) if ev.size else None
+        # twice the halved sum is exact above the subnormal range, so the
+        # optimal cost is the one implementation of the trace sum
+        self.trace_sum = 2.0 * optimal_cost(spectrum, sigma)
+        self.log_shifted_sum = float(np.log(ev + sigma**2).sum())
+        self.last_program = None
+
+
+#: The last context :func:`logdet_lower_bound` used, or None before the first.
+_last_context: _BoundContext | None = None
+
+
+def _bound_program(context: _BoundContext, k: int) -> BoundProgram:
+    """The allocation program of a context with p > 0 at K; the context keeps
+    the last one.
 
     Both formulas share it, so a bound under the second one solves nothing.
     A kept program's arrays are shared, hence read-only.
@@ -345,8 +378,6 @@ def _bound_program(context: _SpectralContext, k: int) -> BoundProgram:
     last = context.last_program
     if last is not None and last[0] == k:
         return last[1]
-    if context.allocation is None:
-        context.allocation = _prepare_allocation(context.b)
     program = solve_bound_program(context.allocation, k)
     program.x_star.setflags(write=False)
     context.last_program = (k, program)
@@ -373,25 +404,30 @@ def logdet_lower_bound(
         expected_logdet + sum_i log(lambda_i/sigma^2 + 1/x_i*) + 2 M log sigma.
 
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
-    is exact.  The last (lambda, sigma) context is kept, and it keeps the
-    last program it solved, at one K for both formulas, from b checked and
-    sorted once per context.  Raises ``ValueError`` unless sigma and
-    sigma^2 are finite and > 0, M and K are integers, M >= p and
-    K - 1 >= p; a call that raises stores nothing.
+    is exact.  This module keeps the last (lambda, sigma) context, built
+    here and only here while the bytes of the eigenvalues and sigma equal
+    its key: it holds b checked and sorted once, and the last program it
+    solved, at one K for both formulas.  Raises ``ValueError`` unless sigma
+    and sigma^2 are finite and > 0, M and K are integers, M >= p and
+    K - 1 >= p, and b = lambda / sigma^2 is finite and > 0; a call that
+    raises stores nothing.
     """
+    global _last_context
     _check_sigma(sigma)
     _check_count("m", m)
     p = spectrum.p
     if m < p:
         raise ValueError(f"need m >= p (got m={m}, p={p})")
     digamma_sum = expected_logdet_std_wishart(p, k, formula)
-    context = _spectral_context(spectrum, sigma)
-    program = _bound_program(context, k) if p else None
+    key = (spectrum.eigenvalues.tobytes(), sigma)
+    if _last_context is None or _last_context.key != key:
+        _last_context = _BoundContext(key, spectrum, sigma)
+    program = _bound_program(_last_context, k) if p else None
     objective = program.objective if program else 0.0
     lower = _LowerBound(digamma_sum + objective + 2.0 * m * math.log(sigma))
     lower.digamma_sum = digamma_sum
     lower.program = program
-    lower.context = context
+    lower.context = _last_context
     return lower
 
 
@@ -423,9 +459,10 @@ def spectral_upper_bound(
         log|S_yy| = sum_i log(lambda_i + sigma^2) + (M - p) log sigma^2.
 
     The bound decreases monotonically in K and converges to the optimal cost.
-    Both sums depend on (lambda, sigma) alone: they are read from the kept
-    context that also holds the allocation program's b, so a sweep over K
-    and formulas computes them once, and each K pays only for its box, its
+    Both sums depend on (lambda, sigma) alone: they are read from the
+    context :func:`logdet_lower_bound` keeps with the allocation program's
+    b, the first as twice :func:`optimal_cost`, so a sweep over K and
+    formulas computes them once, and each K pays only for its box, its
     bracket and its Newton solve.  Inputs are checked as in
     :func:`logdet_lower_bound`.
     """

@@ -87,14 +87,18 @@ class _LrtModel:
                 chol[attacked] = np.linalg.cholesky(cov)
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} is not positive definite") from None
-        self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
         self.const = 0.5 * (_logdet_of_factor(chol[False]) - _logdet_of_factor(chol[True]))
         # y = L z under a hypothesis of covariance L L^T, so y^T delta y = sum_j d_j z_j^2
-        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``.
-        weights = {
-            attacked: np.linalg.eigvalsh(symmetrize(l.T @ self.delta @ l))
-            for attacked, l in chol.items()
-        }
+        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``.  Covariances
+        # too small or too far apart overflow these, and are rejected below.
+        with np.errstate(over="ignore", invalid="ignore"):
+            self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
+            weights = {
+                attacked: np.linalg.eigvalsh(symmetrize(l.T @ self.delta @ l))
+                for attacked, l in chol.items()
+            }
+        if not all(np.isfinite(a).all() for a in (self.delta, *weights.values())):
+            raise ValueError("the log likelihood ratio of these covariances overflows float64")
         # nominal side: d = 1 - 1/eig(I + L^-1 S_aa L^-T), negative iff S_aa is not PSD
         if weights[False][0] < -PSD_TOL:
             raise ValueError(
@@ -260,12 +264,14 @@ def _log_normal_sf(z: float) -> float:
     """log of the standard normal upper tail, stable far into the tail."""
     if z < 30.0:
         return math.log(0.5 * math.erfc(z / math.sqrt(2.0)))
-    # asymptotic: Q(z) ~ phi(z)/z * (1 - 1/z^2 + 3/z^4)
+    # asymptotic: Q(z) ~ phi(z)/z * (1 - 1/z^2 + 3/z^4); z**4 overflows past
+    # about 1e77, where the correction is far below an ulp of z^2/2
+    correction = -1.0 / z**2 + 3.0 / z**4 if z < 1e70 else 0.0
     return (
         -0.5 * z * z
         - math.log(z)
         - 0.5 * math.log(2.0 * math.pi)
-        + math.log1p(-1.0 / z**2 + 3.0 / z**4)
+        + math.log1p(correction)
     )
 
 
@@ -298,7 +304,31 @@ def error_exponent_estimate(
     are drawn; each hypothesis has its own seed, so the order changes no
     value.  Memory is one array of ``trials`` floats and its reductions'
     temporaries, plus the 128 KB chunk of :meth:`_LrtModel.aggregate_samples`.
+
+    Raises ``ValueError`` when a statistic overflows float64, as it does for
+    covariances too small or too far apart: then the KL, a threshold or a
+    printed exponent or radius is not finite (the empirical tail's zero-count
+    points excepted), or a step on the way overflows.
     """
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            estimate = _exponent_estimate(derived, n_grid, epsilon, trials, seed, tail)
+    except (FloatingPointError, OverflowError, ZeroDivisionError) as exc:
+        raise ValueError(f"the detection statistics overflow float64 ({exc})") from None
+    values = [estimate.kl_marginals]
+    for point in estimate.points:
+        values.append(point.tau)
+        if tail == "normal" or point.exceed_count:
+            values += [point.exponent, point.radius]
+    if not all(map(math.isfinite, values)):
+        raise ValueError("the detection statistics overflow float64 (a result is not finite)")
+    return estimate
+
+
+def _exponent_estimate(
+    derived: DerivedCovariances, n_grid, epsilon: float, trials: int, seed: int, tail: str
+) -> ExponentEstimate:
+    """:func:`error_exponent_estimate` before its overflow checks."""
     if tail not in ("normal", "empirical"):
         raise ValueError(f"tail must be 'normal' or 'empirical', got {tail!r}")
     n_grid = tuple(n_grid)

@@ -7,6 +7,7 @@ manifest from which every number can be replayed.
 
 from __future__ import annotations
 
+import ctypes
 import hashlib
 import json
 from dataclasses import asdict, dataclass, field, fields
@@ -149,6 +150,27 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     return ExperimentConfig(**raw)
 
 
+def blas_kernel() -> bytes | None:
+    """Name of the core kernel numpy's OpenBLAS runs, e.g. ``b'SkylakeX'``, or None.
+
+    The last bits of BLAS and LAPACK results depend on it, so byte-identical
+    output holds per (config, kernel); ``OPENBLAS_CORETYPE`` overrides the
+    one OpenBLAS picks for the CPU.  The library is found among the mapped
+    files of this process, so the name is None off Linux or with another BLAS.
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8") as maps:
+            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+    except OSError:
+        return None
+    for path in sorted(paths):
+        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        if corename is not None:
+            corename.restype = ctypes.c_char_p
+            return corename()
+    return None
+
+
 def _format_row(values) -> str:
     return ",".join(repr(float(v)) if i else str(int(v)) for i, v in enumerate(values))
 
@@ -165,8 +187,10 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
     program's ``bound_newton_steps``, ``bound_clipped`` (coordinates of x*
     on a box edge) and ``bound_sum_residual`` (|sum x* - p|).
     ``bound_violations`` lists the K whose bound lies more than 3 stderr
-    below the Monte Carlo mean.  Identical configs produce byte-identical
-    files.
+    below the Monte Carlo mean, and ``blas_kernel`` names the OpenBLAS core
+    kernel (null if none is found).  Identical configs produce
+    byte-identical files on one kernel; another kernel may round the last
+    bits differently.
 
     Returns the CSV path.
     """
@@ -181,8 +205,8 @@ def _run_sweep(
     The configs may differ only in rho, SNR, formula and output, so one
     Monte Carlo call draws the whole K grid and scores all their scenarios
     on the same draws; every config gets the files that
-    :func:`run_experiment` alone writes.  Returns each config's CSV path
-    and manifest.
+    :func:`run_experiment` alone writes, and the BLAS kernel is looked up
+    once for all of them.  Returns each config's CSV path and manifest.
     """
     first = configs[0]
     h = load_measurement_matrix(first.case_path, first.h_path, first.measurements)
@@ -200,8 +224,9 @@ def _run_sweep(
     estimates = spectral_ergodic_costs(
         [(scenario.spectrum, scenario.sigma) for scenario in scenarios], cfgs
     )
+    kernel = blas_kernel()
     return [
-        _write_outputs(config, name, scenario, [per_k[i] for per_k in estimates])
+        _write_outputs(config, name, scenario, [per_k[i] for per_k in estimates], kernel)
         for i, (config, name, scenario) in enumerate(zip(configs, csv_names, scenarios))
     ]
 
@@ -211,6 +236,7 @@ def _write_outputs(
     csv_name: str | None,
     scenario: Scenario,
     estimates: list[ErgodicEstimate],
+    kernel: bytes | None,
 ) -> tuple[Path, dict]:
     """Bounds for one config's K grid, then its CSV and manifest; returns both."""
     sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
@@ -242,6 +268,7 @@ def _write_outputs(
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
 
     manifest = {
+        "blas_kernel": kernel.decode() if kernel else None,
         "config": _config_dict(config),
         "csv": csv_path.name,
         "columns": list(CSV_COLUMNS),

@@ -151,20 +151,26 @@ class DerivedCovariances:
 
 @dataclass(frozen=True)
 class SpectralData:
-    """Nonzero eigenvalues of the optimal attack covariance, descending."""
+    """Nonzero eigenvalues of the optimal attack covariance, descending.
+
+    Their count is the rank ``p``, derived from them and never given.
+    """
 
     eigenvalues: np.ndarray
-    p: int
 
     def __post_init__(self) -> None:
         ev = np.asarray(self.eigenvalues, dtype=float)
         object.__setattr__(self, "eigenvalues", ev)
-        if ev.shape != (self.p,):
-            raise ValueError("eigenvalue count does not match rank p")
+        if ev.ndim != 1:
+            raise ValueError(f"eigenvalues must be a 1-D array, got shape {ev.shape}")
         if not np.all(np.isfinite(ev)):
             raise ValueError("eigenvalues must be finite")
-        if self.p and (np.any(ev <= 0) or np.any(np.diff(ev) > 0)):
+        if ev.size and (np.any(ev <= 0) or np.any(np.diff(ev) > 0)):
             raise ValueError("eigenvalues must be positive and sorted descending")
+
+    @property
+    def p(self) -> int:
+        return self.eigenvalues.size
 
 
 def toeplitz_covariance(n: int, rho: float) -> StateCovariance:
@@ -352,64 +358,18 @@ def _spectrum(h: np.ndarray, sxx: np.ndarray) -> SpectralData:
     ev = np.linalg.eigvalsh(gram)[::-1]
     kept = ev[ev > RANK_TOL * ev[0]] if ev.size and ev[0] > 0.0 else np.empty(0)
     kept.setflags(write=False)
-    return SpectralData(eigenvalues=kept, p=int(kept.size))
-
-
-class _SpectralContext:
-    """What the optimal cost and the bound need of (spectrum, sigma) alone.
-
-    Built for one eigenvalue bytes and sigma (``key``), whatever K and the
-    bound's formula: ``b = lambda / sigma^2`` (read-only), the trace term
-    ``sum_i lambda_i / (lambda_i + sigma^2)`` and
-    ``sum_i log(lambda_i + sigma^2)``.  ``allocation`` is the bound
-    program's preparation of b, which :mod:`stealthgrid.bounds` makes on
-    the first program it solves: a context with p = 0, or one only the
-    optimal cost reads, never prepares b, and a b that fails the program's
-    checks raises on every call.  ``last_program`` is the last (K, program)
-    solved from it, which both formulas share.
-    """
-
-    __slots__ = ("key", "b", "trace_sum", "log_shifted_sum", "allocation", "last_program")
-
-    def __init__(self, key: tuple, eigenvalues: np.ndarray, sigma: float):
-        self.key = key
-        shifted = eigenvalues + sigma**2
-        self.trace_sum = float((eigenvalues / shifted).sum())
-        # nan if an eigenvalue written in place since is <= -sigma^2, and b holds
-        # an inf if sigma^2 is subnormal: the bound rejects that b before it reads
-        # the sum, and the optimal cost reads neither
-        with np.errstate(invalid="ignore", divide="ignore", over="ignore"):
-            self.log_shifted_sum = float(np.log(shifted).sum())
-            self.b = eigenvalues / sigma**2
-        self.b.setflags(write=False)
-        self.allocation = None
-        self.last_program = None
-
-
-#: The last context :func:`_spectral_context` returned, or None before the first.
-_last_context: _SpectralContext | None = None
-
-
-def _spectral_context(spectrum: SpectralData, sigma: float) -> _SpectralContext:
-    """The context of (spectrum, sigma), for a sigma already checked.
-
-    The last context is kept and returned while the bytes of the eigenvalues
-    and sigma equal its key, so eigenvalues changed in place get a new one.
-    """
-    global _last_context
-    key = (spectrum.eigenvalues.tobytes(), sigma)
-    if _last_context is None or _last_context.key != key:
-        _last_context = _SpectralContext(key, spectrum.eigenvalues, sigma)
-    return _last_context
+    return SpectralData(eigenvalues=kept)
 
 
 def optimal_cost(spectrum: SpectralData, sigma: float) -> float:
     """Stealth cost at the optimal attack: 1/2 sum_i lambda_i/(lambda_i + sigma^2).
 
-    The sum is the trace term of the bound, read from the same context.
+    A plain sum over the spectrum, cached nowhere; twice it is the trace
+    term of the bound, which :mod:`stealthgrid.bounds` takes from here.
     """
     _check_sigma(sigma)
-    return 0.5 * _spectral_context(spectrum, sigma).trace_sum
+    ev = spectrum.eigenvalues
+    return 0.5 * float((ev / (ev + sigma**2)).sum())
 
 
 @dataclass(frozen=True)

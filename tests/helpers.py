@@ -6,11 +6,12 @@ so they stay independent of the paths they are used to check.
 
 from __future__ import annotations
 
-import ctypes
 import math
 
 import numpy as np
 import pytest
+
+from stealthgrid.experiment import blas_kernel
 
 #: Noise levels every sigma check rejects: sigma, or its square, is not finite
 #: and > 0 (1e300 squares to inf, 1e-300 to 0).
@@ -19,25 +20,6 @@ BAD_SIGMA = pytest.mark.parametrize(
     [math.nan, math.inf, 0.0, -1.0, 1e300, 1e-300],
     ids=["nan", "inf", "zero", "negative", "square_inf", "square_zero"],
 )
-
-
-def blas_kernel() -> bytes | None:
-    """Name of the core kernel numpy's OpenBLAS runs, e.g. ``b'SkylakeX'``, or None.
-
-    The last bits of BLAS and LAPACK results depend on it; ``OPENBLAS_CORETYPE``
-    overrides the one OpenBLAS picks for the CPU.
-    """
-    try:
-        with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
-    except OSError:
-        return None
-    for path in sorted(paths):
-        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
-        if corename is not None:
-            corename.restype = ctypes.c_char_p
-            return corename()
-    return None
 
 
 def pinned_digest(digests: dict[bytes, str]) -> str:

@@ -73,6 +73,14 @@ def test_digamma_rejects_nonpositive():
         digamma(-3)
 
 
+@pytest.mark.parametrize(
+    "n", [math.inf, math.nan, -math.inf, 2.5], ids=["inf", "nan", "-inf", "2.5"]
+)
+def test_digamma_rejects_non_finite_and_non_integers(n):
+    with pytest.raises(ValueError, match="digamma is defined here for positive integers"):
+        digamma(n)
+
+
 # ---------------------------------------------------------------------------
 # extreme_eig_bounds
 # ---------------------------------------------------------------------------
@@ -152,6 +160,16 @@ def test_expected_logdet_multidimensional_real_exact_mc():
 def test_expected_logdet_requires_enough_samples():
     with pytest.raises(ValueError, match="k-1 >= p"):
         expected_logdet_std_wishart(5, 5)
+
+
+@pytest.mark.parametrize("p", [2.5, 2.0, True, "2"], ids=["2.5", "2.0", "True", "str"])
+def test_expected_logdet_rejects_p_that_is_not_an_integer(p):
+    with pytest.raises(ValueError, match=f"p must be an integer, got {re.escape(repr(p))}"):
+        expected_logdet_std_wishart(p, 10)
+
+
+def test_expected_logdet_accepts_a_numpy_integer_p():
+    assert expected_logdet_std_wishart(np.int64(3), 10) == expected_logdet_std_wishart(3, 10)
 
 
 # ---------------------------------------------------------------------------
@@ -465,7 +483,7 @@ def test_bounds_reject_sigma_not_finite_and_positive(bound, sigma):
         call()
 
 
-THREE_SPEC = SpectralData(eigenvalues=np.array([3.0, 2.0, 1.0]), p=3)
+THREE_SPEC = SpectralData(eigenvalues=np.array([3.0, 2.0, 1.0]))
 
 
 @pytest.mark.parametrize(
@@ -622,7 +640,7 @@ def test_spectral_upper_bound_matches_h_oracle(shape, rank, formula):
 def test_spectral_upper_bound_rank_zero_is_zero(formula):
     h = np.zeros((5, 3))
     sxx = np.eye(3)
-    empty = SpectralData(eigenvalues=np.empty(0), p=0)
+    empty = SpectralData(eigenvalues=np.empty(0))
     result = spectral_upper_bound(empty, 0.7, 5, 2, formula)
     assert result.value == pytest.approx(0.0, abs=1e-12)
     assert result.value == pytest.approx(_h_oracle_bound(h, sxx, 0.7, 2, formula), abs=1e-12)
@@ -700,7 +718,7 @@ def test_rank_zero_bound_prepares_no_program(monkeypatch, sigma, m, k, logdet_lo
         raise AssertionError("prepared an allocation for p = 0")
 
     monkeypatch.setattr(bounds, "_prepare_allocation", refuse)
-    empty = SpectralData(eigenvalues=np.empty(0), p=0)
+    empty = SpectralData(eigenvalues=np.empty(0))
     for formula in FORMULAS:
         result = spectral_upper_bound(empty, sigma, m, k, formula)
         # the values of the bound computed afresh on every call
@@ -724,7 +742,7 @@ def test_both_formulas_share_one_program_solve(monkeypatch):
     monkeypatch.setattr(bounds, "solve_bound_program", counting)
     # eigenvalues no other test uses, so the program memo is cold for them
     ev = np.sort(np.random.default_rng(41).uniform(0.5, 3.0, 4))[::-1]
-    spectrum = SpectralData(eigenvalues=ev, p=4)
+    spectrum = SpectralData(eigenvalues=ev)
     paper = spectral_upper_bound(spectrum, 0.4, 6, 20, "paper")
     real_exact = spectral_upper_bound(spectrum, 0.4, 6, 20, "real_exact")
     assert calls == [20]
@@ -747,14 +765,15 @@ def test_a_bound_looks_up_its_program_and_digamma_sum_once(monkeypatch):
     assert sorted(looked_up) == ["digamma", "program"]
     assert type(result.logdet_lower) is float
     assert result.logdet_lower == logdet_lower_bound(THREE_SPEC, 0.5, 3, 10)
-    assert result.program is program(gaussian._spectral_context(THREE_SPEC, 0.5), 10)
+    assert bounds._last_context.key == (THREE_SPEC.eigenvalues.tobytes(), 0.5)
+    assert result.program is program(bounds._last_context, 10)
 
 
 def _fresh_slots(monkeypatch) -> None:
     """Empty spectrum and context slots (the program slot lives in the context)
     for the rest of a test."""
     monkeypatch.setattr(gaussian, "_last_system", None)
-    monkeypatch.setattr(gaussian, "_last_context", None)
+    monkeypatch.setattr(bounds, "_last_context", None)
 
 
 def _bound_terms(spectrum: SpectralData, sigma: float, m: int, k: int) -> tuple:
@@ -768,21 +787,21 @@ def _bound_terms(spectrum: SpectralData, sigma: float, m: int, k: int) -> tuple:
 
 def test_a_sweep_builds_one_context_and_solves_each_k_once(monkeypatch):
     built, prepared, solved = [], [], []
-    context, prepare = gaussian._SpectralContext, bounds._prepare_allocation
+    context, prepare = bounds._BoundContext, bounds._prepare_allocation
 
     class CountedContext(context):
         def __init__(self, *args):
             built.append(args[0])
             super().__init__(*args)
 
-    monkeypatch.setattr(gaussian, "_SpectralContext", CountedContext)
+    monkeypatch.setattr(bounds, "_BoundContext", CountedContext)
     monkeypatch.setattr(bounds, "_prepare_allocation", lambda b: prepared.append(b) or prepare(b))
     monkeypatch.setattr(
         bounds, "solve_bound_program", lambda b, k: solved.append(k) or solve_bound_program(b, k)
     )
     # eigenvalues no other test uses, so the memos are cold for them
     ev = np.sort(np.random.default_rng(50).uniform(0.2, 4.0, 6))[::-1]
-    spectrum = SpectralData(eigenvalues=ev, p=6)
+    spectrum = SpectralData(eigenvalues=ev)
     ks = [int(k) for k in np.unique(np.round(np.geomspace(7, 10**6, 50)))]
     assert len(ks) == 50
     results = [spectral_upper_bound(spectrum, 0.3, 9, k, f) for k in ks for f in FORMULAS]
@@ -795,7 +814,7 @@ def test_a_sweep_builds_one_context_and_solves_each_k_once(monkeypatch):
 
 def test_eigenvalues_changed_in_place_get_fresh_terms(monkeypatch):
     ev = np.array([2.5, 1.25, 0.5])  # user-built, writable
-    spectrum = SpectralData(eigenvalues=ev, p=3)
+    spectrum = SpectralData(eigenvalues=ev)
     first = _bound_terms(spectrum, 0.6, 4, 11)
     ev *= 1.75
     second = _bound_terms(spectrum, 0.6, 4, 11)
@@ -806,14 +825,14 @@ def test_eigenvalues_changed_in_place_get_fresh_terms(monkeypatch):
 
 def test_a_new_sigma_gets_a_new_context(monkeypatch):
     ev = np.array([3.5, 0.75])
-    spectrum = SpectralData(eigenvalues=ev, p=2)
-    contexts = [gaussian._spectral_context(spectrum, sigma) for sigma in (0.5, 0.5, 0.8, 0.5)]
+    spectrum = SpectralData(eigenvalues=ev)
+    contexts = [logdet_lower_bound(spectrum, sigma, 2, 9).context for sigma in (0.5, 0.5, 0.8, 0.5)]
     assert contexts[0] is contexts[1] and contexts[2] is not contexts[1]
-    np.testing.assert_array_equal(contexts[2].b, ev / 0.8**2)
+    np.testing.assert_array_equal(contexts[2].allocation.b, ev / 0.8**2)
     # only the last context is kept: 0.5 after 0.8 builds an equal one afresh
     first, again = contexts[0], contexts[3]
     assert again is not first and again is not contexts[2]
-    np.testing.assert_array_equal(again.b, first.b)
+    np.testing.assert_array_equal(again.allocation.b, first.allocation.b)
     assert (again.trace_sum, again.log_shifted_sum) == (first.trace_sum, first.log_shifted_sum)
     terms = [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.5, 0.8)]
     assert terms[0] != terms[1]
@@ -821,11 +840,63 @@ def test_a_new_sigma_gets_a_new_context(monkeypatch):
     assert [_bound_terms(spectrum, sigma, 2, 9) for sigma in (0.8, 0.5)] == terms[::-1]
 
 
+def test_optimal_cost_builds_no_context(monkeypatch):
+    _fresh_slots(monkeypatch)
+
+    def refuse(*args):
+        raise AssertionError("optimal_cost built a bound context")
+
+    monkeypatch.setattr(bounds, "_BoundContext", refuse)
+    ev = np.array([2.0, 0.5, 0.125])
+    assert optimal_cost(SpectralData(ev), 0.3) == 0.5 * float((ev / (ev + 0.3**2)).sum())
+    assert bounds._last_context is None
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_the_context_trace_term_is_twice_the_optimal_cost_bit_for_bit(seed):
+    rng = np.random.default_rng([53, seed])
+    ev = np.sort(10.0 ** rng.uniform(-6.0, 6.0, int(rng.integers(1, 60))))[::-1]
+    spectrum, sigma = SpectralData(ev), float(10.0 ** rng.uniform(-3.0, 3.0))
+    context = logdet_lower_bound(spectrum, sigma, ev.size, ev.size + 1).context
+    assert context.trace_sum == 2.0 * optimal_cost(spectrum, sigma)
+    # the sum the bound used before it read the optimal cost
+    assert context.trace_sum == float((ev / (ev + sigma**2)).sum())
+
+
+@st.composite
+def _random_spectra(draw):
+    """Descending lambda log-uniform in [1e-6, 1e6], p in 1..59, sigma log-uniform
+    in [1e-3, 1e3] and two K log-uniform in [p + 1, 1e8 + 1]."""
+    p = draw(st.integers(1, 59))
+    logs = draw(st.lists(st.floats(-6.0, 6.0), min_size=p, max_size=p))
+    ev = np.sort(10.0 ** np.array(logs))[::-1]
+    sigma = 10.0 ** draw(st.floats(-3.0, 3.0))
+    ks = sorted(
+        max(p + 1, int(10.0 ** draw(st.floats(math.log10(p + 1), math.log10(10**8 + 1)))))
+        for _ in range(2)
+    )
+    return SpectralData(ev), sigma, ks
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_random_spectra())
+def test_bound_is_above_the_optimal_cost_and_does_not_increase_in_k(case):
+    spectrum, sigma, (k_small, k_large) = case
+    f_star = optimal_cost(spectrum, sigma)
+    for formula in FORMULAS:
+        small, large = (
+            spectral_upper_bound(spectrum, sigma, spectrum.p, k, formula).value
+            for k in (k_small, k_large)
+        )
+        assert large >= f_star
+        assert large <= small
+
+
 @BAD_SIGMA
 def test_a_sigma_that_fails_its_check_stores_nothing(monkeypatch, sigma):
     _fresh_slots(monkeypatch)
     kept = spectral_upper_bound(THREE_SPEC, 0.5, 3, 10).program
-    context = gaussian._last_context
+    context = bounds._last_context
     for call in (
         lambda: spectral_upper_bound(THREE_SPEC, sigma, 3, 11),
         lambda: logdet_lower_bound(THREE_SPEC, sigma, 3, 11),
@@ -833,7 +904,7 @@ def test_a_sigma_that_fails_its_check_stores_nothing(monkeypatch, sigma):
     ):
         with pytest.raises(ValueError, match="sigma must be finite and > 0"):
             call()
-    assert gaussian._last_context is context
+    assert bounds._last_context is context
     assert context.key == (THREE_SPEC.eigenvalues.tobytes(), 0.5)
     assert context.last_program == (10, kept)
 
@@ -852,7 +923,7 @@ def test_eigenvalue_written_below_minus_sigma_sq_raises_as_before():
     # the context's log sum is nan then; the optimal cost does not read it and
     # the bound rejects b first, with no RuntimeWarning on the way
     ev = np.array([2.0, 1.0])
-    spectrum = SpectralData(eigenvalues=ev, p=2)
+    spectrum = SpectralData(eigenvalues=ev)
     ev[1] = -2.0
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -863,7 +934,7 @@ def test_eigenvalue_written_below_minus_sigma_sq_raises_as_before():
 
 def test_a_b_mutated_after_solve_bound_program_leaves_memoised_programs(monkeypatch):
     ev = np.array([4.0, 1.5, 0.25])
-    spectrum = SpectralData(eigenvalues=ev, p=3)
+    spectrum = SpectralData(eigenvalues=ev)
     before = _bound_terms(spectrum, 0.7, 5, 12)  # K = 13 is not memoised yet
     b = ev / 0.7**2
     programs = [solve_bound_program(b, k) for k in (12, 13)]
@@ -1030,14 +1101,14 @@ def test_a_sweep_decomposes_each_system_once_and_solves_each_setting_and_k_once(
     _fresh_slots(monkeypatch)
     decomposed = _count_spectrum_work(monkeypatch)
     built, solved = [], []
-    context = gaussian._SpectralContext
+    context = bounds._BoundContext
 
     class CountedContext(context):
         def __init__(self, *args):
             built.append(args[2])
             super().__init__(*args)
 
-    monkeypatch.setattr(gaussian, "_SpectralContext", CountedContext)
+    monkeypatch.setattr(bounds, "_BoundContext", CountedContext)
     monkeypatch.setattr(
         bounds, "solve_bound_program", lambda b, k: solved.append(k) or solve_bound_program(b, k)
     )

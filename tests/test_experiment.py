@@ -20,6 +20,7 @@ from stealthgrid import (
     spectral_upper_bound,
     toeplitz_covariance,
 )
+from stealthgrid import experiment
 from stealthgrid.cli import main
 from stealthgrid.experiment import CSV_COLUMNS
 
@@ -79,6 +80,26 @@ def test_run_experiment_writes_replayable_manifest(tmp_path):
     cfg["measurements"] = MeasurementSelection(**cfg["measurements"])
     rerun_path = run_experiment(ExperimentConfig(**cfg), csv_name=path.name)
     assert rerun_path.read_bytes() == path.read_bytes()
+
+
+def test_manifest_names_the_blas_kernel_looked_up_once_per_sweep(tmp_path, monkeypatch, capsys):
+    lookups = []
+    monkeypatch.setattr(experiment, "blas_kernel", lambda: lookups.append(1) or b"Testcore")
+    emit_fig1_dataset(tmp_path, trials=2, seed=1, k_grid=(50,))
+    manifests = sorted(tmp_path.glob("*_manifest.json"))
+    assert len(manifests) == 2 and len(lookups) == 1
+    assert all(json.loads(path.read_text())["blas_kernel"] == "Testcore" for path in manifests)
+    monkeypatch.setattr(experiment, "blas_kernel", lambda: None)
+    path = run_experiment(small_config(tmp_path / "none"))
+    manifest = json.loads((path.parent / f"{path.stem}_manifest.json").read_text())
+    assert manifest["blas_kernel"] is None
+
+
+def test_manifest_names_the_running_blas_kernel(tmp_path):
+    path = run_experiment(small_config(tmp_path))
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    kernel = experiment.blas_kernel()
+    assert manifest["blas_kernel"] == (kernel.decode() if kernel else None)
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -433,9 +454,14 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
         (["--attack-var=-0.5"], "sigma_yaya - sigma_yy is not positive semidefinite"),
         (["--clean-var", "0"], "sigma_yy is not positive definite"),
         (["--clean-var=-1"], "sigma_yy is not positive definite"),
+        (["--clean-var", "1e-320", "--trials", "20000"],
+         "the log likelihood ratio of these covariances overflows float64"),
+        (["--attack-var", "1e300", "--trials", "20000"],
+         "the detection statistics overflow float64"),
     ],
     ids=["trials-zero", "trials-one", "n-grid-zero", "attack-var-nan", "clean-var-inf",
-         "attack-var-negative", "clean-var-zero", "clean-var-negative"],
+         "attack-var-negative", "clean-var-zero", "clean-var-negative", "clean-var-subnormal",
+         "attack-var-1e300"],
 )
 def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
     assert main(["detect", "--seed", "2"] + argv) == 1
@@ -443,6 +469,22 @@ def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
     assert captured.err.startswith("error: ")
     assert match in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["--attack-var", "1e100"], ["--clean-var", "1e-100", "--attack-var", "1"]],
+    ids=["attack-var-1e100", "clean-var-1e-100"],
+)
+def test_cli_detect_prints_finite_numbers_for_far_apart_variances(capsys, argv):
+    # the normal tail's z reaches 1e99 here, where z**4 used to overflow
+    assert main(["detect", "--trials", "20000", "--seed", "3"] + argv) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    kl_line, header, *rows = captured.out.splitlines()
+    assert header == "n,exponent,radius,beta_hat,exceed_count" and len(rows) == 3
+    numbers = [float(kl_line.split(": ")[1])] + [float(c) for row in rows for c in row.split(",")]
+    assert all(np.isfinite(numbers))
 
 
 def test_cli_run_config_file(tmp_path, capsys):

@@ -11,6 +11,7 @@ from stealthgrid import (
     DerivedCovariances,
     SpectralData,
     SampleCovariance,
+    TrainingConfig,
     attack_from_matrix,
     derived_covariances,
     draw_sample_covariance,
@@ -23,6 +24,7 @@ from stealthgrid import (
     sample_covariance,
     sigma_from_snr,
     solve_bound_program,
+    spectral_ergodic_costs,
     stealth_cost,
     toeplitz_covariance,
     zero_mean_gaussian_kl,
@@ -333,7 +335,22 @@ def test_state_covariance_rejects_non_finite_entries(bad):
 @NON_FINITE
 def test_spectral_data_rejects_non_finite_eigenvalues(bad):
     with pytest.raises(ValueError, match="finite"):
-        SpectralData(eigenvalues=np.array([bad, 1.0]), p=2)
+        SpectralData(eigenvalues=np.array([bad, 1.0]))
+
+
+def test_spectral_data_derives_its_rank_from_the_eigenvalues():
+    spectrum = SpectralData(np.array([2.0, 1.0]))
+    assert spectrum.p == 2 and type(spectrum.p) is int
+    assert SpectralData(np.empty(0)).p == 0
+    with pytest.raises(TypeError):
+        SpectralData(np.array([2.0, 1.0]), p=2.0)  # p is derived, never given
+    ((estimate,),) = spectral_ergodic_costs([(spectrum, 0.5)], [TrainingConfig(5, 1, 8)])
+    assert estimate.trials == 8
+
+
+def test_spectral_data_rejects_eigenvalues_that_are_not_a_vector():
+    with pytest.raises(ValueError, match=r"eigenvalues must be a 1-D array, got shape \(2, 1\)"):
+        SpectralData(np.array([[2.0], [1.0]]))
 
 
 def _poisoned(shape, bad):

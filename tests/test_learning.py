@@ -405,7 +405,7 @@ def test_diagonal_identity_matches_scaled_gram_scoring(sampler, k, decades):
     # K-1 = 3 < p makes G singular, so only Lambda keeps G + Lambda definite
     p, seed, trials = 8, 21, 300
     ev = 40.0 * np.geomspace(1.0, RANK_TOL if decades == 10 else 0.1, p)
-    spectrum = SpectralData(eigenvalues=ev, p=p)
+    spectrum = SpectralData(eigenvalues=ev)
     snrs = (-10.0, 20.0, 60.0)
     sigmas = [math.sqrt(ev.sum() / (p * 10.0 ** (snr / 10.0))) for snr in snrs]
     (estimates,) = spectral_ergodic_costs(
