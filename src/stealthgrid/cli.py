@@ -14,12 +14,7 @@ import numpy as np
 
 from .bounds import FORMULAS, spectral_upper_bound
 from .detection import error_exponent_estimate
-from .experiment import (
-    DEFAULT_K_GRID,
-    emit_fig1_dataset,
-    load_experiment_config,
-    run_experiment,
-)
+from .experiment import emit_fig1_dataset, load_experiment_config, run_experiment
 from .gaussian import DerivedCovariances, Scenario, optimal_cost
 from .grid import (
     MeasurementSelection,
@@ -47,7 +42,7 @@ def _parse_measurements(spec: str) -> MeasurementSelection:
     )
 
 
-def _parse_k_grid(spec: str) -> tuple[int, ...]:
+def _parse_n_grid(spec: str) -> tuple[int, ...]:
     return tuple(int(part) for part in spec.split(",") if part.strip())
 
 
@@ -144,14 +139,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_fig1(args) -> int:
-    paths = emit_fig1_dataset(
-        output_dir=args.out,
-        trials=args.trials,
-        seed=args.seed,
-        k_grid=args.k_grid,
-        formula=args.formula,
-        sampler=args.sampler,
-    )
+    paths = emit_fig1_dataset(output_dir=args.out, trials=args.trials, seed=args.seed)
     for path in paths:
         print(f"wrote {path}")
     return 0
@@ -205,19 +193,16 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--clean-var", type=float, default=1.0, help="nominal variance")
     p.add_argument("--attack-var", type=float, default=1.0, help="attack variance")
     p.add_argument("--epsilon", type=float, default=0.05)
-    p.add_argument("--n-grid", type=_parse_k_grid, default=(10, 50, 200))
+    p.add_argument("--n-grid", type=_parse_n_grid, default=(10, 50, 200))
     p.add_argument("--trials", type=int, default=100_000)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--tail", choices=("normal", "empirical"), default="normal")
     p.set_defaults(handler=_cmd_detect)
 
-    p = sub.add_parser("fig1", help="bundled 30-bus K-sweep at SNR 20 dB")
+    p = sub.add_parser("fig1", help="the paper's Figure 1: bundled 30-bus K-sweep at SNR 20 dB")
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, required=True)
-    p.add_argument("--k-grid", type=_parse_k_grid, default=DEFAULT_K_GRID)
-    p.add_argument("--formula", choices=FORMULAS, default="real_exact")
-    p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
     p.set_defaults(handler=_cmd_fig1)
 
     p = sub.add_parser("run", help="K-sweep described by a JSON config file")

@@ -10,16 +10,17 @@ from __future__ import annotations
 import ctypes
 import hashlib
 import json
+import numbers
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .bounds import FORMULAS, spectral_upper_bound
+from .bounds import spectral_upper_bound
 from .gaussian import Scenario, _check_count, optimal_cost
 from .grid import MeasurementSelection, load_measurement_matrix
-from .learning import SAMPLERS, ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
+from .learning import ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
 
 __all__ = [
     "ExperimentConfig",
@@ -39,6 +40,8 @@ DEFAULT_K_GRID = tuple(
 
 _FIG1_RHOS = (0.1, 0.8)
 _ASYMPTOTIC_K = 10**8 + 1
+#: The formula of the CSV's ``bound`` and ``bound_large_k``; ``bound_paper`` is the paper's.
+_BOUND_FORMULA = "real_exact"
 #: A bound more than this many Monte Carlo stderr below the mean is a violation.
 _VIOLATION_Z = 3.0
 
@@ -49,9 +52,12 @@ class ExperimentConfig:
 
     Exactly one of ``case_path`` (MATPOWER case; ``"bundled:ieee30"`` for
     the packaged test system) or ``h_path`` (precomputed measurement
-    matrix as headerless CSV) must be set.  Every ``k_grid`` entry must be
-    an integer (a Python or numpy integer; a float, bool or string raises
-    ``ValueError``).
+    matrix as headerless CSV) must be set.  ``seed``, ``trials`` and every
+    ``k_grid`` entry must be integers (Python or numpy), and ``rho`` and
+    ``snr_db`` real numbers; a bool, a string, or a float where an
+    integer belongs raises ``ValueError``.  The sweep draws with the
+    Bartlett sampler and writes the ``real_exact`` bound; the paper's
+    Fig. 1 sum goes to the manifest's ``bound_paper``.
     """
 
     rho: float
@@ -61,14 +67,22 @@ class ExperimentConfig:
     snr_db: float = 20.0
     k_grid: tuple[int, ...] = DEFAULT_K_GRID
     trials: int = 1000
-    formula: str = "real_exact"
-    sampler: str = "bartlett"
     measurements: MeasurementSelection = field(default_factory=MeasurementSelection)
     output_dir: str = "."
 
     def __post_init__(self) -> None:
         if (self.case_path is None) == (self.h_path is None):
             raise ValueError("exactly one of case_path or h_path must be set")
+        # numpy scalars become Python numbers, which the manifest's JSON can hold
+        for name in ("rho", "snr_db"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name!r} must be a real number, got {value!r}")
+            if not isinstance(value, (int, float)):
+                setattr(self, name, float(value))
+        for name in ("seed", "trials"):
+            _check_count(repr(name), getattr(self, name))
+            setattr(self, name, int(getattr(self, name)))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         k_grid = tuple(self.k_grid)
@@ -81,18 +95,10 @@ class ExperimentConfig:
             raise ValueError(f"k_grid must be strictly increasing, got {self.k_grid}")
         if self.trials < 1:
             raise ValueError(f"trials must be >= 1, got {self.trials}")
-        if self.formula not in FORMULAS:
-            raise ValueError(f"formula must be one of {FORMULAS}, got {self.formula!r}")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
 
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def _is_str(value) -> bool:
@@ -105,12 +111,9 @@ def _is_str_or_null(value) -> bool:
 
 _FLAGS = frozenset(f.name for f in fields(MeasurementSelection))
 
-#: Per config key, the JSON type it needs and a test of a parsed value.
+#: Per config key that ExperimentConfig does not type-check itself, the
+#: JSON type it needs and a test of a parsed value.
 _CONFIG_TYPES = {
-    "rho": ("a number", _is_number),
-    "snr_db": ("a number", _is_number),
-    "seed": ("an integer", _is_int),
-    "trials": ("an integer", _is_int),
     "k_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
     "measurements": (
         f"an object of true/false flags among {sorted(_FLAGS)}",
@@ -119,8 +122,6 @@ _CONFIG_TYPES = {
     ),
     "case_path": ("a string or null", _is_str_or_null),
     "h_path": ("a string or null", _is_str_or_null),
-    "formula": ("a string", _is_str),
-    "sampler": ("a string", _is_str),
     "output_dir": ("a string", _is_str),
 }
 
@@ -139,10 +140,9 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown} in {path}")
-    for key, value in raw.items():
-        expected, valid = _CONFIG_TYPES[key]
-        if not valid(value):
-            raise ValueError(f"config key {key!r} must be {expected}, got {value!r} in {path}")
+    for key, (expected, valid) in _CONFIG_TYPES.items():
+        if key in raw and not valid(raw[key]):
+            raise ValueError(f"config key {key!r} must be {expected}, got {raw[key]!r} in {path}")
     if "measurements" in raw:
         raw["measurements"] = MeasurementSelection(**raw["measurements"])
     if "k_grid" in raw:
@@ -175,14 +175,15 @@ def _format_row(values) -> str:
     return ",".join(repr(float(v)) if i else str(int(v)) for i, v in enumerate(values))
 
 
-def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Path:
+def run_experiment(config: ExperimentConfig) -> Path:
     """Run the K-sweep and write ``<stem>.csv`` plus ``<stem>_manifest.json``.
 
-    Each CSV row holds the Monte Carlo ergodic estimate, the closed-form
+    The stem is ``sweep_rho<rho>_snr<snr_db>``.  Each CSV row holds the
+    Monte Carlo ergodic estimate (Bartlett sampler), the ``real_exact``
     bound, the optimal cost, and ``gap = bound - optimal_cost`` for one K.
-    The manifest adds the bound under the other formula, as
-    ``bound_large_k`` the bound at K-1 = 10^8, and per K the Monte Carlo
-    health in ``diagnostics``: the relative stderr and
+    The manifest adds the paper's Fig. 1 sum per K as ``bound_paper``, as
+    ``bound_large_k`` the ``real_exact`` bound at K-1 = 10^8, and per K the
+    Monte Carlo health in ``diagnostics``: the relative stderr and
     ``margin_z = (bound - mc_mean) / mc_stderr``, with the allocation
     program's ``bound_newton_steps``, ``bound_clipped`` (coordinates of x*
     on a box edge) and ``bound_sum_residual`` (|sum x* - p|).
@@ -194,19 +195,18 @@ def run_experiment(config: ExperimentConfig, csv_name: str | None = None) -> Pat
 
     Returns the CSV path.
     """
-    return _run_sweep([config], [csv_name])[0][0]
+    stem = f"sweep_rho{config.rho:g}_snr{config.snr_db:g}"
+    return _run_sweep([config], [stem])[0][0]
 
 
-def _run_sweep(
-    configs: list[ExperimentConfig], csv_names: list[str | None]
-) -> list[tuple[Path, dict]]:
-    """:func:`run_experiment` for configs of one system, seed, K grid, trial count and sampler.
+def _run_sweep(configs: list[ExperimentConfig], stems: list[str]) -> list[tuple[Path, dict]]:
+    """:func:`run_experiment` for configs of one system, seed, K grid and trial count.
 
-    The configs may differ only in rho, SNR, formula and output, so one
-    Monte Carlo call draws the whole K grid and scores all their scenarios
-    on the same draws; every config gets the files that
-    :func:`run_experiment` alone writes, and the BLAS kernel is looked up
-    once for all of them.  Returns each config's CSV path and manifest.
+    The configs may differ only in rho, SNR and output, so one Monte Carlo
+    call draws the whole K grid and scores all their scenarios on the same
+    draws; each config gets the files that :func:`run_experiment` alone
+    writes, named by its stem, and the BLAS kernel is looked up once for
+    all of them.  Returns each config's CSV path and manifest.
     """
     first = configs[0]
     h = load_measurement_matrix(first.case_path, first.h_path, first.measurements)
@@ -217,23 +217,20 @@ def _run_sweep(
             f"k_grid entry {first.k_grid[0]} violates k-1 >= p (p={p} for this system)"
         )
 
-    cfgs = [
-        TrainingConfig(k=k, seed=first.seed, trials=first.trials, sampler=first.sampler)
-        for k in first.k_grid
-    ]
+    cfgs = [TrainingConfig(k=k, seed=first.seed, trials=first.trials) for k in first.k_grid]
     estimates = spectral_ergodic_costs(
         [(scenario.spectrum, scenario.sigma) for scenario in scenarios], cfgs
     )
     kernel = blas_kernel()
     return [
-        _write_outputs(config, name, scenario, [per_k[i] for per_k in estimates], kernel)
-        for i, (config, name, scenario) in enumerate(zip(configs, csv_names, scenarios))
+        _write_outputs(config, stem, scenario, [per_k[i] for per_k in estimates], kernel)
+        for i, (config, stem, scenario) in enumerate(zip(configs, stems, scenarios))
     ]
 
 
 def _write_outputs(
     config: ExperimentConfig,
-    csv_name: str | None,
+    stem: str,
     scenario: Scenario,
     estimates: list[ErgodicEstimate],
     kernel: bytes | None,
@@ -242,14 +239,13 @@ def _write_outputs(
     sigma, spectrum, m = scenario.sigma, scenario.spectrum, scenario.m
     f_star = optimal_cost(spectrum, sigma)
     rows = []
-    bounds_other = []
+    bounds_paper = []
     diagnostics = []
-    other = "real_exact" if config.formula == "paper" else "paper"
     for k, estimate in zip(config.k_grid, estimates):
-        result = spectral_upper_bound(spectrum, sigma, m, k, config.formula)
+        result = spectral_upper_bound(spectrum, sigma, m, k, _BOUND_FORMULA)
         bound, program = result.value, result.program
         rows.append((k, estimate.mean, estimate.stderr, bound, f_star, bound - f_star))
-        bounds_other.append(spectral_upper_bound(spectrum, sigma, m, k, other).value)
+        bounds_paper.append(spectral_upper_bound(spectrum, sigma, m, k, "paper").value)
         diagnostics.append({
             "k": k,
             "mc_rel_stderr": estimate.stderr / abs(estimate.mean) if estimate.mean else None,
@@ -258,11 +254,10 @@ def _write_outputs(
             "bound_clipped": program.clipped,
             "bound_sum_residual": program.sum_residual,
         })
-    bound_large_k = spectral_upper_bound(spectrum, sigma, m, _ASYMPTOTIC_K, config.formula).value
+    bound_large_k = spectral_upper_bound(spectrum, sigma, m, _ASYMPTOTIC_K, _BOUND_FORMULA).value
 
     out_dir = Path(config.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    stem = Path(csv_name).stem if csv_name else f"sweep_rho{config.rho:g}_snr{config.snr_db:g}"
     csv_path = out_dir / f"{stem}.csv"
     lines = [",".join(CSV_COLUMNS)] + [_format_row(row) for row in rows]
     csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -279,7 +274,7 @@ def _write_outputs(
         "p": spectrum.p,
         "spectrum_sha256": hashlib.sha256(spectrum.eigenvalues.tobytes()).hexdigest(),
         "optimal_cost": f_star,
-        f"bound_{other}": bounds_other,
+        "bound_paper": bounds_paper,
         "bound_large_k": bound_large_k,
         "diagnostics": diagnostics,
         "bound_violations": [
@@ -299,37 +294,27 @@ def _config_dict(config: ExperimentConfig) -> dict:
     return data
 
 
-def emit_fig1_dataset(
-    output_dir: str | Path,
-    trials: int = 1000,
-    seed: int = 0,
-    k_grid: tuple[int, ...] = DEFAULT_K_GRID,
-    formula: str = "real_exact",
-    sampler: str = "bartlett",
-) -> list[Path]:
-    """K-sweep of the bundled 30-bus system at SNR 20 dB, rho in {0.1, 0.8}.
+def emit_fig1_dataset(output_dir: str | Path, trials: int = 1000, seed: int = 0) -> list[Path]:
+    """The paper's Figure 1: the bundled 30-bus K-sweep at SNR 20 dB, rho in {0.1, 0.8}.
 
-    Writes ``fig1_rho01.csv`` and ``fig1_rho08.csv`` (plus manifests) into
-    ``output_dir`` and prints, per rho, the analytic large-K check of its
-    manifest: the bound at K-1 = 10^8 against the optimal cost.  The two
-    rhos are one sweep, scored on the same Monte Carlo draws at each K; the
-    files equal those of one :func:`run_experiment` call per rho.
+    Runs :data:`DEFAULT_K_GRID` and writes ``fig1_rho01.csv`` and
+    ``fig1_rho08.csv`` (plus manifests, whose ``bound_paper`` is the
+    paper's curve) into ``output_dir``, then prints, per rho, the analytic
+    large-K check of its manifest: the bound at K-1 = 10^8 against the
+    optimal cost.  The two rhos are one sweep, scored on the same Monte
+    Carlo draws at each K; each CSV equals the one :func:`run_experiment`
+    writes for that rho, and each manifest differs from its one only in the
+    file and directory names.
     """
     configs = [
         ExperimentConfig(
-            rho=rho,
-            seed=seed,
-            case_path="bundled:ieee30",
-            k_grid=tuple(k_grid),
-            trials=trials,
-            formula=formula,
-            sampler=sampler,
+            rho=rho, seed=seed, case_path="bundled:ieee30", trials=trials,
             output_dir=str(output_dir),
         )
         for rho in _FIG1_RHOS
     ]
-    names = [f"fig1_rho{rho:.1f}".replace("0.", "0") + ".csv" for rho in _FIG1_RHOS]
-    outputs = _run_sweep(configs, names)
+    stems = [f"fig1_rho{rho:.1f}".replace("0.", "0") for rho in _FIG1_RHOS]
+    outputs = _run_sweep(configs, stems)
     for rho, (_, manifest) in zip(_FIG1_RHOS, outputs):
         asymptotic, f_star = manifest["bound_large_k"], manifest["optimal_cost"]
         rel = abs(asymptotic - f_star) / f_star

@@ -51,9 +51,13 @@ _last_system: tuple | None = None
 
 
 def symmetrize(m: np.ndarray) -> np.ndarray:
-    """Return the symmetric part (m + m.T) / 2."""
+    """Return the symmetric part (m + m.T) / 2.
+
+    Halved before the sum, so entries up to the float64 maximum do not
+    overflow; above the subnormal range the bits equal ``(m + m.T) / 2``.
+    """
     m = np.asarray(m, dtype=float)
-    return (m + m.T) / 2.0
+    return m * 0.5 + m.T * 0.5
 
 
 def logdet_psd(m: np.ndarray) -> float | np.ndarray:

@@ -194,9 +194,8 @@ def test_criterion_8_error_exponent():
 
 def test_criterion_9_pipeline_determinism(tmp_path):
     with Timer(9, "byte-identical sweeps across runs", 120.0):
-        k_grid = (50, 200, 1000)
         runs = {}
         for label in ("a", "b"):
-            paths = emit_fig1_dataset(tmp_path / label, trials=20, seed=909, k_grid=k_grid)
+            paths = emit_fig1_dataset(tmp_path / label, trials=20, seed=909)
             runs[label] = {p.name: p.read_bytes() for p in paths}
         assert runs["a"] == runs["b"]

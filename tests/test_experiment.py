@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import dataclasses
 import json
+import re
 import subprocess
 import sys
 
@@ -61,8 +63,9 @@ def test_run_experiment_schema(tmp_path):
         assert row["gap"] == pytest.approx(row["bound"] - row["optimal_cost"])
 
 
-def test_run_experiment_writes_replayable_manifest(tmp_path):
-    path = run_experiment(small_config(tmp_path))
+def test_run_experiment_writes_replayable_manifest(tmp_path, ieee30_h):
+    config = small_config(tmp_path)
+    path = run_experiment(config)
     manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
     assert manifest["m"] == 71
     assert manifest["n"] == 29
@@ -70,7 +73,17 @@ def test_run_experiment_writes_replayable_manifest(tmp_path):
     assert manifest["config"]["seed"] == 11
     assert manifest["config"]["k_grid"] == [100, 1000]
     assert len(manifest["spectrum_sha256"]) == 64
-    assert len(manifest["bound_paper"]) == 2
+    # the CSV's bound is real_exact and the manifest's bound_paper the paper's Fig. 1 sum
+    cov = toeplitz_covariance(29, config.rho)
+    sigma = sigma_from_snr(ieee30_h, cov, config.snr_db)
+    spectrum = nonzero_spectrum(ieee30_h, cov)
+    for formula, written in (
+        ("real_exact", [row["bound"] for row in read_rows(path)]),
+        ("paper", manifest["bound_paper"]),
+    ):
+        assert written == [
+            spectral_upper_bound(spectrum, sigma, 71, k, formula).value for k in config.k_grid
+        ], formula
     # rerunning from the recorded config reproduces the CSV byte for byte
     from stealthgrid import MeasurementSelection
 
@@ -78,14 +91,15 @@ def test_run_experiment_writes_replayable_manifest(tmp_path):
     cfg["output_dir"] = str(tmp_path / "rerun")
     cfg["k_grid"] = tuple(cfg["k_grid"])
     cfg["measurements"] = MeasurementSelection(**cfg["measurements"])
-    rerun_path = run_experiment(ExperimentConfig(**cfg), csv_name=path.name)
+    rerun_path = run_experiment(ExperimentConfig(**cfg))
+    assert rerun_path.name == path.name
     assert rerun_path.read_bytes() == path.read_bytes()
 
 
 def test_manifest_names_the_blas_kernel_looked_up_once_per_sweep(tmp_path, monkeypatch, capsys):
     lookups = []
     monkeypatch.setattr(experiment, "blas_kernel", lambda: lookups.append(1) or b"Testcore")
-    emit_fig1_dataset(tmp_path, trials=2, seed=1, k_grid=(50,))
+    emit_fig1_dataset(tmp_path, trials=2, seed=1)
     manifests = sorted(tmp_path.glob("*_manifest.json"))
     assert len(manifests) == 2 and len(lookups) == 1
     assert all(json.loads(path.read_text())["blas_kernel"] == "Testcore" for path in manifests)
@@ -120,21 +134,28 @@ def test_run_experiment_rejects_undersampled_k(tmp_path):
         run_experiment(small_config(tmp_path, k_grid=(10, 100)))
 
 
-def _scalar_config(tmp_path, formula, seed) -> ExperimentConfig:
-    # H = [[1]] at 5 dB and K = 11: the paper formula's bound lies below the mean
+def _scalar_config(tmp_path, seed) -> ExperimentConfig:
+    # H = [[1]] at 5 dB and K = 11, where the paper's sum lies below the mean
     h_path = tmp_path / "h.csv"
     h_path.write_text("1\n")
     return ExperimentConfig(
         rho=0.0, seed=seed, h_path=str(h_path), snr_db=5.0, k_grid=(11,), trials=20_000,
-        formula=formula, output_dir=str(tmp_path),
+        output_dir=str(tmp_path),
     )
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])
-def test_manifest_flags_a_bound_below_the_monte_carlo_mean(tmp_path, seed):
-    path = run_experiment(_scalar_config(tmp_path, "paper", seed))
+def test_manifest_flags_a_bound_below_the_monte_carlo_mean(tmp_path, monkeypatch, seed):
+    # fault injection: a bound of 0 lies below every cost, which is at least f* > 0
+    true_bound = experiment.spectral_upper_bound
+    monkeypatch.setattr(
+        experiment, "spectral_upper_bound",
+        lambda *args: dataclasses.replace(true_bound(*args), value=0.0),
+    )
+    path = run_experiment(_scalar_config(tmp_path, seed))
     manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
     (row,) = read_rows(path)
+    assert row["bound"] == 0.0
     (diagnostic,) = manifest["diagnostics"]
     assert diagnostic["k"] == 11
     assert diagnostic["margin_z"] == (row["bound"] - row["mc_mean"]) / row["mc_stderr"]
@@ -160,10 +181,13 @@ def test_manifest_records_the_allocation_solver_diagnostics(tmp_path, ieee30_h):
 
 
 def test_manifest_lists_no_violation_for_the_default_bound(tmp_path):
-    path = run_experiment(_scalar_config(tmp_path, "real_exact", 1))
+    # the paper's sum, listed in the manifest, lies below the mean here; real_exact does not
+    path = run_experiment(_scalar_config(tmp_path, 1))
     manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
     assert manifest["diagnostics"][0]["margin_z"] > 3.0
     assert manifest["bound_violations"] == []
+    (row,), (paper,) = read_rows(path), manifest["bound_paper"]
+    assert (paper - row["mc_mean"]) / row["mc_stderr"] < -3.0
 
 
 def test_config_validation():
@@ -173,8 +197,38 @@ def test_config_validation():
         ExperimentConfig(rho=1.0, seed=0, case_path="x", k_grid=(100,))
     with pytest.raises(ValueError, match="exactly one"):
         ExperimentConfig(rho=0.1, seed=0, k_grid=(100,))
-    with pytest.raises(ValueError, match="formula"):
-        ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(100,), formula="?")
+
+
+@pytest.mark.parametrize(
+    "changed, message",
+    [
+        ({"rho": "0.1"}, "'rho' must be a real number, got '0.1'"),
+        ({"rho": True}, "'rho' must be a real number, got True"),
+        ({"snr_db": None}, "'snr_db' must be a real number, got None"),
+        ({"seed": "3"}, "'seed' must be an integer, got '3'"),
+        ({"seed": 3.0}, "'seed' must be an integer, got 3.0"),
+        ({"trials": 2.5}, "'trials' must be an integer, got 2.5"),
+        ({"trials": False}, "'trials' must be an integer, got False"),
+    ],
+    ids=["rho-string", "rho-bool", "snr_db-none", "seed-string", "seed-float", "trials-float",
+         "trials-bool"],
+)
+def test_config_rejects_values_of_the_wrong_type(changed, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ExperimentConfig(**{"rho": 0.1, "seed": 0, "case_path": "x", **changed})
+
+
+def test_config_stores_numpy_scalars_as_plain_json_numbers(tmp_path):
+    config = small_config(
+        tmp_path, rho=np.float32(0.5), snr_db=np.int64(20), seed=np.int64(11), trials=np.int64(4)
+    )
+    assert (config.rho, config.snr_db, config.seed, config.trials) == (0.5, 20.0, 11, 4)
+    assert [type(v) for v in (config.rho, config.snr_db, config.seed, config.trials)] == [
+        float, float, int, int
+    ]
+    path = run_experiment(config)
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    assert manifest["config"]["seed"] == 11 and manifest["config"]["snr_db"] == 20.0
 
 
 @pytest.mark.parametrize("k", [50.7, True, "50"], ids=["float", "bool", "string"])
@@ -190,10 +244,14 @@ def test_config_accepts_numpy_integer_ks():
 
 
 def test_load_experiment_config_rejects_unknown_keys(tmp_path):
-    raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "trails": 4, "threads": 2}
+    # formula and sampler were config keys once; the sweep no longer varies them
+    raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "trails": 4, "threads": 2,
+           "formula": "paper", "sampler": "empirical"}
     cfg_path = tmp_path / "cfg.json"
     cfg_path.write_text(json.dumps(raw))
-    with pytest.raises(ValueError, match=r"unknown config keys \['threads', 'trails'\]"):
+    with pytest.raises(
+        ValueError, match=r"unknown config keys \['formula', 'sampler', 'threads', 'trails'\]"
+    ):
         load_experiment_config(cfg_path)
 
 
@@ -211,14 +269,16 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
         ({"measurements": {"include_to_flows": 1}}, "'measurements'"),
         ({"measurements": {"include_bogus": True}}, "'measurements'"),
         ({"case_path": 30}, "'case_path'"),
-        ({"formula": ["paper"]}, "'formula'"),
+        ({"formula": ["paper"]}, "unknown config keys ['formula']"),
+        ({"sampler": "empirical"}, "unknown config keys ['sampler']"),
         ({"output_dir": 7}, "'output_dir'"),
         ([1, 2], "must be a JSON object, got list"),
     ],
     ids=[
         "rho-string", "snr-string", "seed-float", "seed-bool", "trials-float", "k_grid-int",
         "k_grid-float-entry", "measurements-int", "measurements-int-flag",
-        "measurements-unknown-flag", "case_path-int", "formula-list", "output_dir-int",
+        "measurements-unknown-flag", "case_path-int", "formula-list", "sampler-string",
+        "output_dir-int",
         "top-level-array",
     ],
 )
@@ -272,7 +332,7 @@ def test_fig1_default_grid_schema(tmp_path, capsys):
 
 
 def test_fig1_rows_satisfy_bound_and_closed_form(tmp_path, ieee30_h):
-    paths = emit_fig1_dataset(tmp_path, trials=40, seed=5, k_grid=(50, 200, 2000))
+    paths = emit_fig1_dataset(tmp_path, trials=40, seed=5)
     for path, rho in zip(sorted(paths), (0.1, 0.8)):
         rows = read_rows(path)
         cov = toeplitz_covariance(29, rho)
@@ -284,7 +344,7 @@ def test_fig1_rows_satisfy_bound_and_closed_form(tmp_path, ieee30_h):
 
 
 def test_fig1_prints_the_large_k_bound_recorded_in_the_manifest(tmp_path, capsys, ieee30_h):
-    paths = emit_fig1_dataset(tmp_path, trials=3, seed=4, k_grid=(50, 100), formula="real_exact")
+    paths = emit_fig1_dataset(tmp_path, trials=3, seed=4)
     printed = capsys.readouterr().out
     for path, rho in zip(sorted(paths), (0.1, 0.8)):
         manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
@@ -295,17 +355,22 @@ def test_fig1_prints_the_large_k_bound_recorded_in_the_manifest(tmp_path, capsys
         assert f"rho={rho:g}: bound(K-1=1e8)={expected:.6f}," in printed
 
 
-@pytest.mark.parametrize("sampler", ["bartlett", "empirical"])
-def test_fig1_joint_sweep_writes_the_files_of_one_run_per_rho(tmp_path, capsys, sampler):
+def test_fig1_joint_sweep_writes_the_files_of_one_run_per_rho(tmp_path, capsys):
     # both rhos are scored on shared draws; alone, each run draws the same ones
-    kwargs = dict(trials=30, seed=8, k_grid=(50, 400), formula="paper", sampler=sampler)
-    paths = emit_fig1_dataset(tmp_path, **kwargs)
-    joint = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
-    assert len(joint) == 4
+    paths = emit_fig1_dataset(tmp_path / "fig1", trials=30, seed=8)
+    assert len(list((tmp_path / "fig1").iterdir())) == 4
+
+    def manifest_of(csv_path):
+        manifest = json.loads(csv_path.with_name(f"{csv_path.stem}_manifest.json").read_text())
+        del manifest["csv"], manifest["config"]["output_dir"]
+        return manifest
+
     for path, rho in zip(paths, (0.1, 0.8)):
-        config = small_config(tmp_path, rho=rho, **kwargs)
-        assert run_experiment(config, csv_name=path.name) == path
-    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == joint
+        config = small_config(tmp_path / f"rho{rho}", rho=rho, k_grid=DEFAULT_K_GRID, trials=30,
+                              seed=8)
+        alone = run_experiment(config)
+        assert alone.read_bytes() == path.read_bytes()
+        assert manifest_of(alone) == manifest_of(path)
 
 
 # ---------------------------------------------------------------------------
@@ -458,15 +523,17 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
          "the log likelihood ratio of these covariances overflows float64"),
         (["--attack-var", "1e300", "--trials", "20000"],
          "the detection statistics overflow float64"),
+        (["--clean-var", "1e308", "--attack-var", "1e308"], "sigma_yaya has non-finite entries"),
     ],
     ids=["trials-zero", "trials-one", "n-grid-zero", "attack-var-nan", "clean-var-inf",
          "attack-var-negative", "clean-var-zero", "clean-var-negative", "clean-var-subnormal",
-         "attack-var-1e300"],
+         "attack-var-1e300", "both-vars-1e308"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
     assert main(["detect", "--seed", "2"] + argv) == 1
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: ")
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert match in captured.err
     assert captured.out == ""
 
@@ -506,6 +573,14 @@ def test_cli_run_config_file(tmp_path, capsys):
     # the config file has its own subcommand; fig1 takes no config
     with pytest.raises(SystemExit):
         main(["fig1", "--out", str(tmp_path), "--seed", "9", "--config", str(cfg)])
+
+
+@pytest.mark.parametrize("knob", [["--k-grid", "50,100"], ["--formula", "paper"],
+                                  ["--sampler", "empirical"]])
+def test_cli_fig1_is_the_papers_figure_with_no_sweep_knobs(tmp_path, capsys, knob):
+    with pytest.raises(SystemExit):
+        main(["fig1", "--out", str(tmp_path), "--seed", "9"] + knob)
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_cli_entrypoint_subprocess(tmp_path):

@@ -29,7 +29,7 @@ from stealthgrid import (
     toeplitz_covariance,
     zero_mean_gaussian_kl,
 )
-from stealthgrid.gaussian import RANK_TOL, _spectrum
+from stealthgrid.gaussian import RANK_TOL, _spectrum, symmetrize
 from helpers import BAD_SIGMA, random_pd, random_psd
 
 
@@ -39,6 +39,19 @@ def scalar_system(h=2.0, sxx=1.0, sigma=1.0, saa=4.0):
     attack = AttackModel(sigma_aa=np.array([[saa]]))
     derived = derived_covariances(hm, cov, sigma, attack)
     return hm, cov, attack, derived
+
+
+# ---------------------------------------------------------------------------
+# symmetrize
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_symmetrize_is_finite_near_the_float64_maximum():
+    m = np.array([[1.5e308, 1.5e308], [1.5e308, 1.5e308]])
+    np.testing.assert_array_equal(symmetrize(m), m)
+    s = symmetrize(np.array([[1.5e308, 1.7e308], [1.3e308, -1.5e308]]))
+    assert np.isfinite(s).all() and s[0, 1] == s[1, 0] == pytest.approx(1.5e308)
 
 
 # ---------------------------------------------------------------------------
