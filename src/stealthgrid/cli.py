@@ -176,7 +176,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("ergodic", help="Monte Carlo ergodic cost at one K")
     _add_system_args(p)
     p.add_argument("--k", type=int, required=True, help="training sample count K")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials, at least 2")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--sampler", choices=SAMPLERS, default="bartlett")
     p.set_defaults(handler=_cmd_ergodic)
@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("fig1", help="the paper's Figure 1: bundled 30-bus K-sweep at SNR 20 dB")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--trials", type=int, default=1000)
+    p.add_argument("--trials", type=int, default=1000, help="Monte Carlo trials per K, at least 2")
     p.add_argument("--seed", type=int, required=True)
     p.set_defaults(handler=_cmd_fig1)
 

@@ -11,7 +11,8 @@ import ctypes
 import hashlib
 import json
 import numbers
-from dataclasses import asdict, dataclass, field, fields
+from collections.abc import Mapping
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from pathlib import Path
 
 import numpy as np
@@ -48,16 +49,20 @@ _VIOLATION_Z = 3.0
 
 @dataclass
 class ExperimentConfig:
-    """Everything needed to reproduce one K-sweep.
+    """Everything needed to reproduce one K-sweep, and the only check of it.
 
     Exactly one of ``case_path`` (MATPOWER case; ``"bundled:ieee30"`` for
     the packaged test system) or ``h_path`` (precomputed measurement
-    matrix as headerless CSV) must be set.  ``seed``, ``trials`` and every
-    ``k_grid`` entry must be integers (Python or numpy), and ``rho`` and
-    ``snr_db`` real numbers; a bool, a string, or a float where an
-    integer belongs raises ``ValueError``.  The sweep draws with the
-    Bartlett sampler and writes the ``real_exact`` bound; the paper's
-    Fig. 1 sum goes to the manifest's ``bound_paper``.
+    matrix as headerless CSV) must be set, as a string; ``output_dir`` is
+    a string too.  ``seed``, ``trials`` and every ``k_grid`` entry must be
+    integers (Python or numpy), ``trials`` at least 2, and ``rho`` and
+    ``snr_db`` real numbers.  ``k_grid`` may be any iterable of integers
+    but a string or a mapping; it is stored as a tuple of ints.
+    ``measurements`` is a :class:`MeasurementSelection` or a mapping of
+    its flags, which is turned into one.  A value of the wrong type or
+    out of range raises ``ValueError`` naming the field.  The sweep draws
+    with the Bartlett sampler and writes the ``real_exact`` bound; the
+    paper's Fig. 1 sum goes to the manifest's ``bound_paper``.
     """
 
     rho: float
@@ -71,8 +76,14 @@ class ExperimentConfig:
     output_dir: str = "."
 
     def __post_init__(self) -> None:
+        for name in ("case_path", "h_path"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                raise ValueError(f"{name!r} must be a string or None, got {value!r}")
         if (self.case_path is None) == (self.h_path is None):
             raise ValueError("exactly one of case_path or h_path must be set")
+        if not isinstance(self.output_dir, str):
+            raise ValueError(f"'output_dir' must be a string, got {self.output_dir!r}")
         # numpy scalars become Python numbers, which the manifest's JSON can hold
         for name in ("rho", "snr_db"):
             value = getattr(self, name)
@@ -85,54 +96,53 @@ class ExperimentConfig:
             setattr(self, name, int(getattr(self, name)))
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
-        k_grid = tuple(self.k_grid)
-        for k in k_grid:
-            _check_count("K in k_grid", k)
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2 for a standard error, got {self.trials}")
+        try:
+            k_grid = tuple(self.k_grid)
+        except TypeError:  # not iterable, or a 0-d numpy array
+            k_grid = None
+        if k_grid is None or isinstance(self.k_grid, (str, bytes, Mapping)):
+            raise ValueError(f"'k_grid' must be an iterable of integers, got {self.k_grid!r}")
+        try:
+            for k in k_grid:
+                _check_count("K in k_grid", k)
+        except ValueError as exc:
+            raise ValueError(f"{exc} (field 'k_grid')") from None
         self.k_grid = tuple(map(int, k_grid))  # numpy integers as Python ints
         if len(self.k_grid) == 0:
             raise ValueError("k_grid must not be empty")
         if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):
             raise ValueError(f"k_grid must be strictly increasing, got {self.k_grid}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool)
-
-
-def _is_str(value) -> bool:
-    return isinstance(value, str)
-
-
-def _is_str_or_null(value) -> bool:
-    return value is None or isinstance(value, str)
+        if isinstance(self.measurements, Mapping):
+            unknown = sorted(map(str, set(self.measurements) - _FLAGS))
+            if unknown:
+                raise ValueError(
+                    f"'measurements' has unknown flags {unknown}; choose from {sorted(_FLAGS)}"
+                )
+            try:
+                self.measurements = MeasurementSelection(**self.measurements)
+            except ValueError as exc:
+                raise ValueError(f"{exc} (field 'measurements')") from None
+        elif not isinstance(self.measurements, MeasurementSelection):
+            raise ValueError(
+                "'measurements' must be a MeasurementSelection or a mapping of its flags, "
+                f"got {self.measurements!r}"
+            )
 
 
 _FLAGS = frozenset(f.name for f in fields(MeasurementSelection))
-
-#: Per config key that ExperimentConfig does not type-check itself, the
-#: JSON type it needs and a test of a parsed value.
-_CONFIG_TYPES = {
-    "k_grid": ("a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))),
-    "measurements": (
-        f"an object of true/false flags among {sorted(_FLAGS)}",
-        lambda v: isinstance(v, dict) and set(v) <= _FLAGS
-        and all(isinstance(flag, bool) for flag in v.values()),
-    ),
-    "case_path": ("a string or null", _is_str_or_null),
-    "h_path": ("a string or null", _is_str_or_null),
-    "output_dir": ("a string", _is_str),
-}
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Load an :class:`ExperimentConfig` from a JSON file.
 
-    The file holds one JSON object.  Keys are the dataclass field names;
-    ``measurements`` is a mapping with the :class:`MeasurementSelection`
-    flags; ``k_grid`` is a list of ints.  Any other key, or a value of the
-    wrong JSON type, raises ``ValueError`` naming the key.
+    The file holds one JSON object whose keys are the dataclass field
+    names; ``measurements`` is an object of ``true``/``false`` flags and
+    ``k_grid`` a list of ints.  A key that is not a field, or a missing
+    ``rho`` or ``seed``, raises ``ValueError``; the values are checked by
+    :class:`ExperimentConfig` alone, so a file and a Python caller get the
+    same errors.
     """
     raw = json.loads(Path(path).read_text(encoding="utf-8"))
     if not isinstance(raw, dict):
@@ -140,13 +150,10 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     unknown = sorted(set(raw) - {f.name for f in fields(ExperimentConfig)})
     if unknown:
         raise ValueError(f"unknown config keys {unknown} in {path}")
-    for key, (expected, valid) in _CONFIG_TYPES.items():
-        if key in raw and not valid(raw[key]):
-            raise ValueError(f"config key {key!r} must be {expected}, got {raw[key]!r} in {path}")
-    if "measurements" in raw:
-        raw["measurements"] = MeasurementSelection(**raw["measurements"])
-    if "k_grid" in raw:
-        raw["k_grid"] = tuple(raw["k_grid"])
+    missing = [f.name for f in fields(ExperimentConfig) if f.name not in raw
+               and f.default is MISSING and f.default_factory is MISSING]
+    if missing:
+        raise ValueError(f"missing config keys {missing} in {path}")
     return ExperimentConfig(**raw)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from importlib import resources
 from pathlib import Path
 
@@ -113,7 +113,8 @@ class MeasurementSelection:
     """Which measurement classes compose the DC measurement matrix.
 
     The default (all from-side branch flows plus all bus injections) gives
-    M = 71 rows on the bundled 30-bus system.
+    M = 71 rows on the bundled 30-bus system.  Each flag must be a ``bool``
+    and at least one must be true; anything else raises ``ValueError``.
     """
 
     include_from_flows: bool = True
@@ -121,6 +122,10 @@ class MeasurementSelection:
     include_injections: bool = True
 
     def __post_init__(self) -> None:
+        for flag in fields(self):
+            value = getattr(self, flag.name)
+            if not isinstance(value, bool):
+                raise ValueError(f"{flag.name} must be a bool, got {value!r}")
         if not (self.include_from_flows or self.include_to_flows or self.include_injections):
             raise ValueError("measurement selection is empty: select at least one class")
 

@@ -56,7 +56,8 @@ class TrainingConfig:
     """Size and reproducibility knobs of the training-data experiment.
 
     ``k``, ``seed`` and ``trials`` must be integers (numpy's included, bools
-    not); anything else raises ``ValueError``.
+    not), and ``trials`` at least 2, since one draw has no standard error;
+    anything else raises ``ValueError``.
     """
 
     k: int
@@ -69,8 +70,8 @@ class TrainingConfig:
             _check_count(name, getattr(self, name))
         if self.k < 2:
             raise ValueError(f"need at least 2 training samples, got k={self.k}")
-        if self.trials < 1:
-            raise ValueError(f"trials must be >= 1, got {self.trials}")
+        if self.trials < 2:
+            raise ValueError(f"trials must be >= 2 for a standard error, got {self.trials}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be a 64-bit non-negative integer")
         if self.sampler not in SAMPLERS:
@@ -385,7 +386,7 @@ def spectral_ergodic_costs(
         [
             ErgodicEstimate(
                 mean=float(np.mean(row)),
-                stderr=float(np.std(row, ddof=1) / np.sqrt(trials)) if trials > 1 else 0.0,
+                stderr=float(np.std(row, ddof=1) / np.sqrt(trials)),
                 trials=trials,
                 k=k,
             )

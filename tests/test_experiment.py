@@ -9,9 +9,12 @@ import sys
 import numpy as np
 import pytest
 
+import stealthgrid
 from stealthgrid import (
     DEFAULT_K_GRID,
     ExperimentConfig,
+    MeasurementSelection,
+    TrainingConfig,
     emit_fig1_dataset,
     ergodic_upper_bound,
     load_experiment_config,
@@ -22,7 +25,7 @@ from stealthgrid import (
     spectral_upper_bound,
     toeplitz_covariance,
 )
-from stealthgrid import experiment
+from stealthgrid import bounds, detection, experiment, gaussian, grid, learning
 from stealthgrid.cli import main
 from stealthgrid.experiment import CSV_COLUMNS
 
@@ -85,12 +88,8 @@ def test_run_experiment_writes_replayable_manifest(tmp_path, ieee30_h):
             spectral_upper_bound(spectrum, sigma, 71, k, formula).value for k in config.k_grid
         ], formula
     # rerunning from the recorded config reproduces the CSV byte for byte
-    from stealthgrid import MeasurementSelection
-
     cfg = manifest["config"]
     cfg["output_dir"] = str(tmp_path / "rerun")
-    cfg["k_grid"] = tuple(cfg["k_grid"])
-    cfg["measurements"] = MeasurementSelection(**cfg["measurements"])
     rerun_path = run_experiment(ExperimentConfig(**cfg))
     assert rerun_path.name == path.name
     assert rerun_path.read_bytes() == path.read_bytes()
@@ -209,13 +208,49 @@ def test_config_validation():
         ({"seed": 3.0}, "'seed' must be an integer, got 3.0"),
         ({"trials": 2.5}, "'trials' must be an integer, got 2.5"),
         ({"trials": False}, "'trials' must be an integer, got False"),
+        ({"output_dir": 5}, "'output_dir' must be a string, got 5"),
+        ({"case_path": 30}, "'case_path' must be a string or None, got 30"),
+        ({"h_path": ["h.csv"]}, "'h_path' must be a string or None, got ['h.csv']"),
+        ({"measurements": {"include_to_flows": 1}},
+         "include_to_flows must be a bool, got 1 (field 'measurements')"),
+        ({"measurements": {"include_bogus": True}},
+         "'measurements' has unknown flags ['include_bogus']"),
+        ({"k_grid": 50}, "'k_grid' must be an iterable of integers, got 50"),
+        ({"k_grid": "50"}, "'k_grid' must be an iterable of integers, got '50'"),
+        ({"k_grid": np.array(50)}, "'k_grid' must be an iterable of integers, got array(50)"),
     ],
     ids=["rho-string", "rho-bool", "snr_db-none", "seed-string", "seed-float", "trials-float",
-         "trials-bool"],
+         "trials-bool", "output_dir-int", "case_path-int", "h_path-list",
+         "measurements-int-flag", "measurements-unknown-flag", "k_grid-int", "k_grid-string",
+         "k_grid-0d-array"],
 )
 def test_config_rejects_values_of_the_wrong_type(changed, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         ExperimentConfig(**{"rho": 0.1, "seed": 0, "case_path": "x", **changed})
+
+
+def test_config_turns_a_mapping_of_flags_into_a_measurement_selection(tmp_path):
+    config = small_config(tmp_path, k_grid=(50,), trials=2,
+                          measurements={"include_to_flows": True})
+    assert config.measurements == MeasurementSelection(include_to_flows=True)
+    path = run_experiment(config)
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    assert (manifest["m"], manifest["n"]) == (112, 29)  # 41 + 41 flows + 30 injections
+
+
+def test_one_trial_is_rejected_not_reported_with_zero_stderr(tmp_path, capsys):
+    # one draw has no standard error; it used to print stderr 0.0 and margin_z null
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        TrainingConfig(k=30, seed=1, trials=1)
+    with pytest.raises(ValueError, match="trials must be >= 2"):
+        small_config(tmp_path, trials=1)
+    argv = ["ergodic", "--case", "bundled:ieee30", "--rho", "0.1", "--k", "30", "--trials", "1",
+            "--seed", "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: trials must be >= 2") and captured.out == ""
+    assert main(["fig1", "--out", str(tmp_path), "--trials", "1", "--seed", "1"]) == 1
+    assert capsys.readouterr().err.startswith("error: trials must be >= 2")
 
 
 def test_config_stores_numpy_scalars_as_plain_json_numbers(tmp_path):
@@ -253,6 +288,17 @@ def test_load_experiment_config_rejects_unknown_keys(tmp_path):
         ValueError, match=r"unknown config keys \['formula', 'sampler', 'threads', 'trails'\]"
     ):
         load_experiment_config(cfg_path)
+
+
+@pytest.mark.parametrize("key", ["rho", "seed"])
+def test_cli_run_rejects_a_config_without_a_required_key(tmp_path, capsys, key):
+    raw = {"rho": 0.1, "seed": 3, "case_path": "bundled:ieee30", "k_grid": [50], "trials": 2,
+           "output_dir": str(tmp_path)}
+    del raw[key]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(raw))
+    assert main(["run", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith(f"error: missing config keys ['{key}']")
 
 
 @pytest.mark.parametrize(
@@ -598,3 +644,17 @@ def test_default_k_grid_is_documented_shape():
     assert DEFAULT_K_GRID[0] == 50
     assert DEFAULT_K_GRID[-1] == 100_000
     assert all(b > a for a, b in zip(DEFAULT_K_GRID, DEFAULT_K_GRID[1:]))
+
+
+# ---------------------------------------------------------------------------
+# package API
+# ---------------------------------------------------------------------------
+
+
+def test_package_exports_exactly_the_layers_public_names():
+    layers = (grid, gaussian, learning, bounds, detection, experiment)
+    assert stealthgrid.__all__ == ["__version__", *(n for layer in layers for n in layer.__all__)]
+    assert len(set(stealthgrid.__all__)) == len(stealthgrid.__all__)
+    for layer in layers:
+        for name in layer.__all__:
+            assert getattr(stealthgrid, name) is getattr(layer, name), name

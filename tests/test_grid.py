@@ -154,6 +154,14 @@ def test_empty_measurement_selection_rejected():
         )
 
 
+@pytest.mark.parametrize("flag", ["include_from_flows", "include_to_flows", "include_injections"])
+@pytest.mark.parametrize("value", ["no", 1, 0, None, np.True_], ids=repr)
+def test_measurement_selection_rejects_flags_that_are_not_bools(ieee30_case, flag, value):
+    # a truthy "no" used to select the to-side flows: a 112-row H for 71
+    with pytest.raises(ValueError, match=re.escape(f"{flag} must be a bool, got {value!r}")):
+        build_dc_jacobian(ieee30_case, MeasurementSelection(**{flag: value}))
+
+
 def test_flow_rows_sum_to_zero_before_slack_deletion(ieee30_case):
     rows = _branch_flow_rows(ieee30_case)
     np.testing.assert_allclose(rows.sum(axis=1), 0.0, atol=1e-12)
