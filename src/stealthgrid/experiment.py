@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import spectral_upper_bound
 from .gaussian import Scenario, _check_count, optimal_cost
 from .grid import MeasurementSelection, load_measurement_matrix
-from .learning import ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
+from .learning import _MAX_SEED, ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
 
 __all__ = [
     "ExperimentConfig",
@@ -55,9 +55,10 @@ class ExperimentConfig:
     the packaged test system) or ``h_path`` (precomputed measurement
     matrix as headerless CSV) must be set, as a string; ``output_dir`` is
     a string too.  ``seed``, ``trials`` and every ``k_grid`` entry must be
-    integers (Python or numpy), ``trials`` at least 2, and ``rho`` and
-    ``snr_db`` real numbers.  ``k_grid`` may be any iterable of integers
-    but a string or a mapping; it is stored as a tuple of ints.
+    integers (Python or numpy), ``seed`` in [0, 2^64), ``trials`` and every
+    K at least 2, and ``rho`` and ``snr_db`` real numbers.  ``k_grid`` may
+    be any iterable of integers but a string or a mapping; it is stored as
+    a tuple of ints.
     ``measurements`` is a :class:`MeasurementSelection` or a mapping of
     its flags, which is turned into one.  A value of the wrong type or
     out of range raises ``ValueError`` naming the field.  The sweep draws
@@ -94,6 +95,8 @@ class ExperimentConfig:
         for name in ("seed", "trials"):
             _check_count(repr(name), getattr(self, name))
             setattr(self, name, int(getattr(self, name)))
+        if not 0 <= self.seed < _MAX_SEED:
+            raise ValueError(f"'seed' must lie in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")
         if self.trials < 2:
@@ -112,6 +115,8 @@ class ExperimentConfig:
         self.k_grid = tuple(map(int, k_grid))  # numpy integers as Python ints
         if len(self.k_grid) == 0:
             raise ValueError("k_grid must not be empty")
+        if min(self.k_grid) < 2:
+            raise ValueError(f"every K in 'k_grid' must be >= 2, got {self.k_grid}")
         if any(b <= a for a, b in zip(self.k_grid, self.k_grid[1:])):
             raise ValueError(f"k_grid must be strictly increasing, got {self.k_grid}")
         if isinstance(self.measurements, Mapping):
@@ -271,7 +276,7 @@ def _write_outputs(
 
     manifest = {
         "blas_kernel": kernel.decode() if kernel else None,
-        "config": _config_dict(config),
+        "config": asdict(config),
         "csv": csv_path.name,
         "columns": list(CSV_COLUMNS),
         "sigma": sigma,
@@ -293,12 +298,6 @@ def _write_outputs(
     manifest_path = out_dir / f"{stem}_manifest.json"
     manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n", "utf-8")
     return csv_path, manifest
-
-
-def _config_dict(config: ExperimentConfig) -> dict:
-    data = asdict(config)
-    data["k_grid"] = list(config.k_grid)
-    return data
 
 
 def emit_fig1_dataset(output_dir: str | Path, trials: int = 1000, seed: int = 0) -> list[Path]:

@@ -245,11 +245,14 @@ def derived_covariances(
 def optimal_attack_covariance(h: np.ndarray, sigma_xx) -> AttackModel:
     """Stealth-optimal attack covariance H S_xx H^T (symmetrized).
 
-    Raises ``ValueError`` if H or S_xx holds a nan or inf.
+    Raises ``ValueError`` if H or S_xx holds a nan or inf, or if H's
+    column count is not S_xx's dimension.
     """
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
     _check_finite(H=h, S_xx=sxx)
+    if h.shape[1] != sxx.shape[0]:
+        raise ValueError(f"H has {h.shape[1]} columns but S_xx is {sxx.shape[0]}-dimensional")
     return AttackModel(sigma_aa=symmetrize(h @ sxx @ h.T))
 
 

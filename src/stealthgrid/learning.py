@@ -25,6 +25,7 @@ from .gaussian import (
     _check_sigma,
     logdet_psd,
     nonzero_spectrum,
+    optimal_attack_covariance,
     symmetrize,
 )
 
@@ -51,13 +52,23 @@ _MAX_SEED = 2**64
 _CHUNK_ENTRIES = 2**14
 
 
+def _check_draw(k: int, sampler: str) -> None:
+    """Reject a training size K or a sampler that no training draw takes."""
+    _check_count("k", k)
+    if k < 2:
+        raise ValueError(f"need at least 2 training samples, got k={k}")
+    if sampler not in SAMPLERS:
+        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
+
+
 @dataclass(frozen=True)
 class TrainingConfig:
     """Size and reproducibility knobs of the training-data experiment.
 
     ``k``, ``seed`` and ``trials`` must be integers (numpy's included, bools
-    not), and ``trials`` at least 2, since one draw has no standard error;
-    anything else raises ``ValueError``.
+    not), ``k`` and ``trials`` at least 2 (one draw has no standard error)
+    and ``seed`` in [0, 2^64); anything else raises ``ValueError``, for
+    ``k`` and ``sampler`` in the words of :func:`draw_sample_covariance`.
     """
 
     k: int
@@ -66,29 +77,23 @@ class TrainingConfig:
     sampler: str = "bartlett"
 
     def __post_init__(self) -> None:
-        for name in ("k", "trials", "seed"):
+        _check_draw(self.k, self.sampler)
+        for name in ("trials", "seed"):
             _check_count(name, getattr(self, name))
-        if self.k < 2:
-            raise ValueError(f"need at least 2 training samples, got k={self.k}")
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2 for a standard error, got {self.trials}")
         if not 0 <= self.seed < _MAX_SEED:
             raise ValueError("seed must be a 64-bit non-negative integer")
-        if self.sampler not in SAMPLERS:
-            raise ValueError(f"sampler must be one of {SAMPLERS}, got {self.sampler!r}")
 
 
 @dataclass(frozen=True)
 class SampleCovariance:
-    """Sample covariance of the training data with its degrees of freedom."""
+    """Sample covariance S_xx of the training data (symmetrized), the learned attack's input."""
 
     s_xx: np.ndarray
-    dof: int
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "s_xx", symmetrize(self.s_xx))
-        if self.dof < 1:
-            raise ValueError(f"degrees of freedom must be >= 1, got {self.dof}")
 
     @property
     def n(self) -> int:
@@ -126,7 +131,7 @@ def sample_covariance(samples: np.ndarray) -> SampleCovariance:
         raise ValueError(f"need at least 2 samples, got {k}")
     centered = x - x.mean(axis=0)
     s = centered.T @ centered / (k - 1)
-    return SampleCovariance(s_xx=s, dof=k - 1)
+    return SampleCovariance(s_xx=s)
 
 
 def _check_bartlett_dof(sampler: str, k: int, n: int, dim: str = "N") -> None:
@@ -149,31 +154,6 @@ def _lower_indices(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _trials_per_chunk(n: int) -> int:
     """Trials per Monte Carlo chunk: their n x n Grams hold about ``_CHUNK_ENTRIES`` floats."""
     return max(1, _CHUNK_ENTRIES // (n * n))
-
-
-def _bartlett_draws(
-    n: int, ks: Sequence[int], rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Bartlett draws of ``count`` trials for every K in ``ks`` (needs K-1 >= n).
-
-    First the chi diagonals of every K, shape (count, len(ks), n), then the
-    standard normals below the diagonal, which all K share, as strictly
-    lower triangular matrices L of shape (count, n, n).  The factor of the
-    j-th K is B = L + diag(chi[:, j]), and B B^T ~ Wishart(K-1, I_n).
-    """
-    dof = np.asarray(ks)[:, None] - 1 - np.arange(n)
-    chi = np.sqrt(rng.chisquare(dof, size=(count, len(ks), n)))
-    below = _lower_indices(n)
-    lower = np.zeros((count, n, n))
-    lower[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
-    return chi, lower
-
-
-def _bartlett_factors(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
-    """``count`` lower triangular factors B, shape (count, n, n), B B^T ~ Wishart(k-1, I_n)."""
-    chi, factor = _bartlett_draws(n, (k,), rng, count)
-    factor.reshape(count, n * n)[:, :: n + 1] = chi[:, 0]
-    return factor
 
 
 def _empirical_grams(k: int, rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
@@ -217,15 +197,21 @@ def _white_grams(
 
     ``w``, shape (count, n, n), gets G's strict lower triangle; its diagonal
     and upper triangle are scratch.  It is overwritten for the next K, so use
-    it first.  ``bartlett`` draws the chi diagonals of every K and the shared
-    normals L once (:func:`_bartlett_draws`) and, with B = L + diag(c) at
-    each K, forms L L^T once; the strict lower triangle of G = B B^T is then
-    that of L L^T + L diag(c), and diag(G) = diag(L L^T) + c^2.
+    it first.  ``bartlett`` (needs K-1 >= n) draws the chi diagonals c of
+    every K, shape (count, len(ks), n), then the standard normals below the
+    diagonal, which all K share, as strictly lower triangular matrices L.
+    With the Bartlett factor B = L + diag(c) at each K, B B^T ~
+    Wishart(K-1, I_n); L L^T is formed once, and the strict lower triangle
+    of G = B B^T is that of L L^T + L diag(c), with diag(G) = diag(L L^T) + c^2.
     ``empirical`` draws each K's centred scatters in turn (:func:`_empirical_grams`).
     """
     count, n, _ = w.shape
     if sampler == "bartlett":
-        chi, lower = _bartlett_draws(n, ks, rng, count)
+        dof = np.asarray(ks)[:, None] - 1 - np.arange(n)
+        chi = np.sqrt(rng.chisquare(dof, size=(count, len(ks), n)))
+        below = _lower_indices(n)
+        lower = np.zeros((count, n, n))
+        lower[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
         shared = lower @ np.swapaxes(lower, 1, 2)
         shared_diag = np.diagonal(shared, axis1=1, axis2=2)
         for c in np.moveaxis(chi, 1, 0):
@@ -247,39 +233,36 @@ def draw_sample_covariance(
     """Draw one sample covariance of K Gaussian state realizations.
 
     Both samplers realize the same law, (1/(K-1)) Wishart(K-1, S_xx): the
-    ``empirical`` path draws K white state vectors, takes their centred
-    scatter G (:func:`_empirical_grams`) and returns L G L^T / (K-1) with
-    L = chol(S_xx); the ``bartlett`` path draws the Wishart factor directly
-    (cost independent of K, but it needs K-1 >= N).  Deterministic given
-    (seed, sampler).  Raises ``ValueError`` if K is not an integer or S_xx
-    holds a nan or inf.
+    white Gram G ~ Wishart(K-1, I_N) is the Monte Carlo's one-trial draw
+    (:func:`_white_grams` from ``default_rng(seed)``), a Bartlett factor
+    product (cost independent of K, but it needs K-1 >= N) or the centred
+    scatter of K white state vectors, and the result is
+    L G L^T / (K-1) with L = chol(S_xx).  Deterministic given
+    (seed, sampler).  Raises ``ValueError`` if K is not an integer >= 2,
+    the sampler is unknown or S_xx holds a nan or inf.
     """
-    if sampler not in SAMPLERS:
-        raise ValueError(f"sampler must be one of {SAMPLERS}, got {sampler!r}")
-    _check_count("k", k)
-    if k < 2:
-        raise ValueError(f"need at least 2 training samples, got k={k}")
+    _check_draw(k, sampler)
     sxx = _as_matrix(sigma_xx)
     _check_finite(S_xx=sxx)
-    _check_bartlett_dof(sampler, k, sxx.shape[0])
-    n, rng, left = sxx.shape[0], np.random.default_rng(seed), np.linalg.cholesky(sxx)
-    if sampler == "bartlett":
-        b = (left @ _bartlett_factors(n, k, rng, 1))[0]
-        return SampleCovariance(s_xx=b @ b.T / (k - 1), dof=k - 1)
-    g = _empirical_grams(k, rng, np.empty((1, n, n)))[0]
-    return SampleCovariance(s_xx=left @ g @ left.T / (k - 1), dof=k - 1)
+    n = sxx.shape[0]
+    _check_bartlett_dof(sampler, k, n)
+    w = np.empty((1, n, n))
+    (g_diag,) = _white_grams((k,), sampler, np.random.default_rng(seed), w)
+    g, (i, j) = w[0], _lower_indices(n)
+    g[j, i] = g[i, j]
+    g.flat[:: n + 1] = g_diag[0]
+    left = np.linalg.cholesky(sxx)
+    return SampleCovariance(s_xx=left @ g @ left.T / (k - 1))
 
 
 def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel:
-    """Attack covariance built from a sample covariance: H S_xx H^T.
+    """The learned attack: the optimal construction H S_xx H^T on the sample covariance.
 
-    Raises ``ValueError`` if H or S_xx holds a nan or inf.
+    :func:`~stealthgrid.gaussian.optimal_attack_covariance` applied to
+    ``s.s_xx``, with its checks: a nan or inf in H or S_xx, or an H whose
+    column count is not S_xx's dimension, raises ``ValueError``.
     """
-    h = np.asarray(h, dtype=float)
-    _check_finite(H=h, S_xx=s.s_xx)
-    if h.shape[1] != s.n:
-        raise ValueError(f"H has {h.shape[1]} columns but S_xx is {s.n}-dimensional")
-    return AttackModel(sigma_aa=symmetrize(h @ s.s_xx @ h.T))
+    return optimal_attack_covariance(h, s.s_xx)
 
 
 def estimate_ergodic_cost(

@@ -39,6 +39,21 @@ def centred_factors(x: np.ndarray) -> np.ndarray:
     return np.swapaxes(x - x.mean(axis=1, keepdims=True), 1, 2)
 
 
+def bartlett_factors(n: int, k: int, rng: np.random.Generator, count: int) -> np.ndarray:
+    """``count`` lower triangular Bartlett factors B, shape (count, n, n), B B^T ~ Wishart(k-1, I_n).
+
+    Drawn in the library's order: the chi-square diagonals of every trial,
+    then the standard normals below the diagonal, row by row.  The reference
+    for the Bartlett Gram G = L L^T + L diag(c) with B = L + diag(c).
+    """
+    chi = np.sqrt(rng.chisquare(k - 1 - np.arange(n), size=(count, n)))
+    below = np.tril_indices(n, -1)
+    factors = np.zeros((count, n, n))
+    factors[:, below[0], below[1]] = rng.standard_normal((count, below[0].size))
+    factors[:, np.arange(n), np.arange(n)] = chi
+    return factors
+
+
 def standard_wishart_extremes(
     l: int, dof: int, draws: int, seed: int, batch: int = 500
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

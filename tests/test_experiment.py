@@ -218,11 +218,14 @@ def test_config_validation():
         ({"k_grid": 50}, "'k_grid' must be an iterable of integers, got 50"),
         ({"k_grid": "50"}, "'k_grid' must be an iterable of integers, got '50'"),
         ({"k_grid": np.array(50)}, "'k_grid' must be an iterable of integers, got array(50)"),
+        ({"seed": -1}, "'seed' must lie in [0, 2**64), got -1"),
+        ({"seed": 2**64}, f"'seed' must lie in [0, 2**64), got {2**64}"),
+        ({"k_grid": (1, 50)}, "every K in 'k_grid' must be >= 2, got (1, 50)"),
     ],
     ids=["rho-string", "rho-bool", "snr_db-none", "seed-string", "seed-float", "trials-float",
          "trials-bool", "output_dir-int", "case_path-int", "h_path-list",
          "measurements-int-flag", "measurements-unknown-flag", "k_grid-int", "k_grid-string",
-         "k_grid-0d-array"],
+         "k_grid-0d-array", "seed-negative", "seed-2**64", "k_grid-k=1"],
 )
 def test_config_rejects_values_of_the_wrong_type(changed, message):
     with pytest.raises(ValueError, match=re.escape(message)):

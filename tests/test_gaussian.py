@@ -174,6 +174,17 @@ def test_optimal_attack_rank_on_ieee30(ieee30_h):
     assert np.linalg.matrix_rank(attack.sigma_aa) == 29
 
 
+@pytest.mark.parametrize(
+    "build",
+    [optimal_attack_covariance,
+     lambda h, sxx: learned_attack_covariance(h, SampleCovariance(s_xx=sxx))],
+    ids=["optimal", "learned"],
+)
+def test_attack_rejects_h_whose_columns_do_not_match_s_xx(build):
+    with pytest.raises(ValueError, match="^H has 2 columns but S_xx is 3-dimensional$"):
+        build(np.ones((4, 2)), np.eye(3))
+
+
 def test_attack_from_matrix_clips_roundoff():
     m = np.diag([1.0, -1e-12])
     attack = attack_from_matrix(m)
@@ -404,7 +415,7 @@ def _poisoned_draw(bad):
         (lambda bad: attack_from_matrix(_poisoned((3, 3), bad)), "matrix"),
         (_poisoned_information, "S_aa"),
         (lambda bad: learned_attack_covariance(
-            _poisoned((3, 2), bad), SampleCovariance(s_xx=np.eye(2), dof=4)), "H"),
+            _poisoned((3, 2), bad), SampleCovariance(s_xx=np.eye(2))), "H"),
         (_poisoned_draw, "S_xx"),
         (lambda bad: solve_bound_program([bad, 1.0], 10), "b"),
     ],

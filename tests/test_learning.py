@@ -27,14 +27,14 @@ from stealthgrid import (
     toeplitz_covariance,
 )
 from stealthgrid.gaussian import RANK_TOL, logdet_psd
-from stealthgrid.learning import SAMPLERS, _bartlett_factors, _empirical_grams, _trials_per_chunk
-from helpers import BAD_SIGMA, centred_factors, pinned_digest
+from stealthgrid.learning import SAMPLERS, _empirical_grams, _trials_per_chunk, _white_grams
+from helpers import BAD_SIGMA, bartlett_factors, centred_factors, pinned_digest
 
 
 def _white_factors(p, k, sampler, rng, count):
     """The Monte Carlo's white draws of ``count`` trials as factors B, B B^T = G."""
     if sampler == "bartlett":
-        return _bartlett_factors(p, k, rng, count)
+        return bartlett_factors(p, k, rng, count)
     return centred_factors(rng.standard_normal((count, k, p)))
 
 
@@ -46,7 +46,6 @@ def _white_factors(p, k, sampler, rng, count):
 def test_sample_covariance_two_points():
     s = sample_covariance(np.array([1.0, -1.0]))
     assert s.s_xx[0, 0] == pytest.approx(2.0)
-    assert s.dof == 1
 
 
 def test_sample_covariance_identical_samples_is_zero():
@@ -76,14 +75,14 @@ def test_draw_scalar_matches_chi_square_moments():
     draws = 100_000
     cov = StateCovariance(sigma_xx=np.array([[1.0]]))
     left = np.linalg.cholesky(cov.sigma_xx)
-    b = _bartlett_factors(1, d + 1, np.random.default_rng(99), draws)
+    b = bartlett_factors(1, d + 1, np.random.default_rng(99), draws)
     vals = b[:, 0, 0] ** 2 / d
     tol = 3.0 * math.sqrt(2.0 / d) / math.sqrt(draws)
     assert abs(vals.mean() - 1.0) <= tol
-    # draw_sample_covariance is chol(S_xx) times the count=1 white draw of the same path
+    # with S_xx = 1, draw_sample_covariance is the count=1 white draw of the same stream, c^2 / d
     for i in range(5):
         seed = np.random.SeedSequence((99, i))
-        one = (left @ _bartlett_factors(1, d + 1, np.random.default_rng(seed), 1))[0]
+        one = (left @ bartlett_factors(1, d + 1, np.random.default_rng(seed), 1))[0]
         assert draw_sample_covariance(cov, d + 1, seed=seed).s_xx[0, 0] == (one @ one.T / d)[0, 0]
 
 
@@ -141,7 +140,7 @@ def test_bartlett_requires_enough_dof():
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_draw_of_an_empty_covariance_is_empty(sampler):
     s = draw_sample_covariance(np.zeros((0, 0)), 5, seed=1, sampler=sampler)
-    assert s.s_xx.shape == (0, 0) and s.dof == 4
+    assert s.s_xx.shape == (0, 0)
 
 
 @pytest.mark.parametrize("n, k", [(29, 1000), (150, 120)], ids=["full-rank", "singular"])
@@ -172,17 +171,62 @@ def test_samplers_agree_in_distribution():
     assert stats.ks_2samp(bartlett, empirical).pvalue > 0.01
 
 
+@pytest.mark.parametrize("n, k", [(1, 2), (5, 9), (29, 50)])
+@pytest.mark.parametrize("sampler", SAMPLERS)
+def test_draw_is_the_monte_carlo_gram_lifted_by_chol(sampler, n, k):
+    # one writer: a draw is chol(S_xx) G chol(S_xx)^T / (K-1) bit for bit, G the
+    # Monte Carlo's one-trial white Gram from the same seed, upper triangle from the lower
+    cov = toeplitz_covariance(n, 0.6)
+    w = np.empty((1, n, n))
+    (g_diag,) = _white_grams((k,), sampler, np.random.default_rng(13), w)
+    lower = np.tril(w[0], -1)
+    g = lower + lower.T + np.diag(g_diag[0])
+    left = np.linalg.cholesky(cov.sigma_xx)
+    want = SampleCovariance(left @ g @ left.T / (k - 1)).s_xx
+    got = draw_sample_covariance(cov, k, seed=13, sampler=sampler).s_xx
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("n, k", [(1, 2), (3, 4), (10, 40), (29, 3000)])
+def test_bartlett_draw_matches_the_factor_oracle(n, k):
+    # the writer's G = L L^T + L diag(c) against (chol(S_xx) B)(chol(S_xx) B)^T / (K-1)
+    # for the factor B = L + diag(c) of the same stream: they differ by rounding only
+    cov = toeplitz_covariance(n, 0.6)
+    left = np.linalg.cholesky(cov.sigma_xx)
+    for seed in range(10):
+        got = draw_sample_covariance(cov, k, seed=seed).s_xx
+        b = left @ bartlett_factors(n, k, np.random.default_rng(seed), 1)[0]
+        want = b @ b.T / (k - 1)
+        assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), seed
+
+
+@pytest.mark.parametrize(
+    "k, sampler, message",
+    [(1, "bartlett", "need at least 2 training samples, got k=1"),
+     (10.5, "bartlett", "k must be an integer, got 10.5"),
+     (5, "other", "sampler must be one of ('bartlett', 'empirical'), got 'other'")],
+    ids=["k=1", "k-float", "sampler"],
+)
+def test_training_config_and_draw_reject_k_and_sampler_alike(k, sampler, message):
+    with pytest.raises(ValueError, match=re.escape(message)) as config_error:
+        TrainingConfig(k, seed=0, sampler=sampler)
+    with pytest.raises(ValueError, match=re.escape(message)) as draw_error:
+        draw_sample_covariance(np.eye(3), k, seed=0, sampler=sampler)
+    assert str(config_error.value) == str(draw_error.value)
+
+
 # ---------------------------------------------------------------------------
 # learned_attack_covariance
 # ---------------------------------------------------------------------------
 
 
 def test_learned_with_true_covariance_equals_optimal(ieee30_h):
+    # the learned attack is the optimal construction on S_xx, bit for bit, also on a draw
     cov = toeplitz_covariance(29, 0.5)
-    s = SampleCovariance(s_xx=cov.sigma_xx, dof=10)
-    learned = learned_attack_covariance(ieee30_h, s)
-    optimal = optimal_attack_covariance(ieee30_h, cov)
-    np.testing.assert_allclose(learned.sigma_aa, optimal.sigma_aa, atol=1e-12)
+    for s in (SampleCovariance(s_xx=cov.sigma_xx), draw_sample_covariance(cov, 40, seed=3)):
+        learned = learned_attack_covariance(ieee30_h, s)
+        optimal = optimal_attack_covariance(ieee30_h, s.s_xx)
+        assert learned.sigma_aa.tobytes() == optimal.sigma_aa.tobytes()
 
 
 def test_learned_with_zero_sample_is_zero():
@@ -192,7 +236,7 @@ def test_learned_with_zero_sample_is_zero():
 
 
 def test_learned_scalar_arithmetic():
-    s = SampleCovariance(s_xx=np.array([[3.0]]), dof=1)
+    s = SampleCovariance(s_xx=np.array([[3.0]]))
     learned = learned_attack_covariance(np.array([[2.0]]), s)
     assert learned.sigma_aa[0, 0] == pytest.approx(12.0)
 
@@ -293,7 +337,7 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
     for start in range(0, trials, chunk):
         for b in _white_factors(p, k, sampler, draws, min(chunk, trials - start)):
             s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
-            attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
+            attack = learned_attack_covariance(h, SampleCovariance(s_xx))
             costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
     assert len(costs) == trials
     if shape == "zero":
@@ -367,7 +411,7 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
                 factors = centred_factors(draws.standard_normal((count, k, p)))
             for b in factors:
                 s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
-                attack = learned_attack_covariance(h, SampleCovariance(s_xx, k - 1))
+                attack = learned_attack_covariance(h, SampleCovariance(s_xx))
                 cost = stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma)
                 costs[j].append(cost)
     for (est,), k, row in zip(sweep, ks, costs):
