@@ -29,7 +29,6 @@ from .gaussian import (
 )
 
 __all__ = [
-    "digamma",
     "EigBoundPair",
     "extreme_eig_bounds",
     "expected_logdet_std_wishart",
@@ -68,21 +67,12 @@ def _digamma(x: np.ndarray) -> np.ndarray:
     return np.log(y) - 0.5 / y - series - recurrence
 
 
-def digamma(n: int) -> float:
-    """Digamma function at a positive integer, accurate to about 1e-15."""
-    if not (0 < n < math.inf and n == int(n)):  # nan and inf fail before int()
-        raise ValueError(f"digamma is defined here for positive integers, got {n}")
-    return float(_digamma(np.array(float(n))))
-
-
 @dataclass(frozen=True)
 class EigBoundPair:
     """Bounds on the expected extreme eigenvalues of a white Wishart matrix."""
 
     lower_min: float
     upper_max: float
-    l: int
-    k: int
 
 
 def extreme_eig_bounds(l: int, k: int) -> EigBoundPair:
@@ -106,8 +96,6 @@ def extreme_eig_bounds(l: int, k: int) -> EigBoundPair:
     return EigBoundPair(
         lower_min=(1.0 - ratio) ** 2,
         upper_max=(1.0 + ratio) ** 2 + 1.0 / (k - 1),
-        l=l,
-        k=k,
     )
 
 
@@ -420,14 +408,15 @@ def logdet_lower_bound(
         raise ValueError(f"need m >= p (got m={m}, p={p})")
     digamma_sum = expected_logdet_std_wishart(p, k, formula)
     key = (spectrum.eigenvalues.tobytes(), sigma)
-    if _last_context is None or _last_context.key != key:
-        _last_context = _BoundContext(key, spectrum, sigma)
-    program = _bound_program(_last_context, k) if p else None
+    context = _last_context  # read once: another thread may replace it
+    if context is None or context.key != key:
+        context = _last_context = _BoundContext(key, spectrum, sigma)
+    program = _bound_program(context, k) if p else None
     objective = program.objective if program else 0.0
     lower = _LowerBound(digamma_sum + objective + 2.0 * m * math.log(sigma))
     lower.digamma_sum = digamma_sum
     lower.program = program
-    lower.context = _last_context
+    lower.context = context
     return lower
 
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields
 
 import numpy as np
 
@@ -24,21 +25,23 @@ from .grid import (
 )
 from .learning import SAMPLERS, TrainingConfig, spectral_ergodic_costs
 
-_MEASUREMENT_CLASSES = {"from_flows", "to_flows", "injections"}
+#: Class name -> default of each ``include_<class>`` flag of :class:`MeasurementSelection`.
+_MEASUREMENT_CLASSES = {
+    flag.name.removeprefix("include_"): flag.default for flag in fields(MeasurementSelection)
+}
+_DEFAULT_MEASUREMENTS = ",".join(name for name, on in _MEASUREMENT_CLASSES.items() if on)
 
 
 def _parse_measurements(spec: str) -> MeasurementSelection:
     chosen = {part.strip() for part in spec.split(",") if part.strip()}
-    unknown = chosen - _MEASUREMENT_CLASSES
+    unknown = chosen - _MEASUREMENT_CLASSES.keys()
     if unknown:
         raise ValueError(
             f"unknown measurement classes {sorted(unknown)}; "
             f"choose from {sorted(_MEASUREMENT_CLASSES)}"
         )
     return MeasurementSelection(
-        include_from_flows="from_flows" in chosen,
-        include_to_flows="to_flows" in chosen,
-        include_injections="injections" in chosen,
+        **{f"include_{name}": name in chosen for name in _MEASUREMENT_CLASSES}
     )
 
 
@@ -57,8 +60,8 @@ def _add_system_args(parser: argparse.ArgumentParser) -> None:
     group.add_argument("--h-csv", help="precomputed measurement matrix (headerless CSV)")
     parser.add_argument(
         "--measurements",
-        default="from_flows,injections",
-        help="comma list from {from_flows,to_flows,injections} (default: %(default)s)",
+        default=_DEFAULT_MEASUREMENTS,
+        help=f"comma list from {{{','.join(_MEASUREMENT_CLASSES)}}} (default: %(default)s)",
     )
     parser.add_argument("--rho", type=float, required=True, help="Toeplitz decay parameter")
     parser.add_argument("--snr-db", type=float, default=20.0, help="SNR in dB (default: 20)")
@@ -165,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("model", help="build the DC measurement matrix")
     p.add_argument("case", help="case path, or 'bundled:ieee30'")
-    p.add_argument("--measurements", default="from_flows,injections")
+    p.add_argument("--measurements", default=_DEFAULT_MEASUREMENTS)
     p.add_argument("--save-h", help="write H as headerless CSV")
     p.set_defaults(handler=_cmd_model)
 

@@ -168,15 +168,22 @@ def blas_kernel() -> bytes | None:
     The last bits of BLAS and LAPACK results depend on it, so byte-identical
     output holds per (config, kernel); ``OPENBLAS_CORETYPE`` overrides the
     one OpenBLAS picks for the CPU.  The library is found among the mapped
-    files of this process, so the name is None off Linux or with another BLAS.
+    files of this process, by the pathname that ends each line and may hold
+    spaces, so the name is None off Linux, with another BLAS or if the
+    library does not load.
     """
     try:
         with open("/proc/self/maps", encoding="utf-8") as maps:
-            paths = {line.split()[-1] for line in maps if "openblas" in line.lower()}
+            paths = {line.rstrip("\n").split(maxsplit=5)[5]
+                     for line in maps if "openblas" in line.lower()}
     except OSError:
         return None
     for path in sorted(paths):
-        corename = getattr(ctypes.CDLL(path), "scipy_openblas_get_corename64_", None)
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        corename = getattr(library, "scipy_openblas_get_corename64_", None)
         if corename is not None:
             corename.restype = ctypes.c_char_p
             return corename()

@@ -117,10 +117,6 @@ class StateCovariance:
         np.linalg.cholesky(m)  # positive-definiteness check
         object.__setattr__(self, "sigma_xx", m)
 
-    @property
-    def n(self) -> int:
-        return int(self.sigma_xx.shape[0])
-
 
 @dataclass(frozen=True)
 class AttackModel:
@@ -350,8 +346,9 @@ def nonzero_spectrum(h: np.ndarray, sigma_xx) -> SpectralData:
     h = np.asarray(h, dtype=float)
     sxx = _as_matrix(sigma_xx)
     key = (h.shape, sxx.shape, h.tobytes(), sxx.tobytes())
-    if _last_system is not None and _last_system[0] == key:
-        return _last_system[1]
+    last = _last_system  # read once: another thread may replace it
+    if last is not None and last[0] == key:
+        return last[1]
     _check_finite(H=h, S_xx=sxx)
     spectrum = _spectrum(h, sxx)
     _last_system = (key, spectrum)

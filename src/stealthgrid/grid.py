@@ -126,7 +126,7 @@ class MeasurementSelection:
             value = getattr(self, flag.name)
             if not isinstance(value, bool):
                 raise ValueError(f"{flag.name} must be a bool, got {value!r}")
-        if not (self.include_from_flows or self.include_to_flows or self.include_injections):
+        if not any(getattr(self, flag.name) for flag in fields(self)):
             raise ValueError("measurement selection is empty: select at least one class")
 
 

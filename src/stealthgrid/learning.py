@@ -16,7 +16,6 @@ from functools import lru_cache
 import numpy as np
 
 from .gaussian import (
-    AttackModel,
     SpectralData,
     StateCovariance,
     _as_matrix,
@@ -25,17 +24,14 @@ from .gaussian import (
     _check_sigma,
     logdet_psd,
     nonzero_spectrum,
-    optimal_attack_covariance,
     symmetrize,
 )
 
 __all__ = [
     "TrainingConfig",
-    "SampleCovariance",
     "ErgodicEstimate",
     "sample_covariance",
     "draw_sample_covariance",
-    "learned_attack_covariance",
     "estimate_ergodic_cost",
     "spectral_ergodic_costs",
 ]
@@ -87,20 +83,6 @@ class TrainingConfig:
 
 
 @dataclass(frozen=True)
-class SampleCovariance:
-    """Sample covariance S_xx of the training data (symmetrized), the learned attack's input."""
-
-    s_xx: np.ndarray
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "s_xx", symmetrize(self.s_xx))
-
-    @property
-    def n(self) -> int:
-        return int(self.s_xx.shape[0])
-
-
-@dataclass(frozen=True)
 class ErgodicEstimate:
     """Monte Carlo mean/stderr of the learned-attack cost at one K."""
 
@@ -110,11 +92,12 @@ class ErgodicEstimate:
     k: int
 
 
-def sample_covariance(samples: np.ndarray) -> SampleCovariance:
-    """Centred sample covariance of row-wise observations with divisor K-1.
+def sample_covariance(samples: np.ndarray) -> np.ndarray:
+    """Centred sample covariance S_xx of row-wise observations with divisor K-1, symmetrized.
 
     For K Gaussian observations it follows a scaled Wishart law with K-1
-    degrees of freedom.
+    degrees of freedom.  The learned attack is
+    :func:`~stealthgrid.gaussian.optimal_attack_covariance` on it.
 
     Parameters
     ----------
@@ -130,8 +113,7 @@ def sample_covariance(samples: np.ndarray) -> SampleCovariance:
     if k < 2:
         raise ValueError(f"need at least 2 samples, got {k}")
     centered = x - x.mean(axis=0)
-    s = centered.T @ centered / (k - 1)
-    return SampleCovariance(s_xx=s)
+    return symmetrize(centered.T @ centered / (k - 1))
 
 
 def _check_bartlett_dof(sampler: str, k: int, n: int, dim: str = "N") -> None:
@@ -229,8 +211,8 @@ def draw_sample_covariance(
     k: int,
     seed: int | np.random.SeedSequence,
     sampler: str = "bartlett",
-) -> SampleCovariance:
-    """Draw one sample covariance of K Gaussian state realizations.
+) -> np.ndarray:
+    """Draw one sample covariance S_xx of K Gaussian state realizations, symmetrized.
 
     Both samplers realize the same law, (1/(K-1)) Wishart(K-1, S_xx): the
     white Gram G ~ Wishart(K-1, I_N) is the Monte Carlo's one-trial draw
@@ -252,17 +234,7 @@ def draw_sample_covariance(
     g[j, i] = g[i, j]
     g.flat[:: n + 1] = g_diag[0]
     left = np.linalg.cholesky(sxx)
-    return SampleCovariance(s_xx=left @ g @ left.T / (k - 1))
-
-
-def learned_attack_covariance(h: np.ndarray, s: SampleCovariance) -> AttackModel:
-    """The learned attack: the optimal construction H S_xx H^T on the sample covariance.
-
-    :func:`~stealthgrid.gaussian.optimal_attack_covariance` applied to
-    ``s.s_xx``, with its checks: a nan or inf in H or S_xx, or an H whose
-    column count is not S_xx's dimension, raises ``ValueError``.
-    """
-    return optimal_attack_covariance(h, s.s_xx)
+    return symmetrize(left @ g @ left.T / (k - 1))
 
 
 def estimate_ergodic_cost(

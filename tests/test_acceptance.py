@@ -99,7 +99,7 @@ def test_criterion_3_wishart_machinery():
         total = np.zeros((3, 3))
         totalsq = np.zeros((3, 3))
         for i in range(draws):
-            s = draw_sample_covariance(cov, 20, seed=np.random.SeedSequence((303, i))).s_xx
+            s = draw_sample_covariance(cov, 20, seed=np.random.SeedSequence((303, i)))
             total += s
             totalsq += s**2
         mean = total / draws

@@ -3,7 +3,9 @@ from __future__ import annotations
 import hashlib
 import math
 import re
+import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -15,7 +17,6 @@ from stealthgrid import (
     SpectralData,
     StateCovariance,
     TrainingConfig,
-    digamma,
     ergodic_upper_bound,
     estimate_ergodic_cost,
     expected_logdet_std_wishart,
@@ -41,22 +42,22 @@ SCALAR_SPEC = nonzero_spectrum(np.array([[1.0]]), np.array([[1.0]]))
 
 
 def test_digamma_at_one():
-    assert digamma(1) == pytest.approx(-EULER_GAMMA, abs=1e-14)
+    assert _digamma(1) == pytest.approx(-EULER_GAMMA, abs=1e-14)
 
 
 def test_digamma_at_two():
-    assert digamma(2) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-14)
+    assert _digamma(2) == pytest.approx(1.0 - EULER_GAMMA, abs=1e-14)
 
 
 def test_digamma_at_ten_harmonic_oracle():
     h9 = math.fsum(1.0 / k for k in range(1, 10))
-    assert digamma(10) == pytest.approx(h9 - EULER_GAMMA, abs=1e-14)
-    assert digamma(10) == pytest.approx(2.2517526, abs=1e-7)
+    assert _digamma(10) == pytest.approx(h9 - EULER_GAMMA, abs=1e-14)
+    assert _digamma(10) == pytest.approx(2.2517526, abs=1e-7)
 
 
 @pytest.mark.parametrize("n", [1, 2, 3, 17, 9999, 10_000, 10_001, 50_000, 10**8])
 def test_digamma_matches_scipy(n):
-    assert digamma(n) == pytest.approx(float(special.digamma(n)), abs=1e-12)
+    assert _digamma(n) == pytest.approx(float(special.digamma(n)), abs=1e-12)
 
 
 @pytest.mark.parametrize("twice", [1, 3, 5, 99, 19_999, 20_001, 10**7 + 1])
@@ -64,21 +65,6 @@ def test_half_integer_digamma_matches_scipy(twice):
     assert float(_digamma(twice / 2.0)) == pytest.approx(
         float(special.digamma(twice / 2.0)), abs=1e-12
     )
-
-
-def test_digamma_rejects_nonpositive():
-    with pytest.raises(ValueError):
-        digamma(0)
-    with pytest.raises(ValueError):
-        digamma(-3)
-
-
-@pytest.mark.parametrize(
-    "n", [math.inf, math.nan, -math.inf, 2.5], ids=["inf", "nan", "-inf", "2.5"]
-)
-def test_digamma_rejects_non_finite_and_non_integers(n):
-    with pytest.raises(ValueError, match="digamma is defined here for positive integers"):
-        digamma(n)
 
 
 # ---------------------------------------------------------------------------
@@ -123,13 +109,13 @@ def test_max_singular_value_variance_below_one():
 
 def test_expected_logdet_paper_small_case():
     value = expected_logdet_std_wishart(1, 11, "paper")
-    assert value == pytest.approx(digamma(10) - math.log(10.0), abs=1e-12)
+    assert value == pytest.approx(_digamma(10) - math.log(10.0), abs=1e-12)
     assert value == pytest.approx(-0.0508325, abs=1e-7)
 
 
 def test_expected_logdet_real_exact_small_case():
     value = expected_logdet_std_wishart(1, 11, "real_exact")
-    assert value == pytest.approx(digamma(5) + math.log(2.0) - math.log(10.0), abs=1e-12)
+    assert value == pytest.approx(_digamma(5) + math.log(2.0) - math.log(10.0), abs=1e-12)
     assert value == pytest.approx(-0.1033, abs=1e-4)
 
 
@@ -451,7 +437,7 @@ def test_logdet_lower_rank_zero_is_exact():
 
 def test_logdet_lower_scalar_digamma_arithmetic():
     value = logdet_lower_bound(SCALAR_SPEC, 1.0, 1, 101, "paper")
-    expected = digamma(100) - math.log(100.0) + math.log(2.0)
+    expected = _digamma(100) - math.log(100.0) + math.log(2.0)
     assert value == pytest.approx(expected, abs=1e-12)
     assert value == pytest.approx(0.68814, abs=1e-5)
 
@@ -523,7 +509,7 @@ SCALAR_COV = StateCovariance(sigma_xx=np.array([[1.0]]))
 
 def test_bound_scalar_hand_value():
     result = ergodic_upper_bound(SCALAR_H, SCALAR_COV, 1.0, 101, "paper")
-    expected = 0.5 * (0.5 + math.log(2.0) - (digamma(100) - math.log(100.0) + math.log(2.0)))
+    expected = 0.5 * (0.5 + math.log(2.0) - (_digamma(100) - math.log(100.0) + math.log(2.0)))
     assert result.value == pytest.approx(expected, abs=1e-12)
     assert result.value == pytest.approx(0.25250, abs=1e-5)
 
@@ -767,6 +753,47 @@ def test_a_bound_looks_up_its_program_and_digamma_sum_once(monkeypatch):
     assert result.logdet_lower == logdet_lower_bound(THREE_SPEC, 0.5, 3, 10)
     assert bounds._last_context.key == (THREE_SPEC.eigenvalues.tobytes(), 0.5)
     assert result.program is program(bounds._last_context, 10)
+
+
+def test_a_bound_keeps_its_context_when_the_slot_is_replaced_meanwhile(monkeypatch):
+    # another thread may replace the slot at any point of a bound; here it
+    # happens while the program is looked up
+    spectrum, other = SpectralData(np.array([3.0, 1.5, 0.5])), SpectralData(np.array([7.0, 0.25]))
+    _fresh_slots(monkeypatch)
+    expected = spectral_upper_bound(spectrum, 0.3, 6, 20)
+    other_context = logdet_lower_bound(other, 0.7, 6, 20).context
+    program = bounds._bound_program
+
+    def replaced_meanwhile(context, k):
+        result = program(context, k)
+        bounds._last_context = other_context
+        return result
+
+    monkeypatch.setattr(bounds, "_bound_program", replaced_meanwhile)
+    _fresh_slots(monkeypatch)
+    got = spectral_upper_bound(spectrum, 0.3, 6, 20)
+    assert (got.value, got.logdet_lower) == (expected.value, expected.logdet_lower)
+
+
+def test_bounds_computed_in_three_threads_equal_those_of_one():
+    rng = np.random.default_rng(59)
+    spectra = [SpectralData(np.sort(rng.uniform(0.2, 4.0, 6))[::-1]) for _ in range(3)]
+    ks, rounds = range(8, 60), 12
+    expected = [[spectral_upper_bound(s, 0.3, 9, k).value for k in ks] for s in spectra]
+
+    def sweeps(spectrum):
+        return [[spectral_upper_bound(spectrum, 0.3, 9, k).value for k in ks]
+                for _ in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # switch threads as often as the interpreter can
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            futures = [pool.submit(sweeps, s) for s in spectra]
+            got = [future.result(timeout=120) for future in futures]
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[values] * rounds for values in expected]
 
 
 def _fresh_slots(monkeypatch) -> None:

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import dataclasses
+import io
 import json
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -113,6 +115,28 @@ def test_manifest_names_the_running_blas_kernel(tmp_path):
     manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
     kernel = experiment.blas_kernel()
     assert manifest["blas_kernel"] == (kernel.decode() if kernel else None)
+
+
+def test_blas_kernel_reads_a_library_path_with_spaces_and_skips_one_that_does_not_load(
+    tmp_path, monkeypatch
+):
+    kernel = experiment.blas_kernel()
+    libraries = sorted(Path(np.__file__).parent.parent.glob("numpy.libs/*openblas*"))
+    if kernel is None or not libraries:
+        pytest.skip("numpy runs no OpenBLAS from numpy.libs here")
+    spaced = tmp_path / "with space" / libraries[0].name
+    spaced.parent.mkdir()
+    spaced.symlink_to(libraries[0])
+
+    def maps_naming(path):
+        line = f"7f1c2a000000-7f1c2a100000 r-xp 00000000 08:01 1311     {path}\n"
+        return lambda *args, **kwargs: io.StringIO(line)
+
+    monkeypatch.setattr(experiment, "open", maps_naming(spaced), raising=False)
+    assert experiment.blas_kernel() == kernel
+    missing = tmp_path / "not here" / libraries[0].name
+    monkeypatch.setattr(experiment, "open", maps_naming(missing), raising=False)
+    assert experiment.blas_kernel() is None
 
 
 def test_run_experiment_deterministic(tmp_path):
@@ -442,6 +466,26 @@ def test_cli_model_save_roundtrip(tmp_path, capsys, ieee30_h):
     np.testing.assert_allclose(load_matrix_csv(out_csv), ieee30_h, atol=1e-12)
 
 
+@pytest.mark.parametrize(
+    "spec, rows",
+    [(None, 71), ("from_flows,injections", 71), (" to_flows ,", 41),
+     ("injections,to_flows,from_flows", 112)],
+    ids=["default", "from_flows,injections", "to_flows", "all"],
+)
+def test_cli_measurement_classes_are_the_selection_flags(capsys, spec, rows):
+    argv = ["model", "bundled:ieee30"] + (["--measurements", spec] if spec else [])
+    assert main(argv) == 0
+    assert f"measurements M: {rows}\n" in capsys.readouterr().out
+
+
+def test_cli_rejects_an_unknown_measurement_class(capsys):
+    assert main(["model", "bundled:ieee30", "--measurements", "from_flows,bogus"]) == 1
+    assert capsys.readouterr().err == (
+        "error: unknown measurement classes ['bogus']; "
+        "choose from ['from_flows', 'injections', 'to_flows']\n"
+    )
+
+
 def test_cli_optimal(capsys):
     assert main(["optimal", "--case", "bundled:ieee30", "--rho", "0.8"]) == 0
     out = capsys.readouterr().out
@@ -661,3 +705,14 @@ def test_package_exports_exactly_the_layers_public_names():
     for layer in layers:
         for name in layer.__all__:
             assert getattr(stealthgrid, name) is getattr(layer, name), name
+
+
+@pytest.mark.parametrize(
+    "module, name",
+    [(learning, "SampleCovariance"), (learning, "learned_attack_covariance"), (bounds, "digamma")],
+)
+def test_names_that_restated_another_are_gone(module, name):
+    # a sample covariance is a matrix, the learned attack is optimal_attack_covariance
+    # on it, and the digamma sum is bounds._digamma's
+    assert name not in stealthgrid.__all__
+    assert not hasattr(stealthgrid, name) and not hasattr(module, name)

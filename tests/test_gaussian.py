@@ -10,14 +10,12 @@ from stealthgrid import (
     StateCovariance,
     DerivedCovariances,
     SpectralData,
-    SampleCovariance,
     TrainingConfig,
     attack_from_matrix,
     derived_covariances,
     draw_sample_covariance,
     gaussian_kl_marginals,
     gaussian_mutual_information,
-    learned_attack_covariance,
     nonzero_spectrum,
     optimal_attack_covariance,
     optimal_cost,
@@ -177,7 +175,7 @@ def test_optimal_attack_rank_on_ieee30(ieee30_h):
 @pytest.mark.parametrize(
     "build",
     [optimal_attack_covariance,
-     lambda h, sxx: learned_attack_covariance(h, SampleCovariance(s_xx=sxx))],
+     lambda h, sxx: optimal_attack_covariance(h, draw_sample_covariance(sxx, 10, seed=0))],
     ids=["optimal", "learned"],
 )
 def test_attack_rejects_h_whose_columns_do_not_match_s_xx(build):
@@ -414,8 +412,8 @@ def _poisoned_draw(bad):
         (lambda bad: sample_covariance(_poisoned((5, 2), bad)), "samples"),
         (lambda bad: attack_from_matrix(_poisoned((3, 3), bad)), "matrix"),
         (_poisoned_information, "S_aa"),
-        (lambda bad: learned_attack_covariance(
-            _poisoned((3, 2), bad), SampleCovariance(s_xx=np.eye(2))), "H"),
+        (lambda bad: optimal_attack_covariance(
+            _poisoned((3, 2), bad), sample_covariance(np.eye(3, 2))), "H"),
         (_poisoned_draw, "S_xx"),
         (lambda bad: solve_bound_program([bad, 1.0], 10), "b"),
     ],

@@ -10,14 +10,12 @@ import pytest
 from scipy import stats
 
 from stealthgrid import (
-    SampleCovariance,
     SpectralData,
     StateCovariance,
     TrainingConfig,
     derived_covariances,
     draw_sample_covariance,
     estimate_ergodic_cost,
-    learned_attack_covariance,
     nonzero_spectrum,
     optimal_attack_covariance,
     sample_covariance,
@@ -26,7 +24,7 @@ from stealthgrid import (
     stealth_cost,
     toeplitz_covariance,
 )
-from stealthgrid.gaussian import RANK_TOL, logdet_psd
+from stealthgrid.gaussian import RANK_TOL, logdet_psd, symmetrize
 from stealthgrid.learning import SAMPLERS, _empirical_grams, _trials_per_chunk, _white_grams
 from helpers import BAD_SIGMA, bartlett_factors, centred_factors, pinned_digest
 
@@ -45,18 +43,18 @@ def _white_factors(p, k, sampler, rng, count):
 
 def test_sample_covariance_two_points():
     s = sample_covariance(np.array([1.0, -1.0]))
-    assert s.s_xx[0, 0] == pytest.approx(2.0)
+    assert s[0, 0] == pytest.approx(2.0)
 
 
 def test_sample_covariance_identical_samples_is_zero():
     s = sample_covariance(np.ones((5, 3)) * 2.7)
-    np.testing.assert_allclose(s.s_xx, 0.0, atol=1e-14)
+    np.testing.assert_allclose(s, 0.0, atol=1e-14)
 
 
 def test_sample_covariance_law_of_large_numbers():
     rng = np.random.default_rng(5)
     s = sample_covariance(rng.standard_normal(100_000))
-    assert 0.97 <= s.s_xx[0, 0] <= 1.03
+    assert 0.97 <= s[0, 0] <= 1.03
 
 
 def test_sample_covariance_rejects_single_sample():
@@ -83,7 +81,7 @@ def test_draw_scalar_matches_chi_square_moments():
     for i in range(5):
         seed = np.random.SeedSequence((99, i))
         one = (left @ bartlett_factors(1, d + 1, np.random.default_rng(seed), 1))[0]
-        assert draw_sample_covariance(cov, d + 1, seed=seed).s_xx[0, 0] == (one @ one.T / d)[0, 0]
+        assert draw_sample_covariance(cov, d + 1, seed=seed)[0, 0] == (one @ one.T / d)[0, 0]
 
 
 def test_draw_is_entrywise_unbiased():
@@ -92,7 +90,7 @@ def test_draw_is_entrywise_unbiased():
     total = np.zeros((3, 3))
     totalsq = np.zeros((3, 3))
     for i in range(draws):
-        s = draw_sample_covariance(cov, 20, seed=np.random.SeedSequence((4, i))).s_xx
+        s = draw_sample_covariance(cov, 20, seed=np.random.SeedSequence((4, i)))
         total += s
         totalsq += s**2
     mean = total / draws
@@ -102,15 +100,15 @@ def test_draw_is_entrywise_unbiased():
 
 def test_draw_same_seed_is_bit_identical():
     cov = toeplitz_covariance(4, 0.3)
-    a = draw_sample_covariance(cov, 12, seed=77).s_xx
-    b = draw_sample_covariance(cov, 12, seed=77).s_xx
+    a = draw_sample_covariance(cov, 12, seed=77)
+    b = draw_sample_covariance(cov, 12, seed=77)
     assert a.tobytes() == b.tobytes()
 
 
 def test_draw_samplers_differ_for_same_seed_but_share_law():
     cov = StateCovariance(sigma_xx=np.array([[1.0]]))
-    a = draw_sample_covariance(cov, 8, seed=1, sampler="bartlett").s_xx[0, 0]
-    b = draw_sample_covariance(cov, 8, seed=1, sampler="empirical").s_xx[0, 0]
+    a = draw_sample_covariance(cov, 8, seed=1, sampler="bartlett")[0, 0]
+    b = draw_sample_covariance(cov, 8, seed=1, sampler="empirical")[0, 0]
     assert a != b
 
 
@@ -124,8 +122,8 @@ def test_draw_rejects_k_that_is_not_an_integer(k):
 
 def test_draw_accepts_a_numpy_integer_k():
     cov = toeplitz_covariance(3, 0.4)
-    expected = draw_sample_covariance(cov, 10, seed=1).s_xx
-    assert draw_sample_covariance(cov, np.int64(10), seed=1).s_xx.tobytes() == expected.tobytes()
+    expected = draw_sample_covariance(cov, 10, seed=1)
+    assert draw_sample_covariance(cov, np.int64(10), seed=1).tobytes() == expected.tobytes()
 
 
 def test_bartlett_requires_enough_dof():
@@ -134,13 +132,13 @@ def test_bartlett_requires_enough_dof():
         draw_sample_covariance(cov, 4, seed=0, sampler="bartlett")
     # the empirical path accepts the same K and yields a singular PSD matrix
     s = draw_sample_covariance(cov, 4, seed=0, sampler="empirical")
-    assert np.linalg.eigvalsh(s.s_xx).min() >= -1e-12
+    assert np.linalg.eigvalsh(s).min() >= -1e-12
 
 
 @pytest.mark.parametrize("sampler", SAMPLERS)
 def test_draw_of_an_empty_covariance_is_empty(sampler):
     s = draw_sample_covariance(np.zeros((0, 0)), 5, seed=1, sampler=sampler)
-    assert s.s_xx.shape == (0, 0)
+    assert s.shape == (0, 0)
 
 
 @pytest.mark.parametrize("n, k", [(29, 1000), (150, 120)], ids=["full-rank", "singular"])
@@ -148,7 +146,7 @@ def test_empirical_large_k_scatter_matches_explicit_centred_product(n, k):
     # k*n above the chunk size: the scatter is summed over row blocks of the same stream
     assert k * n > 2**14
     cov = toeplitz_covariance(n, 0.5)
-    s = draw_sample_covariance(cov, k, seed=31, sampler="empirical").s_xx
+    s = draw_sample_covariance(cov, k, seed=31, sampler="empirical")
     x = np.random.default_rng(31).standard_normal((k, n)) @ np.linalg.cholesky(cov.sigma_xx).T
     centred = x - x.mean(axis=0)
     explicit = centred.T @ centred / (k - 1)
@@ -164,10 +162,10 @@ def test_samplers_agree_in_distribution():
     for i in range(draws):
         bartlett[i] = draw_sample_covariance(
             cov, 15, seed=np.random.SeedSequence((21, i)), sampler="bartlett"
-        ).s_xx[0, 0]
+        )[0, 0]
         empirical[i] = draw_sample_covariance(
             cov, 15, seed=np.random.SeedSequence((22, i)), sampler="empirical"
-        ).s_xx[0, 0]
+        )[0, 0]
     assert stats.ks_2samp(bartlett, empirical).pvalue > 0.01
 
 
@@ -182,8 +180,8 @@ def test_draw_is_the_monte_carlo_gram_lifted_by_chol(sampler, n, k):
     lower = np.tril(w[0], -1)
     g = lower + lower.T + np.diag(g_diag[0])
     left = np.linalg.cholesky(cov.sigma_xx)
-    want = SampleCovariance(left @ g @ left.T / (k - 1)).s_xx
-    got = draw_sample_covariance(cov, k, seed=13, sampler=sampler).s_xx
+    want = symmetrize(left @ g @ left.T / (k - 1))
+    got = draw_sample_covariance(cov, k, seed=13, sampler=sampler)
     assert got.tobytes() == want.tobytes()
 
 
@@ -194,7 +192,7 @@ def test_bartlett_draw_matches_the_factor_oracle(n, k):
     cov = toeplitz_covariance(n, 0.6)
     left = np.linalg.cholesky(cov.sigma_xx)
     for seed in range(10):
-        got = draw_sample_covariance(cov, k, seed=seed).s_xx
+        got = draw_sample_covariance(cov, k, seed=seed)
         b = left @ bartlett_factors(n, k, np.random.default_rng(seed), 1)[0]
         want = b @ b.T / (k - 1)
         assert np.max(np.abs(got - want)) <= 1e-15 * np.max(np.abs(want)), seed
@@ -216,29 +214,51 @@ def test_training_config_and_draw_reject_k_and_sampler_alike(k, sampler, message
 
 
 # ---------------------------------------------------------------------------
-# learned_attack_covariance
+# the learned attack: optimal_attack_covariance on a sample covariance
 # ---------------------------------------------------------------------------
 
 
 def test_learned_with_true_covariance_equals_optimal(ieee30_h):
-    # the learned attack is the optimal construction on S_xx, bit for bit, also on a draw
+    # on the true S_xx as a matrix the learned attack is the optimal one, bit for bit;
+    # on a draw it is H S_xx H^T symmetrized
     cov = toeplitz_covariance(29, 0.5)
-    for s in (SampleCovariance(s_xx=cov.sigma_xx), draw_sample_covariance(cov, 40, seed=3)):
-        learned = learned_attack_covariance(ieee30_h, s)
-        optimal = optimal_attack_covariance(ieee30_h, s.s_xx)
-        assert learned.sigma_aa.tobytes() == optimal.sigma_aa.tobytes()
+    learned = optimal_attack_covariance(ieee30_h, cov.sigma_xx)
+    assert learned.sigma_aa.tobytes() == optimal_attack_covariance(ieee30_h, cov).sigma_aa.tobytes()
+    s = draw_sample_covariance(cov, 40, seed=3)
+    learned = optimal_attack_covariance(ieee30_h, s)
+    assert learned.sigma_aa.tobytes() == symmetrize(ieee30_h @ s @ ieee30_h.T).tobytes()
 
 
 def test_learned_with_zero_sample_is_zero():
     s = sample_covariance(np.ones((3, 2)))
-    learned = learned_attack_covariance(np.ones((4, 2)), s)
+    learned = optimal_attack_covariance(np.ones((4, 2)), s)
     np.testing.assert_allclose(learned.sigma_aa, 0.0, atol=1e-14)
 
 
 def test_learned_scalar_arithmetic():
-    s = SampleCovariance(s_xx=np.array([[3.0]]))
-    learned = learned_attack_covariance(np.array([[2.0]]), s)
-    assert learned.sigma_aa[0, 0] == pytest.approx(12.0)
+    s = sample_covariance(np.array([0.0, 3.0, 6.0]))  # variance 9
+    learned = optimal_attack_covariance(np.array([[2.0]]), s)
+    assert learned.sigma_aa[0, 0] == pytest.approx(36.0)
+
+
+@pytest.mark.parametrize("source", ["samples", "bartlett", "empirical"])
+def test_a_sample_covariance_is_a_matrix_that_every_consumer_takes(source):
+    cov = toeplitz_covariance(4, 0.5)
+    if source == "samples":
+        s = sample_covariance(np.random.default_rng(8).standard_normal((9, 4)))
+    else:
+        s = draw_sample_covariance(cov, 9, seed=8, sampler=source)
+    assert type(s) is np.ndarray and s.shape == (4, 4)
+    assert s.tobytes() == s.T.tobytes()
+    h = np.random.default_rng(9).standard_normal((6, 4))
+    attack = optimal_attack_covariance(h, s)
+    assert attack.sigma_aa.tobytes() == symmetrize(h @ s @ h.T).tobytes()
+    as_state = StateCovariance(s)
+    spectrum = nonzero_spectrum(h, s)
+    assert spectrum.eigenvalues.tobytes() == nonzero_spectrum(h, as_state).eigenvalues.tobytes()
+    assert spectrum.p == 4
+    redrawn = draw_sample_covariance(s, 12, seed=3)
+    assert redrawn.tobytes() == draw_sample_covariance(as_state, 12, seed=3).tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +357,7 @@ def test_ergodic_kernel_matches_stealth_cost_oracle(shape, sampler):
     for start in range(0, trials, chunk):
         for b in _white_factors(p, k, sampler, draws, min(chunk, trials - start)):
             s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
-            attack = learned_attack_covariance(h, SampleCovariance(s_xx))
+            attack = optimal_attack_covariance(h, s_xx)
             costs.append(stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma))
     assert len(costs) == trials
     if shape == "zero":
@@ -411,7 +431,7 @@ def test_sweep_kernel_matches_stealth_cost_oracle(sampler):
                 factors = centred_factors(draws.standard_normal((count, k, p)))
             for b in factors:
                 s_xx = chol @ v_p @ (b @ b.T) @ v_p.T @ chol.T / (k - 1)
-                attack = learned_attack_covariance(h, SampleCovariance(s_xx))
+                attack = optimal_attack_covariance(h, s_xx)
                 cost = stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma)
                 costs[j].append(cost)
     for (est,), k, row in zip(sweep, ks, costs):
@@ -611,7 +631,7 @@ def test_rank_p_monte_carlo_matches_full_dimensional_draws(shape):
     est = estimate_ergodic_cost(h, cov, sigma, TrainingConfig(k, 71, 4 * trials))
     costs = np.empty(trials)
     for i in range(trials):
-        attack = learned_attack_covariance(
+        attack = optimal_attack_covariance(
             h, draw_sample_covariance(cov, k, seed=np.random.SeedSequence((72, i)))
         )
         costs[i] = stealth_cost(attack, derived_covariances(h, cov, sigma, attack), sigma)
@@ -645,7 +665,7 @@ def test_ergodic_batched_mean_matches_per_trial_draws(ieee30_h):
     costs = np.empty(trials)
     for i in range(trials):
         s = draw_sample_covariance(cov, k, seed=np.random.SeedSequence((62, i)))
-        attack = learned_attack_covariance(ieee30_h, s)
+        attack = optimal_attack_covariance(ieee30_h, s)
         costs[i] = stealth_cost(attack, derived_covariances(ieee30_h, cov, sigma, attack), sigma)
     combined = math.hypot(est.stderr, costs.std(ddof=1) / math.sqrt(trials))
     assert abs(est.mean - costs.mean()) <= 4.0 * combined
