@@ -14,7 +14,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -44,27 +43,35 @@ EULER_GAMMA = 0.5772156649015328606
 
 FORMULAS = ("paper", "real_exact")
 
-#: Arguments below this are shifted up by the recurrence before the series.
-_DIGAMMA_SERIES_FROM = 16.0
 
-
-def _digamma(x: np.ndarray) -> np.ndarray:
-    """Digamma of an array of positive reals, accurate to about 1e-15.
-
-    Shifts every argument to [16, 17) or beyond with
-    psi(x) = psi(x + 1) - 1/x, then applies the asymptotic series
-    log y - 1/(2y) - sum_j B_2j / (2j y^2j) through 1/y^10, whose first
-    omitted term is below 1e-16 there.
-    """
-    x = np.asarray(x, dtype=float)
-    steps = np.maximum(np.ceil(_DIGAMMA_SERIES_FROM - x), 0.0)
-    offsets = np.arange(int(_DIGAMMA_SERIES_FROM))
-    shifted = x[..., None] + offsets
-    recurrence = np.sum(np.where(offsets < steps[..., None], 1.0 / shifted, 0.0), axis=-1)
-    y = x + steps
+def _series(y: float) -> float:
+    """log y - 1/(2y) - psi(y) for y >= 16: sum_j B_2j / (2j y^2j) to 1/y^10, within 1e-16."""
     z = 1.0 / (y * y)
-    series = z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
-    return np.log(y) - 0.5 / y - series - recurrence
+    return z * (1 / 12 - z * (1 / 120 - z * (1 / 252 - z * (1 / 240 - z / 132))))
+
+
+def _digamma(x: float) -> float:
+    """Digamma of a positive real to about 1e-15: psi(x) = psi(x + 1) - 1/x, then the series."""
+    recurrence = 0.0
+    while x < 16.0:
+        recurrence += 1.0 / x
+        x += 1.0
+    return math.log(x) - 0.5 / x - _series(x) - recurrence
+
+
+def _digamma_ladder(a: float, n: int) -> float:
+    """sum_{j<n} psi(a + j) = n (psi(b) - 1) + (a - 1) h with b = a + n and
+    h = psi(b) - psi(a) = sum_{l<n} 1/(a + l), by psi(x + 1) = psi(x) + 1/x.
+    h adds its terms below 16 and takes the rest from :func:`_series`, with
+    log(b/x) as log1p, so no digits cancel however large a is."""
+    b, h, i = a + n, 0.0, 0
+    while i < n and a + i < 16.0:
+        h += 1.0 / (a + i)
+        i += 1
+    if i < n:
+        x = a + i
+        h += math.log1p((n - i) / x) + 0.5 * (n - i) / (x * b) + _series(x) - _series(b)
+    return n * (_digamma(b) - 1.0) + (a - 1.0) * h
 
 
 @dataclass(frozen=True)
@@ -109,19 +116,12 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> 
     - ``real_exact``: sum_{i=1}^{p} psi((K-i)/2) + p log 2 - p log(K-1),
       exact for real-valued data and strictly smaller.
 
-    The p digamma terms are evaluated as one array and summed with
-    ``math.fsum``; the value is memoised per (p, K, formula).  p and K must
-    be integers; they are checked before the memo, which would take 10.0
-    for 10.
+    Each psi sum is one :func:`_digamma_ladder` (``paper``) or two: two digamma
+    evaluations at most, whatever p.  p and K must be integers below 2^64.
     """
     _check_count("p", p)
     _check_count("k", k)
-    return _logdet_std_wishart(p, k, formula)
-
-
-@lru_cache(maxsize=4096)
-def _logdet_std_wishart(p: int, k: int, formula: str) -> float:
-    """:func:`expected_logdet_std_wishart`, memoised (errors are not cached)."""
+    p, k = int(p), int(k)
     if formula not in FORMULAS:
         raise ValueError(f"formula must be one of {FORMULAS}, got {formula!r}")
     if p < 0:
@@ -131,11 +131,9 @@ def _logdet_std_wishart(p: int, k: int, formula: str) -> float:
     if p == 0:
         return 0.0
     if formula == "paper":
-        total = math.fsum(_digamma(k - 1 - np.arange(p, dtype=float)))
-    else:
-        total = math.fsum(_digamma((k - np.arange(1, p + 1, dtype=float)) / 2.0))
-        total += p * math.log(2.0)
-    return total - p * math.log(k - 1)
+        return _digamma_ladder(float(k - p), p) - p * math.log(k - 1)
+    halves = _digamma_ladder((k - p) / 2, (p + 1) // 2) + _digamma_ladder((k - p + 1) / 2, p // 2)
+    return halves + p * math.log(2.0) - p * math.log(k - 1)
 
 
 @dataclass(frozen=True)

@@ -96,8 +96,8 @@ def _cmd_optimal(args) -> int:
 
 
 def _cmd_ergodic(args) -> int:
-    s = _scenario(args)
     cfg = TrainingConfig(k=args.k, seed=args.seed, trials=args.trials, sampler=args.sampler)
+    s = _scenario(args)
     ((estimate,),) = spectral_ergodic_costs([(s.spectrum, s.sigma)], [cfg])
     print(f"k: {estimate.k}")
     print(f"trials: {estimate.trials}")

@@ -21,7 +21,7 @@ from . import __version__
 from .bounds import spectral_upper_bound
 from .gaussian import Scenario, _check_count, optimal_cost
 from .grid import MeasurementSelection, load_measurement_matrix
-from .learning import _MAX_SEED, ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
+from .learning import ErgodicEstimate, TrainingConfig, spectral_ergodic_costs
 
 __all__ = [
     "ExperimentConfig",
@@ -55,10 +55,10 @@ class ExperimentConfig:
     the packaged test system) or ``h_path`` (precomputed measurement
     matrix as headerless CSV) must be set, as a string; ``output_dir`` is
     a string too.  ``seed``, ``trials`` and every ``k_grid`` entry must be
-    integers (Python or numpy), ``seed`` in [0, 2^64), ``trials`` and every
-    K at least 2, and ``rho`` and ``snr_db`` real numbers.  ``k_grid`` may
-    be any iterable of integers but a string or a mapping; it is stored as
-    a tuple of ints.
+    integers (Python or numpy) below 2^64, ``seed`` at least 0, ``trials``
+    and every K at least 2, and ``rho`` and ``snr_db`` real numbers.
+    ``k_grid`` may be any iterable of integers but a string or a mapping;
+    it is stored as a tuple of ints.
     ``measurements`` is a :class:`MeasurementSelection` or a mapping of
     its flags, which is turned into one.  A value of the wrong type or
     out of range raises ``ValueError`` naming the field.  The sweep draws
@@ -95,7 +95,7 @@ class ExperimentConfig:
         for name in ("seed", "trials"):
             _check_count(repr(name), getattr(self, name))
             setattr(self, name, int(getattr(self, name)))
-        if not 0 <= self.seed < _MAX_SEED:
+        if self.seed < 0:
             raise ValueError(f"'seed' must lie in [0, 2**64), got {self.seed}")
         if not 0.0 <= self.rho < 1.0:
             raise ValueError(f"rho must lie in [0, 1), got {self.rho}")

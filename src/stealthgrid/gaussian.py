@@ -84,10 +84,16 @@ def _check_sigma(sigma: float) -> None:
         raise ValueError(f"sigma must be finite and > 0, and so must sigma^2, got {sigma}")
 
 
+#: Every size and seed lies below this, so it fits numpy's 64-bit integers.
+_COUNT_LIMIT = 2**64
+
+
 def _check_count(name: str, value) -> None:
-    """Reject a size that is not an integer (bools included)."""
+    """Reject a size that is not an integer (bools included) or not below 2^64."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value >= _COUNT_LIMIT:
+        raise ValueError(f"{name} must lie in [0, 2**64), got {value}")
 
 
 def _check_finite(**arrays: np.ndarray) -> None:

@@ -38,8 +38,6 @@ __all__ = [
 
 SAMPLERS = ("bartlett", "empirical")
 
-_MAX_SEED = 2**64
-
 #: float64 entries per Monte Carlo array: a chunk scores about this many in its
 #: p x p Gram stack, max(1, _CHUNK_ENTRIES // p^2) trials for both samplers, and
 #: the empirical sampler draws at most this many normals at a time (several
@@ -61,10 +59,11 @@ def _check_draw(k: int, sampler: str) -> None:
 class TrainingConfig:
     """Size and reproducibility knobs of the training-data experiment.
 
-    ``k``, ``seed`` and ``trials`` must be integers (numpy's included, bools
-    not), ``k`` and ``trials`` at least 2 (one draw has no standard error)
-    and ``seed`` in [0, 2^64); anything else raises ``ValueError``, for
-    ``k`` and ``sampler`` in the words of :func:`draw_sample_covariance`.
+    ``k``, ``seed`` and ``trials`` must be integers below 2^64 (numpy's
+    included, bools not), ``k`` and ``trials`` at least 2 (one draw has no
+    standard error) and ``seed`` at least 0; anything else raises
+    ``ValueError``, for ``k`` and ``sampler`` in the words of
+    :func:`draw_sample_covariance`.
     """
 
     k: int
@@ -78,8 +77,8 @@ class TrainingConfig:
             _check_count(name, getattr(self, name))
         if self.trials < 2:
             raise ValueError(f"trials must be >= 2 for a standard error, got {self.trials}")
-        if not 0 <= self.seed < _MAX_SEED:
-            raise ValueError("seed must be a 64-bit non-negative integer")
+        if self.seed < 0:
+            raise ValueError(f"seed must lie in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -220,8 +219,8 @@ def draw_sample_covariance(
     product (cost independent of K, but it needs K-1 >= N) or the centred
     scatter of K white state vectors, and the result is
     L G L^T / (K-1) with L = chol(S_xx).  Deterministic given
-    (seed, sampler).  Raises ``ValueError`` if K is not an integer >= 2,
-    the sampler is unknown or S_xx holds a nan or inf.
+    (seed, sampler).  Raises ``ValueError`` if K is not an integer in
+    [2, 2^64), the sampler is unknown or S_xx holds a nan or inf.
     """
     _check_draw(k, sampler)
     sxx = _as_matrix(sigma_xx)

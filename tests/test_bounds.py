@@ -67,6 +67,13 @@ def test_half_integer_digamma_matches_scipy(twice):
     )
 
 
+def test_digamma_is_a_scalar_function_from_one_half_to_1e15():
+    half, big = _digamma(0.5), _digamma(1e15)
+    assert type(half) is float and type(big) is float
+    assert half == pytest.approx(-EULER_GAMMA - 2.0 * math.log(2.0), abs=1e-14)
+    assert big == pytest.approx(float(special.digamma(1e15)), abs=1e-14)
+
+
 # ---------------------------------------------------------------------------
 # extreme_eig_bounds
 # ---------------------------------------------------------------------------
@@ -156,6 +163,50 @@ def test_expected_logdet_rejects_p_that_is_not_an_integer(p):
 
 def test_expected_logdet_accepts_a_numpy_integer_p():
     assert expected_logdet_std_wishart(np.int64(3), 10) == expected_logdet_std_wishart(3, 10)
+
+
+def _scipy_digamma_sum(p: int, k: int, formula: str) -> float:
+    """expected_logdet_std_wishart as p scipy digammas, summed with fsum."""
+    if formula == "paper":
+        total = math.fsum(special.digamma(k - 1 - np.arange(p, dtype=float)))
+    else:
+        total = math.fsum(special.digamma((k - np.arange(1, p + 1, dtype=float)) / 2.0))
+        total += p * math.log(2.0)
+    return total - p * math.log(k - 1)
+
+
+def test_digamma_ladders_match_scipy_digamma_sums():
+    # 1000 seeded (p, K): p in 1..200, K log-uniform in [p + 1, 1e8 + 1], and
+    # the edges K = p + 1, p + 2, 1e8 + 1 and 2^64 - 1 for a few p
+    rng = np.random.default_rng(27)
+    pairs = []
+    for _ in range(1000):
+        p = int(rng.integers(1, 201))
+        k = max(p + 1, int(10.0 ** rng.uniform(math.log10(p + 1), math.log10(10**8 + 1))))
+        pairs.append((p, k))
+    for p in (1, 2, 3, 29, 199, 200):
+        pairs += [(p, p + 1), (p, p + 2), (p, 10**8 + 1), (p, 2**64 - 1)]
+    for p, k in pairs:
+        for formula in FORMULAS:
+            value = expected_logdet_std_wishart(p, k, formula)
+            tolerance = 1e-13 * p * math.log(k) + 1e-12
+            assert abs(value - _scipy_digamma_sum(p, k, formula)) <= tolerance, (p, k, formula)
+
+
+def test_a_digamma_sum_evaluates_digamma_at_most_twice_on_every_call(monkeypatch):
+    calls = []
+    digamma = bounds._digamma
+    monkeypatch.setattr(bounds, "_digamma", lambda x: calls.append(x) or digamma(x))
+    for p in (1, 2, 3, 29, 200):
+        for k in (p + 1, p + 2, 10**8 + 1):
+            for formula in FORMULAS:
+                counts = []
+                for _ in range(2):  # nothing is memoised: a repeat costs the same
+                    calls.clear()
+                    expected_logdet_std_wishart(p, k, formula)
+                    counts.append(len(calls))
+                wanted = 1 if formula == "paper" else 2
+                assert counts == [wanted, wanted], (p, k, formula)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +685,11 @@ def test_spectral_upper_bound_rank_zero_is_zero(formula):
 
 #: per BLAS kernel (helpers.blas_kernel), the digest of the bound path
 BOUND_PATH_DIGESTS = {
-    b"SkylakeX": "621b019b86bc232fd5a14619b8a14ea0226016bd952665412eaf921db1d5f894",
-    b"Haswell": "7801c92f660709d440765b467ec42c1dfd7fbaec06668f141edad258554e4815",
-    b"Sandybridge": "468cc27112a39d3ea92549284d6b81c2b222a9cc1f11b2dfb16802b157e4b54e",
-    b"Nehalem": "adb35214ad5c56b59222d5c4b7c570c26e51c341ceda0a8874ef4d05110b680b",
-    b"Katmai": "59d7b8817a097be9853b20853cc5340f0044befdef71779764a512597088818e",
+    b"SkylakeX": "fa2586f736503a2712d035351d761caaacb8879952ebf60d3de173f276ddf6a7",
+    b"Haswell": "ce0c6e583310b4e430c7d6c9a03e94698d10d7feb831fb85a7cb01e988ffe15e",
+    b"Sandybridge": "e53dc9d5e29e9175ce8df5dfcb6d8650b22cb5976eef2cafe4e1eb51849fba24",
+    b"Nehalem": "9b5f3cb5e51c7d8a80b28a7233802c906bd498983ff0fa8153339d0a17322b21",
+    b"Katmai": "111de3ff43a0c91e47e2782c0cb01a131cc76d1c3215b28a871de3719364fd1a",
 }
 
 

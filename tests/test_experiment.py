@@ -17,8 +17,11 @@ from stealthgrid import (
     ExperimentConfig,
     MeasurementSelection,
     TrainingConfig,
+    draw_sample_covariance,
     emit_fig1_dataset,
     ergodic_upper_bound,
+    expected_logdet_std_wishart,
+    extreme_eig_bounds,
     load_experiment_config,
     nonzero_spectrum,
     optimal_cost,
@@ -546,6 +549,60 @@ def test_cli_errors_exit_nonzero(capsys, tmp_path):
     assert main(["bound", "--case", "bundled:ieee30", "--rho", "1.5", "--k", "100"]) == 1
     assert main(["ergodic", "--case", "bundled:ieee30", "--rho", "0.1", "--k", "10",
                  "--seed", "0"]) == 1
+
+
+#: Each entry point that takes a training size K, with K as its one argument.
+K_ENTRY_POINTS = pytest.mark.parametrize(
+    "call",
+    [
+        lambda k: TrainingConfig(k, seed=1, trials=2),
+        lambda k: draw_sample_covariance(np.eye(3), k, 1),
+        lambda k: ExperimentConfig(rho=0.1, seed=0, case_path="x", k_grid=(50, k)),
+        lambda k: expected_logdet_std_wishart(3, k, "paper"),
+        lambda k: expected_logdet_std_wishart(3, k, "real_exact"),
+        lambda k: extreme_eig_bounds(3, k),
+    ],
+    ids=["TrainingConfig", "draw_sample_covariance", "ExperimentConfig.k_grid",
+         "expected_logdet_std_wishart-paper", "expected_logdet_std_wishart-real_exact",
+         "extreme_eig_bounds"],
+)
+
+
+@K_ENTRY_POINTS
+@pytest.mark.parametrize("k", [2**64, 10**400], ids=["2**64", "10**400"])
+def test_k_from_2_to_the_64_is_rejected_at_every_entry_point(call, k):
+    # numpy's integers stop below 2**64: such a K used to end in a TypeError
+    # or OverflowError deep in numpy, or in a bound computed in floats
+    with pytest.raises(ValueError, match=re.escape(f"must lie in [0, 2**64), got {k}")):
+        call(k)
+
+
+@K_ENTRY_POINTS
+@pytest.mark.parametrize("k", [2**64 - 1, np.uint64(2**64 - 1)], ids=["int", "uint64"])
+def test_k_just_below_2_to_the_64_is_accepted_at_every_entry_point(call, k):
+    call(k)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["ergodic", "--case", "bundled:ieee30", "--rho", "0.8", "--k", str(2**64),
+         "--trials", "2", "--seed", "1"],
+        ["bound", "--case", "bundled:ieee30", "--rho", "0.8", "--k", str(2**64)],
+        ["bound", "--case", "bundled:ieee30", "--rho", "0.8", "--k", str(10**400)],
+        ["run", "{config}"],
+    ],
+    ids=["ergodic", "bound-2**64", "bound-10**400", "run"],
+)
+def test_cli_rejects_k_from_2_to_the_64_with_one_error_line(tmp_path, capsys, argv):
+    config = tmp_path / "cfg.json"
+    config.write_text(json.dumps({"rho": 0.8, "seed": 1, "case_path": "bundled:ieee30",
+                                  "k_grid": [50, 2**64], "trials": 2,
+                                  "output_dir": str(tmp_path)}))
+    assert main([arg.format(config=config) for arg in argv]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: [^\n]*must lie in \[0, 2\*\*64\)[^\n]*\n", captured.err)
 
 
 @pytest.mark.parametrize(
