@@ -12,7 +12,6 @@ any training size K.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -142,7 +141,8 @@ class BoundProgram:
 
     Minimizes sum_i log(b_i + 1/x_i) subject to sum_i x_i = p and the
     extreme-eigenvalue box constraints.  ``newton_steps`` counts the
-    iterations of the Newton search for the dual level.
+    clipped sums the search for the dual level evaluated, each one a Newton
+    or a bisection step; it stays below ``_NEWTON_STEPS``.
     """
 
     b: np.ndarray
@@ -170,8 +170,7 @@ class _Allocation(NamedTuple):
     b: np.ndarray
     values: list[float]  # b as Python floats, finite and positive
     four_b: list[float]  # 4 b_i in the order of b
-    ascending: list[float]  # b in ascending order
-    four_ascending: list[float]  # 4 b in ascending order
+    median: float  # median of b
 
 
 def _prepare_allocation(b) -> _Allocation:
@@ -185,104 +184,17 @@ def _prepare_allocation(b) -> _Allocation:
         raise ValueError("b has non-finite entries")
     if min(values) <= 0.0:
         raise ValueError("all b_i must be positive")
-    four_b = [4.0 * v for v in values]
-    return _Allocation(b, values, four_b, sorted(values), sorted(four_b))
+    # in Python: the first np.median of a process adds about 2 MB to its peak RSS (numpy 2.4)
+    ordered, half = sorted(values), len(values) // 2
+    median = 0.5 * ordered[half] + 0.5 * ordered[~half]
+    return _Allocation(b, values, [4.0 * v for v in values], median)
 
 
-#: Cap on the Newton steps for the dual level; it converges in a handful.
-_NEWTON_STEPS = 60
-#: Newton stops once its step is within a few ulps of the level.
+#: Cap on the steps of the search for the dual level, a safety net: it takes
+#: a handful, and a few dozen when b spans many decades.
+_NEWTON_STEPS = 200
+#: The search stops once its step, or its bracket, is within a few ulps of the level.
 _STEP_TOL = 4.0 * float(np.finfo(float).eps)
-
-
-def _bracket(allocation: _Allocation, lo: float, hi: float):
-    """Where the dual level lies: (free, target, left, right, start).
-
-    Both breakpoints of a coordinate grow with b_i, so in ascending order of
-    b, which ``allocation`` holds for every K, the coordinates that have
-    reached hi at a level t come first and those still at lo come last; a
-    clipped sum at t costs two binary searches and a root per coordinate in
-    between.  Bisecting the 2p sorted breakpoints with it finds the
-    interval [left, right] with sums below p at ``left`` and at least p at
-    ``right``, in O(p log p) float operations.  The
-    interval fixes which coordinates are clipped: ``free``, a boolean mask,
-    marks the others, whose roots must add up to ``target``.  On the
-    interval the sum is concave, so it lies above its chord, and the root
-    lies in [left, start] with ``start`` the chord's root.
-    """
-    _, values, _, ascending, four_ascending = allocation
-    p = len(values)
-    lo_sq, hi_sq = lo**2, hi**2
-    enter = [v * lo_sq + lo for v in ascending]
-    leave = [v * hi_sq + hi for v in ascending]
-    levels = sorted(enter + leave)
-    sqrt = math.sqrt
-
-    def clipped_sum(t: float) -> float:
-        at_hi, free_end = bisect_right(leave, t), bisect_left(enter, t)
-        total = hi * at_hi + lo * (p - free_end)
-        twice_t = 2.0 * t
-        for c in four_ascending[at_hi:free_end]:
-            total += twice_t / (1.0 + sqrt(1.0 + c * t))
-        return total
-
-    # the sums at the first and last breakpoints are p lo < p < p hi, so the
-    # first breakpoint whose sum reaches p has an index j in 1..2p-1
-    i, j = 0, 2 * p - 1
-    below = above = None
-    while j - i > 1:
-        mid = (i + j) // 2
-        total = clipped_sum(levels[mid])
-        if total < p:
-            i, below = mid, total
-        else:
-            j, above = mid, total
-    if below is None:
-        below = clipped_sum(levels[i])
-    if above is None:
-        above = clipped_sum(levels[j])
-    left, right = levels[i], levels[j]
-    start = min(max(left + (p - below) / (above - below) * (right - left), left), right)
-    # held at hi: leave <= left; held at lo: enter >= right; free: the b between
-    n_hi, free_end = bisect_right(leave, left), bisect_left(enter, right)
-    smallest, largest = ascending[n_hi], ascending[free_end - 1]
-    free = [smallest <= v <= largest for v in values]
-    target = p - lo * (p - free_end) - hi * n_hi
-    return free, target, left, right, start
-
-
-def _level_in_interval(
-    four_b: list[float], target: float, left: float, right: float, start: float
-) -> tuple[float, int]:
-    """The t in [left, right] with sum_i root_i(t) = target, and the Newton steps taken.
-
-    ``four_b`` holds 4 b_i of the free coordinates as Python floats: for a
-    few dozen of them, a step summed in floats costs less than the calls of
-    a numpy step.  The sum is smooth, increasing and concave in t,
-    with d root_i / dt = 1 / sqrt(1 + 4 b_i t).  From the chord root
-    ``start`` the first step lands at or below the level, and from there the
-    iterates rise monotonically to it; a step that rounding pushes out of
-    the shrinking bracket is replaced by bisection.
-    """
-    sqrt = math.sqrt
-    t = start
-    for steps in range(1, _NEWTON_STEPS + 1):
-        total = slope = 0.0
-        twice_t = 2.0 * t
-        for c in four_b:
-            radical = sqrt(1.0 + c * t)
-            total += twice_t / (1.0 + radical)
-            slope += 1.0 / radical
-        shortfall = target - total
-        if shortfall > 0.0:
-            left = t
-        else:
-            right = t
-        step = shortfall / slope
-        if shortfall == 0.0 or abs(step) <= _STEP_TOL * t:
-            break
-        t = t + step if left < t + step < right else 0.5 * (left + right)
-    return t, steps
 
 
 def solve_bound_program(b, k: int) -> BoundProgram:
@@ -292,16 +204,25 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     water-filling-like: every interior coordinate satisfies
     b_i x_i^2 + x_i = t for a shared dual level t, and the others sit on
     the box [lo, hi].  Coordinate i leaves lo at t = b_i lo^2 + lo and
-    reaches hi at t = b_i hi^2 + hi.  The breakpoints bracket t and fix the
-    clipped coordinates, and Newton's method finds t from the chord root.
-    Raises ``ValueError`` if b holds a nan, inf or non-positive entry, before
-    any arithmetic and before K is checked.
+    reaches hi at t = b_i hi^2 + hi, so the clipped sum
+    S(t) = sum_i clip(root_i(t), lo, hi) rises from p lo to p hi over
+    [min b lo^2 + lo, max b hi^2 + hi], and t is its root there.  Newton's
+    method safeguarded by bisection (``rtsafe``, Numerical Recipes 9.4)
+    finds it from t = median(b) + 1, where the median coordinate has x = 1:
+    each step sums the clipped roots and d root_i / dt = 1 / sqrt(1 + 4 b_i t)
+    over the free coordinates in Python floats, which for a few dozen
+    coordinates costs less than the calls of a numpy step.  Every step
+    shrinks the bracket, and a Newton step that leaves it is replaced by
+    bisection.  The search stops once the step or the bracket is within
+    ``_STEP_TOL`` of t: with many tied b_i the rounding of S can keep the
+    step above that for ever, while the bracket closes.  Raises
+    ``ValueError`` if b holds a nan, inf or non-positive entry, before any
+    arithmetic and before K is checked.
 
     The work splits into a part that depends on b alone (the checks, b and
-    4b as floats and both in ascending order) and the solve at K (the box,
-    the bracket and Newton).  ``b`` may also be that first part, an
-    ``_Allocation``, which a bound prepares once for every K of its
-    spectrum and sigma.
+    4b as floats and the median) and the solve at K (the box and the
+    search).  ``b`` may also be that first part, an ``_Allocation``, which a
+    bound prepares once for every K of its spectrum and sigma.
     """
     allocation = b if isinstance(b, _Allocation) else _prepare_allocation(b)
     b, values, four_b = allocation.b, allocation.values, allocation.four_b
@@ -309,11 +230,34 @@ def solve_bound_program(b, k: int) -> BoundProgram:
     box = extreme_eig_bounds(p, k)
     lo, hi = box.lower_min, box.upper_max
 
-    free, target, left, right, start = _bracket(allocation, lo, hi)
-    free_four_b = [c for c, is_free in zip(four_b, free) if is_free]
-    t, steps = _level_in_interval(free_four_b, target, left, right, start)
+    left, right = min(values) * lo**2 + lo, max(values) * hi**2 + hi
+    t = allocation.median + 1.0
     # the positive root of b x^2 + x = t, in a form stable for small b
     sqrt = math.sqrt
+    for steps in range(1, _NEWTON_STEPS + 1):
+        total = slope = 0.0
+        twice_t = 2.0 * t
+        for c in four_b:
+            radical = sqrt(1.0 + c * t)
+            root = twice_t / (1.0 + radical)
+            if root <= lo:
+                total += lo
+            elif root >= hi:
+                total += hi
+            else:
+                total += root
+                slope += 1.0 / radical
+        shortfall = p - total
+        if shortfall == 0.0:
+            break
+        if shortfall > 0.0:
+            left = t
+        else:
+            right = t
+        step = shortfall / slope if slope else math.inf
+        if abs(step) <= _STEP_TOL * t or right - left <= _STEP_TOL * t:
+            break
+        t = t + step if left < t + step < right else 0.5 * (left + right)
     roots = [2.0 * t / (1.0 + sqrt(1.0 + c * t)) for c in four_b]
     x = np.array([lo if r < lo else hi if r > hi else r for r in roots])
 
@@ -392,7 +336,7 @@ def logdet_lower_bound(
     With p = 0 the matrix is exactly sigma^2 I and the value 2 M log sigma
     is exact.  This module keeps the last (lambda, sigma) context, built
     here and only here while the bytes of the eigenvalues and sigma equal
-    its key: it holds b checked and sorted once, and the last program it
+    its key: it holds b checked once, and the last program it
     solved, at one K for both formulas.  Raises ``ValueError`` unless sigma
     and sigma^2 are finite and > 0, M and K are integers, M >= p and
     K - 1 >= p, and b = lambda / sigma^2 is finite and > 0; a call that
@@ -449,8 +393,8 @@ def spectral_upper_bound(
     Both sums depend on (lambda, sigma) alone: they are read from the
     context :func:`logdet_lower_bound` keeps with the allocation program's
     b, the first as twice :func:`optimal_cost`, so a sweep over K and
-    formulas computes them once, and each K pays only for its box, its
-    bracket and its Newton solve.  Inputs are checked as in
+    formulas computes them once, and each K pays only for its box and its
+    search for the dual level.  Inputs are checked as in
     :func:`logdet_lower_bound`.
     """
     lower = logdet_lower_bound(spectrum, sigma, m, k, formula)

@@ -284,10 +284,14 @@ def _allocation_objective(b: np.ndarray, x: np.ndarray) -> float:
 
 @st.composite
 def _bound_programs(draw):
-    """(b, K, seed): p in 1..40, b log-uniform on [1e-8, 1e8], K at p+1 (lo = 0),
-    p+2, log-uniform up to about 1e8, or 1e8+1; seed drives the perturbations."""
+    """(b, K, seed): p in 1..40, b log-uniform on [1e-8, 1e8] or tied, drawn
+    from 2 to 4 distinct such values; K at p+1 (lo = 0), p+2, log-uniform up
+    to about 1e8, or 1e8+1; seed drives the perturbations."""
     p = draw(st.integers(1, 40))
-    b = 10.0 ** np.array(draw(st.lists(st.floats(-8.0, 8.0), min_size=p, max_size=p)))
+    exponents = st.floats(-8.0, 8.0)
+    if draw(st.sampled_from(["log-uniform", "tied"])) == "tied":
+        exponents = st.sampled_from(draw(st.lists(exponents, min_size=2, max_size=4, unique=True)))
+    b = 10.0 ** np.array(draw(st.lists(exponents, min_size=p, max_size=p)))
     kind = draw(st.sampled_from(["p+1", "p+2", "random", "1e8+1"]))
     if kind == "random":
         k = p + 1 + int(10.0 ** draw(st.floats(0.0, 8.0)))
@@ -359,14 +363,30 @@ def _numpy_level(b, target, left, right):
     return t
 
 
-def _check_against_numpy_search(b, k):
+def _scan_bracket(b, lo, hi):
+    """The bracket from the clipped sums at all 2p breakpoints in one 2p x p
+    table (the solver's earlier scan, kept as an oracle): (free, target, left,
+    right) with ``free`` the coordinates clipped nowhere in [left, right] and
+    ``target`` what their roots must add up to."""
+    p = b.size
+    enter, leave = b * lo**2 + lo, b * hi**2 + hi
+    levels = np.sort(np.concatenate([enter, leave]))
+    roots = 2.0 * levels[:, None] / (1.0 + np.sqrt(1.0 + 4.0 * b * levels[:, None]))
+    sums = np.clip(roots, lo, hi).sum(axis=1)
+    j = int(np.searchsorted(sums, p))
+    left, right = float(levels[j - 1]), float(levels[j])
+    at_lo, at_hi = enter >= right, leave <= left
+    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
+    return ~(at_lo | at_hi), target, left, right
+
+
+def _check_against_oracles(b, k):
+    """The program of b (an array or a prepared ``_Allocation``) at K against
+    the scan's bracket and the numpy Newton level, and below the step cap."""
     program = solve_bound_program(b, k)
-    lo, hi, p = program.box_lo, program.box_hi, b.size
-    free, target, left, right, start = bounds._bracket(bounds._prepare_allocation(b), lo, hi)
+    b, lo, hi, p = program.b, program.box_lo, program.box_hi, program.p
+    free, target, left, right = _scan_bracket(b, lo, hi)
     t = _numpy_level(b[free], target, left, right)
-    # the sum is concave on [left, right], so the level lies left of the chord root
-    assert left <= start <= right
-    assert t <= start * (1.0 + bounds._STEP_TOL)
     x = np.clip(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t)), lo, hi)
     oracle = _allocation_objective(b, x)
     # each of the p terms carries an absolute error of a few ulps however
@@ -380,7 +400,7 @@ def _check_against_numpy_search(b, k):
 @given(_bound_programs())
 def test_newton_from_the_chord_matches_the_numpy_search(case):
     b, k, _ = case
-    _check_against_numpy_search(b, k)
+    _check_against_oracles(bounds._prepare_allocation(b), k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 29, 117])
@@ -388,53 +408,16 @@ def test_newton_from_the_chord_matches_the_numpy_search(case):
 def test_newton_from_the_chord_matches_the_numpy_search_up_to_p_117(p, spread):
     rng = np.random.default_rng([p, spread == "wide"])
     exponents = rng.uniform(-6.0, 6.0, p) if spread == "wide" else rng.uniform(-0.5, 0.5, p)
-    b = 10.0 ** exponents
+    allocation = bounds._prepare_allocation(10.0 ** exponents)  # one for every K, as a bound's
     for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
-        _check_against_numpy_search(b, k)
-
-
-def _scan_bracket(b, lo, hi):
-    """The bracket from the clipped sums at all 2p breakpoints in one 2p x p
-    table (the solver's earlier scan, kept as an oracle): (free, target, left,
-    right, sums, levels)."""
-    p = b.size
-    enter, leave = b * lo**2 + lo, b * hi**2 + hi
-    levels = np.sort(np.concatenate([enter, leave]))
-    roots = 2.0 * levels[:, None] / (1.0 + np.sqrt(1.0 + 4.0 * b * levels[:, None]))
-    sums = np.clip(roots, lo, hi).sum(axis=1)
-    j = int(np.searchsorted(sums, p))
-    left, right = float(levels[j - 1]), float(levels[j])
-    at_lo, at_hi = enter >= right, leave <= left
-    target = p - lo * np.count_nonzero(at_lo) - hi * np.count_nonzero(at_hi)
-    return ~(at_lo | at_hi), target, left, right, sums, levels
-
-
-def _check_against_scan(b, k):
-    program = solve_bound_program(b, k)
-    lo, hi, p = program.box_lo, program.box_hi, b.size
-    free, target, left, right, start = bounds._bracket(bounds._prepare_allocation(b), lo, hi)
-    scan_free, scan_target, scan_left, scan_right, sums, levels = _scan_bracket(b, lo, hi)
-    if (left, right) == (scan_left, scan_right):
-        np.testing.assert_array_equal(np.asarray(free, dtype=bool), scan_free)
-        assert target == scan_target
-    else:
-        # a tie: the intervals meet at a breakpoint where the scan's sum is p
-        shared = {left, right} & {scan_left, scan_right}
-        assert shared
-        assert min(abs(sums[levels == level][0] - p) for level in shared) <= 1e-12 * p
-    assert left <= start <= right
-    t = _numpy_level(b[scan_free], scan_target, scan_left, scan_right)
-    x = np.clip(2.0 * t / (1.0 + np.sqrt(1.0 + 4.0 * b * t)), lo, hi)
-    oracle = _allocation_objective(b, x)
-    assert abs(program.objective - oracle) <= 1e-13 * max(abs(program.objective), p)
-    assert abs(program.x_star.sum() - p) <= 1e-12 * p
+        _check_against_oracles(allocation, k)
 
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_bound_programs())
 def test_bisected_breakpoints_match_the_scan(case):
     b, k, _ = case
-    _check_against_scan(b, k)
+    _check_against_oracles(b, k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 29, 60, 117, 300])
@@ -447,7 +430,7 @@ def test_bisected_breakpoints_match_the_scan_up_to_p_300(p, spread):
         exponents = rng.uniform(-6.0, 6.0, p) if spread == "wide" else rng.uniform(-0.5, 0.5, p)
     b = 10.0 ** exponents
     for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
-        _check_against_scan(b, k)
+        _check_against_oracles(b, k)
 
 
 @pytest.mark.parametrize("k", [10.5, np.float64(10.0), True, "10"], ids=repr)
@@ -685,11 +668,11 @@ def test_spectral_upper_bound_rank_zero_is_zero(formula):
 
 #: per BLAS kernel (helpers.blas_kernel), the digest of the bound path
 BOUND_PATH_DIGESTS = {
-    b"SkylakeX": "fa2586f736503a2712d035351d761caaacb8879952ebf60d3de173f276ddf6a7",
-    b"Haswell": "ce0c6e583310b4e430c7d6c9a03e94698d10d7feb831fb85a7cb01e988ffe15e",
-    b"Sandybridge": "e53dc9d5e29e9175ce8df5dfcb6d8650b22cb5976eef2cafe4e1eb51849fba24",
-    b"Nehalem": "9b5f3cb5e51c7d8a80b28a7233802c906bd498983ff0fa8153339d0a17322b21",
-    b"Katmai": "111de3ff43a0c91e47e2782c0cb01a131cc76d1c3215b28a871de3719364fd1a",
+    b"SkylakeX": "6d1ba3e34673aaeec4f984b93d7b4cf58fbd0027f5d8c877e8de35c0ba33d88f",
+    b"Haswell": "1fcd077498c9c28965c31912c8754f5dce145ce7118117616432a4d86fe1ddbb",
+    b"Sandybridge": "dff4f49750cb012ae17af32779b47eb76304e327a7548c7c94791d24c9afb095",
+    b"Nehalem": "b3d07925a5e987b12fbd6cd98b025c55d12e81d8e41fb2edbf448294b75dfaf2",
+    b"Katmai": "d6f23f5478c08b3b6c92e3299495ecb62b8098818f518f15921a66e60ee6d3cf",
 }
 
 
@@ -743,7 +726,7 @@ def test_random_allocation_programs_are_pinned_bit_for_bit():
         digest.update(np.array([program.objective, program.box_lo, program.box_hi]))
         digest.update(np.array([program.newton_steps], dtype=np.int64))
         digest.update(program.x_star)
-    assert digest.hexdigest() == "cfbd337d02ef3294367fb6c9dbd53640e39d027583b530d30147651b2540fb90"
+    assert digest.hexdigest() == "2f61a86b25be576e76d23d6276f085d1616910d53bdb96fa6155a8740e2564a7"
 
 
 @pytest.mark.parametrize(
