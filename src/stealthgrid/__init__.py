@@ -7,8 +7,15 @@ samples, and evaluates a closed-form random-matrix upper bound on that
 ergodic performance.
 
 The package exports every layer's ``__all__``; each layer states its own
-public names once.
+public names once.  Imported before numpy, it sets ``OPENBLAS_THREAD_TIMEOUT=4``
+unless already set, so idle OpenBLAS workers sleep instead of spinning.
 """
+
+import os
+
+# Before the first layer import loads numpy and OpenBLAS: an idle OpenBLAS
+# worker otherwise spins about 60 ms of CPU per process before it sleeps.
+os.environ.setdefault("OPENBLAS_THREAD_TIMEOUT", "4")
 
 __version__ = "0.1.0"
 

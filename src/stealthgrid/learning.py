@@ -196,7 +196,7 @@ def _white_grams(
         shared = lower @ np.swapaxes(lower, 1, 2)
         shared_diag = np.diagonal(shared, axis1=1, axis2=2)
         for c in np.moveaxis(chi, 1, 0):
-            np.multiply(lower, c[:, None, :], out=w)
+            np.einsum("tij,tj->tij", lower, c, out=w)
             w += shared
             yield shared_diag + c * c
         return

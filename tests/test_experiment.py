@@ -3,6 +3,7 @@ from __future__ import annotations
 import dataclasses
 import io
 import json
+import os
 import re
 import subprocess
 import sys
@@ -773,3 +774,62 @@ def test_names_that_restated_another_are_gone(module, name):
     # on it, and the digamma sum is bounds._digamma's
     assert name not in stealthgrid.__all__
     assert not hasattr(stealthgrid, name) and not hasattr(module, name)
+
+
+def _fresh_python(code: str, **env: str) -> str:
+    """Stdout of ``code`` run by a new interpreter that imports this stealthgrid.
+
+    numpy is already loaded in the test process, so the package's startup
+    default can only be seen in a child, here with no OpenBLAS or OpenMP
+    setting inherited.
+    """
+    child = {k: v for k, v in os.environ.items() if not k.startswith(("OPENBLAS_", "OMP_"))}
+    src = str(Path(stealthgrid.__file__).parents[1])
+    child["PYTHONPATH"] = os.pathsep.join(filter(None, [src, child.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, env={**child, **env}
+    )
+    assert result.returncode == 0, result.stderr
+    return result.stdout
+
+
+@pytest.mark.parametrize("preset, want", [(None, "4"), ("12", "12")], ids=["default", "preset"])
+def test_import_sets_the_openblas_thread_timeout_unless_preset(preset, want):
+    env = {} if preset is None else {"OPENBLAS_THREAD_TIMEOUT": preset}
+    code = "import os, stealthgrid; print(os.environ['OPENBLAS_THREAD_TIMEOUT'])"
+    assert _fresh_python(code, **env).strip() == want
+
+
+_IDLE_THREADS = """
+import json, os, time
+import stealthgrid as sg
+
+def others_cpu_ms():
+    ms = 0.0
+    for tid in os.listdir("/proc/self/task"):
+        if int(tid) != os.getpid():
+            with open(f"/proc/self/task/{tid}/stat") as f:
+                fields = f.read().rpartition(")")[2].split()
+            ms += (int(fields[11]) + int(fields[12])) * 1000 / os.sysconf("SC_CLK_TCK")
+    return ms
+
+threads = len(os.listdir("/proc/self/task"))
+time.sleep(0.3)
+idle = others_cpu_ms()
+h = sg.build_dc_jacobian(sg.load_ieee30()).h
+cov = sg.toeplitz_covariance(29, 0.5)
+system = (sg.nonzero_spectrum(h, cov), sg.sigma_from_snr(h, cov, 20.0))
+sg.spectral_ergodic_costs([system], [sg.TrainingConfig(50, seed=1, trials=20)])
+print(json.dumps([threads, idle, others_cpu_ms()]))
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="reads per-thread CPU from /proc")
+def test_idle_blas_workers_sleep_and_the_monte_carlo_leaves_them_idle():
+    # OpenBLAS's own idle timeout let its worker spin about 60 ms per process
+    threads, idle_ms, after_ms = json.loads(_fresh_python(_IDLE_THREADS))
+    if threads < 2:
+        pytest.skip("this numpy starts no BLAS worker thread")
+    assert idle_ms < 20, idle_ms
+    # the package's kernels are too small for OpenBLAS to run them threaded
+    assert after_ms < 20, after_ms

@@ -24,6 +24,7 @@ from stealthgrid import (
     stealth_cost,
     toeplitz_covariance,
 )
+from stealthgrid.experiment import DEFAULT_K_GRID
 from stealthgrid.gaussian import RANK_TOL, logdet_psd, symmetrize
 from stealthgrid.learning import SAMPLERS, _empirical_grams, _trials_per_chunk, _white_grams
 from helpers import BAD_SIGMA, bartlett_factors, centred_factors, pinned_digest
@@ -613,6 +614,25 @@ def test_empirical_memory_is_one_draw_block_and_one_gram_stack(ieee30_h, k, tria
     finally:
         tracemalloc.stop()
     assert peak <= bound, (peak, bound)
+
+
+def test_bartlett_grams_take_no_broadcast_buffer_per_k():
+    # fig1's chunk: 19 trials of p = 29.  Per K the generator writes L diag(c)
+    # into w in place; only diag(G), 19 x 29 floats, is new.  A broadcast
+    # product L * c[:, None, :] took a 62 KB temporary per K and chunk
+    w = np.empty((19, 29, 29))
+    grams = _white_grams(DEFAULT_K_GRID, "bartlett", np.random.default_rng(3), w)
+    next(grams)  # draws the shared lower triangles
+    tracemalloc.start()
+    try:
+        for _ in DEFAULT_K_GRID[1:]:
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            next(grams)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 16 * 1024, peak
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.mark.parametrize("shape", ["wide", "rank_deficient"])
