@@ -197,9 +197,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--attack-var", type=float, default=1.0, help="attack variance")
     p.add_argument("--epsilon", type=float, default=0.05)
     p.add_argument("--n-grid", type=_parse_n_grid, default=(10, 50, 200))
-    p.add_argument("--trials", type=int, default=100_000)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--tail", choices=("normal", "empirical"), default="normal")
+    p.add_argument(
+        "--trials", type=int, default=100_000, help="blocks drawn per n (empirical tail only)"
+    )
+    p.add_argument("--seed", type=int, default=0, help="seed of the draws (empirical tail only)")
+    p.add_argument("--tail", choices=("saddlepoint", "empirical"), default="saddlepoint")
     p.set_defaults(handler=_cmd_detect)
 
     p = sub.add_parser("fig1", help="the paper's Figure 1: bundled 30-bus K-sweep at SNR 20 dB")

@@ -9,6 +9,7 @@ import time
 
 import numpy as np
 import pytest
+from scipy.stats import chi2
 
 from stealthgrid import (
     AttackModel,
@@ -188,8 +189,11 @@ def test_criterion_8_error_exponent():
         d = estimate.kl_marginals
         assert d == pytest.approx(0.1534, abs=1e-4)
         exponents = [point.exponent for point in estimate.points]
-        assert exponents == sorted(exponents)
-        assert abs(exponents[-1] - d) <= 0.25 * d
+        assert exponents == sorted(exponents) and exponents[-1] < d
+        # the exact law: tau at the chi2_n 0.05-quantile x of the attacked weight 1,
+        # beta the chi2_n tail at 2x (clean weight 1/2); 0.04455, 0.06693, 0.09554
+        exact = [-chi2.logsf(2.0 * chi2.ppf(0.05, n), n) / n for n in (10, 50, 200)]
+        assert exponents == pytest.approx(exact, rel=1e-3)
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):

@@ -672,13 +672,12 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
         (["--clean-var=-1"], "sigma_yy is not positive definite"),
         (["--clean-var", "1e-320", "--trials", "20000"],
          "the log likelihood ratio of these covariances overflows float64"),
-        (["--attack-var", "1e300", "--trials", "20000"],
-         "the detection statistics overflow float64"),
+        (["--attack-var", "1e307"], "the detection statistics overflow float64"),
         (["--clean-var", "1e308", "--attack-var", "1e308"], "sigma_yaya has non-finite entries"),
     ],
     ids=["trials-zero", "trials-one", "n-grid-zero", "attack-var-nan", "clean-var-inf",
          "attack-var-negative", "clean-var-zero", "clean-var-negative", "clean-var-subnormal",
-         "attack-var-1e300", "both-vars-1e308"],
+         "attack-var-1e307", "both-vars-1e308"],
 )
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
@@ -691,18 +690,25 @@ def test_cli_detect_rejects_out_of_domain_input(capsys, argv, match):
 
 @pytest.mark.parametrize(
     "argv",
-    [["--attack-var", "1e100"], ["--clean-var", "1e-100", "--attack-var", "1"]],
-    ids=["attack-var-1e100", "clean-var-1e-100"],
+    [
+        ["--attack-var", "1e100"],
+        ["--clean-var", "1e-100", "--attack-var", "1"],
+        ["--attack-var", "1e300"],
+    ],
+    ids=["attack-var-1e100", "clean-var-1e-100", "attack-var-1e300"],
 )
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_cli_detect_prints_finite_numbers_for_far_apart_variances(capsys, argv):
-    # the normal tail's z reaches 1e99 here, where z**4 used to overflow
+    # the clean tail's saddlepoint sits within 1e-99 (1e-299) of its pole here
     assert main(["detect", "--trials", "20000", "--seed", "3"] + argv) == 0
     captured = capsys.readouterr()
     assert captured.err == ""
     kl_line, header, *rows = captured.out.splitlines()
     assert header == "n,exponent,radius,beta_hat,exceed_count" and len(rows) == 3
-    numbers = [float(kl_line.split(": ")[1])] + [float(c) for row in rows for c in row.split(",")]
+    kl = float(kl_line.split(": ")[1])
+    numbers = [kl] + [float(c) for row in rows for c in row.split(",")]
     assert all(np.isfinite(numbers))
+    assert all(0.0 < float(row.split(",")[1]) <= kl for row in rows)
 
 
 def test_cli_run_config_file(tmp_path, capsys):
