@@ -398,10 +398,9 @@ def _check_against_oracles(b, k):
 
 @settings(max_examples=300, derandomize=True, deadline=None)
 @given(_bound_programs())
-def test_allocation_matches_the_oracles_from_an_array_or_a_prepared_allocation(case):
+def test_newton_from_the_chord_matches_the_numpy_search(case):
     b, k, _ = case
-    for program_input in (b, bounds._prepare_allocation(b)):
-        _check_against_oracles(program_input, k)
+    _check_against_oracles(bounds._prepare_allocation(b), k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 29, 117])
@@ -412,6 +411,13 @@ def test_newton_from_the_chord_matches_the_numpy_search_up_to_p_117(p, spread):
     allocation = bounds._prepare_allocation(10.0 ** exponents)  # one for every K, as a bound's
     for k in (p + 1, p + 2, 2 * p + 3, 10 * p + 1, 10**4 + p, 10**8 + 1):
         _check_against_oracles(allocation, k)
+
+
+@settings(max_examples=300, derandomize=True, deadline=None)
+@given(_bound_programs())
+def test_bisected_breakpoints_match_the_scan(case):
+    b, k, _ = case
+    _check_against_oracles(b, k)
 
 
 @pytest.mark.parametrize("p", [1, 2, 4, 29, 60, 117, 300])
