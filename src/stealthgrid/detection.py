@@ -165,20 +165,21 @@ def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float | np.ndar
     return float(values[0]) if y.ndim == 1 else values
 
 
-def _check_design(block_lengths, epsilon: float, trials: int) -> None:
-    """Reject a false-alarm budget, trial count or block length no estimate can use.
+def _check_design(block_lengths, epsilon: float, trials: int | None = None) -> None:
+    """Reject a false-alarm budget, block length or, if given, trial count no estimate can use.
 
-    An epsilon tail quantile of ``trials`` samples rests on about
-    ``trials * epsilon`` of them; below 50 it is noise.
+    An epsilon tail of ``trials`` samples, a quantile or a rate, rests on
+    about ``trials * epsilon`` of them; below 50 it is noise.
     """
     if not 0.0 < epsilon < 0.5:
         raise ValueError(f"epsilon must lie in (0, 1/2), got {epsilon}")
-    _check_count("trials", trials)
-    if trials < 50 / epsilon:
-        raise ValueError(
-            f"need at least {math.ceil(50 / epsilon)} trials to place the "
-            f"{epsilon} tail quantile, got {trials}"
-        )
+    if trials is not None:
+        _check_count("trials", trials)
+        if trials < 50 / epsilon:
+            raise ValueError(
+                f"need at least {math.ceil(50 / epsilon)} trials to place the "
+                f"{epsilon} tail quantile, got {trials}"
+            )
     if not block_lengths:
         raise ValueError("need at least one block length n")
     for n in block_lengths:
@@ -213,37 +214,30 @@ def _linear_quantile(samples: np.ndarray, q: float) -> float:
     return b - diff * (1.0 - gamma) if gamma >= 0.5 else a + diff * gamma
 
 
-def _calibrate(model: _LrtModel, n: int, epsilon: float, trials: int, seed: int) -> float:
-    """:func:`calibrate_threshold` on a built model, its arguments already checked."""
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 0)))
-    samples = model.aggregate_samples(attacked=False, n=n, trials=trials, rng=rng)
-    return _linear_quantile(samples, 1.0 - epsilon)
+def calibrate_threshold(derived: DerivedCovariances, n: int, epsilon: float) -> float:
+    """Decision threshold meeting a false-alarm budget on clean data, with no draws.
 
-
-def calibrate_threshold(
-    derived: DerivedCovariances, n: int, epsilon: float, trials: int, seed: int
-) -> float:
-    """Decision threshold meeting a false-alarm budget on clean data.
-
-    Returns the empirical (1 - epsilon)-quantile of the n-observation
-    aggregated log-LRT under the nominal law, so deciding "attack" above
-    the threshold has Type I rate about epsilon.
+    The (1 - epsilon)-quantile of the n-observation aggregated log-LRT under
+    the nominal law, from its Lugannani-Rice tail: deciding "attack" above it
+    has Type I rate epsilon to 2.1% relative on a 1x1 system at n = 1, and
+    to 0.3% from n = 5.
     """
-    _check_design((n,), epsilon, trials)
-    return _calibrate(_LrtModel(derived), n, epsilon, trials, seed)
+    _check_design((n,), epsilon)
+    return _threshold(_LrtModel(derived), n, epsilon)
 
 
 def run_detection_experiment(
     derived: DerivedCovariances, n: int, epsilon: float, trials: int, seed: int
 ) -> DetectionExperiment:
-    """Calibrate a threshold, then measure both error rates on fresh data.
+    """The threshold of :func:`calibrate_threshold`, then both error rates measured.
 
-    Each sample array is reduced to its rate and freed before the next is
-    drawn; each hypothesis has its own seed, so the order changes no value.
+    Only the rates are drawn, ``trials`` blocks per hypothesis: clean from
+    ``SeedSequence((seed, 1))``, attacked from ``(seed, 2)``.  Each array is
+    reduced to its rate and freed before the next is drawn.
     """
     _check_design((n,), epsilon, trials)
     model = _LrtModel(derived)
-    tau = _calibrate(model, n, epsilon, trials, seed)
+    tau = _threshold(model, n, epsilon)
 
     def draw(attacked: bool, stream: int) -> np.ndarray:
         rng = np.random.default_rng(np.random.SeedSequence((seed, stream)))
@@ -314,28 +308,49 @@ def _root(g, lo: float, hi: float) -> float:
     return x
 
 
+def _tail_root(e: np.ndarray, n: int, log_epsilon: float, lower: bool) -> float:
+    """The t at which W's upper tail, or its lower tail if ``lower``, is epsilon.
+
+    W is as in :func:`_lugannani_rice`; y = log(1 - r) is bracketed from 0 by
+    doubling on the side the sign at 0 picks: a lower tail's root lies at y >= 0,
+    an upper tail's too once epsilon exceeds the tail at the mean (0.317 for chi2_1).
+    """
+
+    def excess(y: float) -> float:
+        log_tail = _lugannani_rice(e, n, y, lower=lower)[1]
+        return log_tail - log_epsilon if lower else log_epsilon - log_tail
+
+    side = 1.0 if excess(0.0) >= 0.0 else -1.0
+    y = side
+    while side * excess(y) > 0.0:
+        y *= 2.0
+    return _lugannani_rice(e, n, _root(excess, min(y, 0.0), max(y, 0.0)))[0]
+
+
+def _threshold(model: _LrtModel, n: int, epsilon: float) -> float:
+    """(1 - epsilon)-quantile of the clean aggregate n c + s_0 W_0, s_0 its largest weight."""
+    d0 = model.weights[False][model.weights[False] > 0.0]
+    if not d0.size:  # identical hypotheses: every block is n c
+        return n * model.const
+    s0 = float(d0.max())
+    return n * model.const + s0 * _tail_root(d0 / s0, n, math.log(epsilon), lower=False)
+
+
 def _saddlepoint(model: _LrtModel, n: int, epsilon: float) -> tuple[float, float]:
     """(tau, log beta) at block length n from the Lugannani-Rice tails, with no draws.
 
     A hypothesis's aggregate is n c + s W, with s its largest weight and W as in
     :func:`_lugannani_rice` for e = d / s (a weight <= 0 is round-off and left out).
-    The attacked W's lower tail is epsilon at t_1, a root over y >= 0 bracketed by
-    doubling; beta is the clean W's upper tail at s_1 t_1 / s_0, whose saddlepoint
-    lies in [log(n / 2 t_0), log(n k / 2 t_0)], as 1 <= sum b <= k for k weights.
+    The attacked W's lower tail is epsilon at t_1 (:func:`_tail_root`); beta is the
+    clean W's upper tail at s_1 t_1 / s_0, whose saddlepoint lies in
+    [log(n / 2 t_0), log(n k / 2 t_0)], as 1 <= sum b <= k for k weights.
     """
     d1, d0 = (d[d > 0.0] for d in (model.weights[True], model.weights[False]))
     if not (d1.size and d0.size):  # identical hypotheses: every block is n c
         return n * model.const, 0.0
     s1, s0 = float(d1.max()), float(d0.max())
-    e1, e0, log_epsilon = d1 / s1, d0 / s0, math.log(epsilon)
-
-    def lower_excess(y: float) -> float:
-        return _lugannani_rice(e1, n, y, lower=True)[1] - log_epsilon
-
-    hi = 1.0
-    while lower_excess(hi) > 0.0:
-        hi *= 2.0
-    t1 = _lugannani_rice(e1, n, _root(lower_excess, 0.0, hi))[0]
+    e0 = d0 / s0
+    t1 = _tail_root(d1 / s1, n, math.log(epsilon), lower=True)
     t0 = t1 * (s1 / s0)
     if math.isinf(t0):
         raise OverflowError("the threshold in units of the clean weights is not finite")
@@ -371,12 +386,15 @@ def error_exponent_estimate(
     tail.  On a 1x1 system they give the exact exponent to 5e-4, 1.5e-5 and
     7e-7 relative at n = 10, 50, 200, and at a variance ratio of 1e100 they
     stay finite and below the KL.  With no sampling error, every ``radius``
-    is 0.0 and every ``exceed_count`` 0; ``trials`` is checked but unused,
-    and so is ``seed``.  ``tail="empirical"`` draws ``trials`` blocks per
-    hypothesis and n (attacked first, reduced to its quantile and freed, each
-    hypothesis with its own seed), counts the clean ones at or beyond tau and
-    reports the binomial radius; a zero count, as once n * KL exceeds about
-    log(trials), gives ``exponent = inf``.
+    is 0.0 and every ``exceed_count`` 0; ``trials`` must be an integer but
+    is otherwise unused, and so is ``seed``.  ``tail="empirical"`` needs
+    ``trials >= 50 / epsilon``, draws ``trials`` blocks per hypothesis and
+    n (attacked first, reduced to its quantile and freed, each hypothesis
+    with its own seed), counts the clean ones at or beyond tau and reports
+    the radius sqrt(beta (1 - beta) + e^(-2 tau) epsilon (1 - epsilon)) /
+    (beta n sqrt(trials)), which adds the empirical tau's noise to the
+    count's: f_1(tau) = e^tau f_0(tau) for a log-LRT.  A zero count, as once
+    n * KL exceeds about log(trials), gives ``exponent = inf``.
 
     Raises ``ValueError`` when a statistic overflows float64, as it does for
     covariances too small or too far apart: then the KL, a threshold or a
@@ -405,7 +423,8 @@ def _exponent_estimate(
     if tail not in ("saddlepoint", "empirical"):
         raise ValueError(f"tail must be 'saddlepoint' or 'empirical', got {tail!r}")
     n_grid = tuple(n_grid)
-    _check_design(n_grid, epsilon, trials)
+    _check_count("trials", trials)  # the saddlepoint tail reads neither trials nor seed
+    _check_design(n_grid, epsilon, trials if tail == "empirical" else None)
     model = _LrtModel(derived)
     points = []
     for grid_index, n in enumerate(n_grid):
@@ -418,7 +437,10 @@ def _exponent_estimate(
             exceed = int(np.count_nonzero(model.aggregate_samples(False, n, trials, rng0) >= tau))
             beta = exceed / trials
             log_beta = math.log(beta) if exceed else -math.inf
-            radius = math.sqrt(beta * (1.0 - beta) / trials) / (beta * n) if exceed else math.inf
+            noise = beta * (1.0 - beta)
+            if model.weights[True].size:  # with none, tau is n c whatever the draws
+                noise += math.exp(-2.0 * tau) * epsilon * (1.0 - epsilon)
+            radius = math.sqrt(noise / trials) / (beta * n) if exceed else math.inf
         points.append(
             ExponentPoint(
                 n=int(n),

@@ -145,14 +145,19 @@ def test_lrt_keeps_the_model_checks_for_vectors_and_streams(y, derived, match):
 
 
 def test_calibrate_identical_hypotheses_degenerates_to_zero():
-    tau = calibrate_threshold(IDENTICAL, n=5, epsilon=0.1, trials=1000, seed=0)
-    assert tau == pytest.approx(0.0, abs=1e-12)
+    # no weights are kept, so the threshold is n c exactly, and c = 0 for equal covariances
+    syy = _full_rank_3x3().sigma_yy
+    for derived in (IDENTICAL, DerivedCovariances(sigma_yy=syy, sigma_yaya=syy)):
+        const = _LrtModel(derived).const
+        for n in (1, 5, 1000):
+            tau = calibrate_threshold(derived, n=n, epsilon=0.1)
+            assert tau == n * const == 0.0
 
 
 def test_calibrate_meets_false_alarm_budget():
     epsilon = 0.1
     trials = 10_000
-    tau = calibrate_threshold(SCALAR_DERIVED, n=1, epsilon=epsilon, trials=trials, seed=1)
+    tau = calibrate_threshold(SCALAR_DERIVED, n=1, epsilon=epsilon)
     model = _LrtModel(SCALAR_DERIVED)
     rng = np.random.default_rng(99)
     fresh = model.aggregate_samples(attacked=False, n=1, trials=trials, rng=rng)
@@ -162,51 +167,118 @@ def test_calibrate_meets_false_alarm_budget():
     assert alpha <= epsilon + 2.0 * stderr
 
 
-def test_calibrate_rejects_tiny_trial_budget():
-    with pytest.raises(ValueError, match="trials"):
-        calibrate_threshold(SCALAR_DERIVED, n=1, epsilon=0.05, trials=100, seed=0)
+@pytest.mark.parametrize("attack_var", [1.0, 10.0, 1e4])
+def test_calibrate_matches_the_exact_chi_square_quantile(attack_var):
+    # 1x1: the clean aggregate is n c + d_0 chi2_n / 2, so the chi2_n tail at
+    # 2 (tau - n c) / d_0 is the false-alarm rate; its relative error is the
+    # saddlepoint's, 2.1% at n = 1 and at most 0.29% from n = 5
+    derived = DerivedCovariances(np.array([[1.0]]), np.array([[1.0 + attack_var]]))
+    model = _LrtModel(derived)
+    (d0,) = model.weights[False]
+    for n in (1, 2, 5, 20, 100):
+        for epsilon in (0.01, 0.05, 0.3, 0.45):  # from 0.317 the n = 1 root lies at y > 0
+            tau = calibrate_threshold(derived, n=n, epsilon=epsilon)
+            alpha = chi2.sf(2.0 * (tau - n * model.const) / d0, n)
+            assert alpha == pytest.approx(epsilon, rel=0.022 if n < 5 else 0.003), (n, epsilon)
 
 
-def test_quantile_noise_shrinks_with_trials():
-    taus_small = [
-        calibrate_threshold(SCALAR_DERIVED, n=1, epsilon=0.1, trials=2000, seed=s)
-        for s in range(8)
-    ]
-    taus_large = [
-        calibrate_threshold(SCALAR_DERIVED, n=1, epsilon=0.1, trials=32_000, seed=s)
-        for s in range(8)
-    ]
-    assert np.std(taus_large) < np.std(taus_small)
+def test_calibrate_draws_nothing_and_the_experiment_draws_each_rate_once(monkeypatch, ieee30_h):
+    derived = _optimal_attack(ieee30_h, 0.1, 20.0)
+    draws = []
+    aggregate = _LrtModel.aggregate_samples
+
+    def counting(self, attacked, n, trials, rng):
+        draws.append((attacked, trials * self.weights[attacked].size))
+        return aggregate(self, attacked, n, trials, rng)
+
+    monkeypatch.setattr(_LrtModel, "aggregate_samples", counting)
+    tau = calibrate_threshold(derived, n=5, epsilon=0.05)
+    assert draws == []
+    result = run_detection_experiment(derived, n=5, epsilon=0.05, trials=2000, seed=4)
+    assert draws == [(False, 2000 * 29), (True, 2000 * 29)]  # 2 x trials x r entries
+    assert result.tau == tau
+
+
+def test_pooled_false_alarm_rate_meets_epsilon_on_ieee30(ieee30_h):
+    # alpha_hat of the draw-free threshold, pooled over seeds, within 4 stderr of epsilon
+    derived = _optimal_attack(ieee30_h, 0.1, 20.0)
+    epsilon, trials, seeds = 0.05, 20_000, range(5)
+    for n in (1, 5):
+        runs = [run_detection_experiment(derived, n, epsilon, trials, seed) for seed in seeds]
+        assert len({run.tau for run in runs}) == 1
+        pooled = np.mean([run.alpha_hat for run in runs])
+        stderr = math.sqrt(epsilon * (1.0 - epsilon) / (trials * len(runs)))
+        assert abs(pooled - epsilon) <= 4.0 * stderr, (n, pooled)
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+@pytest.mark.parametrize(
+    "clean_var, attack_var, match",
+    [
+        (1e-320, 1.0, "the log likelihood ratio of these covariances overflows float64"),
+        (1e-300, 1e300, "the log likelihood ratio of these covariances overflows float64"),
+        (1e308, 1e308, "sigma_yaya has non-finite entries"),
+        (1.0, 1e100, None),
+        (1e-100, 1.0, None),
+        (1.0, 1e307, None),
+    ],
+)
+def test_calibrate_rejects_far_apart_covariances_or_returns_a_finite_threshold(
+    clean_var, attack_var, match
+):
+    derived = DerivedCovariances(np.array([[clean_var]]), np.array([[clean_var + attack_var]]))
+    for n in (1, 10, 1000):
+        if match is None:
+            assert math.isfinite(calibrate_threshold(derived, n=n, epsilon=0.05))
+        else:
+            with pytest.raises(ValueError, match=match):
+                calibrate_threshold(derived, n=n, epsilon=0.05)
 
 
 def test_run_detection_experiment_rates():
     result = run_detection_experiment(SCALAR_DERIVED, n=20, epsilon=0.05, trials=4000, seed=5)
     assert 0.0 <= result.alpha_hat <= 0.05 + 2.0 * math.sqrt(0.05 * 0.95 / 4000) + 0.01
     assert 0.0 <= result.beta_hat <= 1.0
-    assert result.tau == pytest.approx(
-        calibrate_threshold(SCALAR_DERIVED, n=20, epsilon=0.05, trials=4000, seed=5)
-    )
+    assert result.tau == calibrate_threshold(SCALAR_DERIVED, n=20, epsilon=0.05)
+
+
+def _call_with_design(call, n, trials=4000):
+    """``call`` on the scalar system; only the experiment takes trials and a seed."""
+    if call is calibrate_threshold:
+        return call(SCALAR_DERIVED, n=n, epsilon=0.05)
+    return call(SCALAR_DERIVED, n=n, epsilon=0.05, trials=trials, seed=0)
 
 
 @pytest.mark.parametrize("call", [calibrate_threshold, run_detection_experiment])
 def test_detection_rejects_empty_blocks(call):
     with pytest.raises(ValueError, match="block length n must be >= 1, got 0"):
-        call(SCALAR_DERIVED, n=0, epsilon=0.05, trials=4000, seed=0)
+        _call_with_design(call, n=0)
 
 
-@pytest.mark.parametrize("call", [calibrate_threshold, run_detection_experiment])
+_N_FLOAT = "block length n must be an integer, got 2.5"
+_N_BOOL = "block length n must be an integer, got True"
+
+
 @pytest.mark.parametrize(
-    "n, trials, match",
+    "call, n, trials, match",
     [
-        (2.5, 4000, "block length n must be an integer, got 2.5"),
-        (True, 4000, "block length n must be an integer, got True"),
-        (5, 4000.0, "trials must be an integer, got 4000.0"),
+        pytest.param(calibrate_threshold, 2.5, None, _N_FLOAT, id="n-float-calibrate_threshold"),
+        pytest.param(
+            run_detection_experiment, 2.5, 4000, _N_FLOAT, id="n-float-run_detection_experiment"
+        ),
+        pytest.param(calibrate_threshold, True, None, _N_BOOL, id="n-bool-calibrate_threshold"),
+        pytest.param(
+            run_detection_experiment, True, 4000, _N_BOOL, id="n-bool-run_detection_experiment"
+        ),
+        pytest.param(
+            run_detection_experiment, 5, 4000.0, "trials must be an integer, got 4000.0",
+            id="trials-float-run_detection_experiment",
+        ),
     ],
-    ids=["n-float", "n-bool", "trials-float"],
 )
 def test_detection_rejects_non_integral_counts(call, n, trials, match):
     with pytest.raises(ValueError, match=match):
-        call(SCALAR_DERIVED, n=n, epsilon=0.05, trials=trials, seed=0)
+        _call_with_design(call, n, trials)
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +296,11 @@ def test_detection_rejects_non_integral_counts(call, n, trials, match):
     ],
 )
 def test_exponent_rejects_out_of_domain_input(n_grid, trials, match):
+    # the trial floor is the empirical tail's: the saddlepoint tail draws nothing
     with pytest.raises(ValueError, match=match):
-        error_exponent_estimate(SCALAR_DERIVED, n_grid=n_grid, epsilon=0.05, trials=trials)
+        error_exponent_estimate(
+            SCALAR_DERIVED, n_grid=n_grid, epsilon=0.05, trials=trials, tail="empirical"
+        )
 
 
 @pytest.mark.parametrize(
@@ -259,6 +334,7 @@ def test_exponent_identical_hypotheses_is_positive_zero(tail):
     for point in estimate.points:
         assert point.exponent == 0.0
         assert math.copysign(1.0, point.exponent) == 1.0
+        assert point.radius == 0.0  # every block is n c: neither count nor tau is noisy
 
 
 def test_exponent_identical_hypotheses_is_zero():
@@ -362,20 +438,29 @@ def test_saddlepoint_exponent_is_finite_and_below_kl_at_every_n(clean_var, attac
         assert 0.0 < point.exponent <= estimate.kl_marginals, point.n
 
 
+def _point_bits(estimate) -> bytes:
+    return b"".join(
+        np.array([p.n, p.tau, p.beta_hat, p.exponent, p.radius, p.exceed_count]).tobytes()
+        for p in estimate.points
+    )
+
+
 def test_saddlepoint_values_are_the_same_for_every_seed_and_trial_count(ieee30_h):
+    # bit for bit, below the empirical tail's trial floor too: this tail draws nothing
     for derived in (SCALAR_DERIVED, _optimal_attack(ieee30_h, 0.1, 20.0)):
         first = error_exponent_estimate(derived, n_grid=(1, 10), seed=0)
-        for seed, trials in ((1, 1000), (2**63, 100_000), (12345, 2_000_000)):
+        for seed, trials in ((1, 1000), (2**63, 100_000), (12345, 2_000_000), (3, 999), (4, 0)):
             again = error_exponent_estimate(derived, n_grid=(1, 10), trials=trials, seed=seed)
-            assert again == first
+            assert _point_bits(again) == _point_bits(first), (seed, trials)
 
 
 @pytest.mark.parametrize("snr_db", [0.0, 20.0])
 def test_saddlepoint_agrees_with_counting_on_ieee30(ieee30_h, snr_db):
-    # An empirical radius is the binomial error of the count alone; the empirical
-    # threshold's own noise about doubles the spread (z-scores against the saddlepoint
-    # with SD about 2 over seeds).  So the count is that of 10 seeds, and its radius
-    # the standard error of their mean, measured from their spread.
+    # The count is that of 10 seeds, and its radius the standard error of their
+    # mean, measured from their spread.  Each seed's own radius carries the
+    # empirical threshold's noise as well as the count's, so over the 10 fixed
+    # seeds z = (saddlepoint - counted) / radius has an SD near 1; the count's
+    # binomial noise alone would give about 2.
     derived = _optimal_attack(ieee30_h, 0.1, snr_db)
     grid = (1, 2, 5)
     saddle = error_exponent_estimate(derived, n_grid=grid).points
@@ -383,7 +468,7 @@ def test_saddlepoint_agrees_with_counting_on_ieee30(ieee30_h, snr_db):
         error_exponent_estimate(derived, grid, trials=10_000, seed=s, tail="empirical").points
         for s in range(10)
     ]
-    compared = 0
+    compared, z = 0, []
     for i, point in enumerate(saddle):
         counted = [run[i] for run in runs]
         if min(p.exceed_count for p in counted) < 100:
@@ -391,8 +476,10 @@ def test_saddlepoint_agrees_with_counting_on_ieee30(ieee30_h, snr_db):
         values = np.array([p.exponent for p in counted])
         radius = float(values.std(ddof=1)) / math.sqrt(values.size)
         assert abs(point.exponent - values.mean()) <= 4.0 * radius, (point.n, radius)
+        z += [(point.exponent - p.exponent) / p.radius for p in counted]
         compared += 1
     assert compared >= 2
+    assert 0.6 <= np.std(z, ddof=1) <= 1.5, np.std(z, ddof=1)
 
 
 # ---------------------------------------------------------------------------
@@ -635,7 +722,7 @@ derived = DerivedCovariances(sigma_yy=np.array([[1.0]]), sigma_yaya=np.array([[2
 for tail in ("saddlepoint", "empirical"):
     error_exponent_estimate(derived, n_grid=(1, 5), trials=2000, seed=0, tail=tail)
 run_detection_experiment(derived, n=5, epsilon=0.05, trials=2000, seed=0)
-calibrate_threshold(derived, n=5, epsilon=0.05, trials=2000, seed=0)
+calibrate_threshold(derived, n=5, epsilon=0.05)
 sys.exit("numpy.ma imported" if "numpy.ma" in sys.modules else 0)
 """
     result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
@@ -678,20 +765,20 @@ def test_detection_memory_is_one_sample_array_and_one_chunk(ieee30_h):
 
 #: per BLAS kernel (helpers.blas_kernel), the digest of the detection estimates
 DETECTION_DIGESTS = {
-    b"SkylakeX": "5f6b8e96d61f72929d14d24cc582f06807b990d6edade7bb4ae9faea5fb73b89",
-    b"Haswell": "1a0db5b8859041a73c7be762de2f1da82ef68baa3445bb1d6e222922a00d3e78",
-    b"Sandybridge": "1148bba63b98731b2ecd402821d49012a81eb2d5954805e77b1336e4adbbbb9b",
-    b"Nehalem": "8c073a10adddac6e0f0be595828802f6961db653be12ce4bb18b727beb07c8d2",
-    b"Katmai": "0ed0106a2ce1c82c9aafbc1f24ba3f85c772ee0821acb4223dbaab30467753b9",
+    b"SkylakeX": "4f69e9cef69c5d1ed986b72991947d5f3889254d909eead8a35e0b98ae511263",
+    b"Haswell": "dc0f5ddd8ed4f4d574e25e65c5f6039d7c34b4457d3276fca2d7aae5e0d516c7",
+    b"Sandybridge": "5cb7b68ac7a79ab4e241f4bbb50b2b61f6921356a93539723865fb3d0b5c11bc",
+    b"Nehalem": "28761c91e26e5e26faa0ca050830d05f647e44aa218ce5cf800ba94e8112d647",
+    b"Katmai": "f72959b2b5590a1b3ba6d1d5a1d73dd0efc896840ba34645bb9a765a7b8f89a4",
 }
 
 
 def test_detection_is_pinned_bit_for_bit(ieee30_h):
     # both calls, both tails, on 1, 4 and 29 kept weights; 16 385 trials leave
-    # a last chunk of one row at 1 and 4 weights.  The empirical values are
-    # those of the kernel that drew all rows at once and took np.quantile
-    # (numpy 2.4, x86-64 OpenBLAS, one digest per kernel: each rounds the
-    # weights its way, and the saddlepoint tail starts from those weights)
+    # a last chunk of one row at 1 and 4 weights.  The empirical tau, beta_hat
+    # and counts are those of the kernel that drew all rows at once and took
+    # np.quantile (numpy 2.4, x86-64 OpenBLAS, one digest per kernel: each
+    # rounds the weights its way, and the saddlepoint tails start from those)
     digest = hashlib.sha256()
     for derived in (SCALAR_DERIVED, _optimal_attack_8x4(), _optimal_attack(ieee30_h, 0.1, 20.0)):
         for tail in ("saddlepoint", "empirical"):

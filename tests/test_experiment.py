@@ -214,7 +214,30 @@ def test_manifest_lists_no_violation_for_the_default_bound(tmp_path):
     assert manifest["diagnostics"][0]["margin_z"] > 3.0
     assert manifest["bound_violations"] == []
     (row,), (paper,) = read_rows(path), manifest["bound_paper"]
-    assert (paper - row["mc_mean"]) / row["mc_stderr"] < -3.0
+    assert manifest["diagnostics"][0]["paper_margin_z"] == (
+        (paper - row["mc_mean"]) / row["mc_stderr"]
+    ) < -3.0
+    assert manifest["bound_paper_violations"] == [11]
+
+
+@pytest.mark.parametrize("snr_db, paper_violations", [(60.0, [32, 50, 100]), (20.0, [])])
+def test_manifest_flags_where_the_paper_sum_falls_below_the_mean(
+    tmp_path, snr_db, paper_violations
+):
+    # IEEE-30 at rho 0.1: the paper's sum is 22 to 29 stderr below the mean at
+    # 60 dB and hundreds above it at 20 dB; real_exact holds at both
+    config = ExperimentConfig(
+        rho=0.1, seed=1, case_path="bundled:ieee30", snr_db=snr_db, k_grid=(32, 50, 100),
+        trials=2000, output_dir=str(tmp_path),
+    )
+    path = run_experiment(config)
+    manifest = json.loads((tmp_path / f"{path.stem}_manifest.json").read_text())
+    assert manifest["bound_paper_violations"] == paper_violations
+    assert manifest["bound_violations"] == []
+    for row, paper, diagnostic in zip(
+        read_rows(path), manifest["bound_paper"], manifest["diagnostics"]
+    ):
+        assert diagnostic["paper_margin_z"] == (paper - row["mc_mean"]) / row["mc_stderr"]
 
 
 def test_config_validation():
@@ -529,6 +552,14 @@ def test_cli_detect(capsys):
     assert out.count("\n") >= 4
 
 
+def test_cli_detect_saddlepoint_ignores_trials(capsys):
+    outputs = []
+    for trials in ("999", "20000"):
+        assert main(["detect", "--trials", trials, "--seed", "3"]) == 0
+        outputs.append(capsys.readouterr().out)
+    assert outputs[0] == outputs[1] and outputs[0].count("\n") == 5
+
+
 def test_cli_detect_identical_hypotheses_prints_no_negative_zero(capsys):
     assert main(["detect", "--attack-var", "0", "--trials", "2000", "--seed", "3"]) == 0
     out = capsys.readouterr().out
@@ -662,8 +693,8 @@ def test_cli_rejects_non_finite_input(tmp_path, capsys, two_bus_text, argv, file
 @pytest.mark.parametrize(
     "argv, match",
     [
-        (["--trials", "0"], "need at least 1000 trials"),
-        (["--trials", "1"], "need at least 1000 trials"),
+        (["--tail", "empirical", "--trials", "0"], "need at least 1000 trials"),
+        (["--tail", "empirical", "--trials", "1"], "need at least 1000 trials"),
         (["--n-grid", "0"], "block length n must be >= 1, got 0"),
         (["--attack-var", "nan"], "sigma_yaya has non-finite entries"),
         (["--clean-var", "inf"], "sigma_yy has non-finite entries"),
