@@ -58,19 +58,39 @@ def _digamma(x: float) -> float:
     return math.log(x) - 0.5 / x - _series(x) - recurrence
 
 
-def _digamma_ladder(a: float, n: int) -> float:
-    """sum_{j<n} psi(a + j) = n (psi(b) - 1) + (a - 1) h with b = a + n and
-    h = psi(b) - psi(a) = sum_{l<n} 1/(a + l), by psi(x + 1) = psi(x) + 1/x.
-    h adds its terms below 16 and takes the rest from :func:`_series`, with
-    log(b/x) as log1p, so no digits cancel however large a is."""
-    b, h, i = a + n, 0.0, 0
+def _log1p_gap(u: float) -> float:
+    """(1 + u) log1p(u) - u = sum_{k>=2} (-u)^k / (k (k - 1)), by ten terms below |u| = 0.01."""
+    if abs(u) >= 0.01:
+        return (1.0 + u) * math.log1p(u) - u
+    v = u * (1 / 56 - u * (1 / 72 - u * (1 / 90 - u / 110)))
+    return u * u * (1 / 2 - u * (1 / 6 - u * (1 / 12 - u * (1 / 20 - u * (1 / 30 - u * (1 / 42 - v))))))
+
+
+def _digamma_ladder(c: float, d: float, n: int) -> float:
+    """sum_{j<n} psi(a + j) - n log c, a = c + d, b = a + n, c > 0.
+
+    By psi(x + 1) = psi(x) + 1/x the sum is F(b) - F(a), F(x) = (x - 1) psi(x) - x.
+    From a = 16, psi(x) = log x - 1/(2x) - :func:`_series` makes it
+    G(b) - G(a) - n / (2ab), G(x) = c g(u) - log1p(u) - (x - 1) _series(x) with
+    u = (x - c)/c and g = :func:`_log1p_gap`: every term keeps its digits where the
+    sum cancels to about -n^2 / 2c, and u comes from the exact offset d, not from
+    a - c.  Below 16 the sum is n (psi(b) - log c - 1) + (a - 1) h with
+    h = psi(b) - psi(a) = sum_{l<n} 1/(a + l), which adds its terms below 16 and
+    takes the rest from _series, log(b/x) as log1p."""
+    a = c + d
+    b = a + n
+    if a >= 16.0:
+        ua, ub = d / c, (d + n) / c
+        gaps = c * (_log1p_gap(ub) - _log1p_gap(ua)) - (math.log1p(ub) - math.log1p(ua))
+        return gaps - ((b - 1.0) * _series(b) - (a - 1.0) * _series(a)) - 0.5 * n / (a * b)
+    h, i = 0.0, 0
     while i < n and a + i < 16.0:
         h += 1.0 / (a + i)
         i += 1
     if i < n:
         x = a + i
         h += math.log1p((n - i) / x) + 0.5 * (n - i) / (x * b) + _series(x) - _series(b)
-    return n * (_digamma(b) - 1.0) + (a - 1.0) * h
+    return n * (_digamma(b) - math.log(c) - 1.0) + (a - 1.0) * h
 
 
 @dataclass(frozen=True)
@@ -115,8 +135,10 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> 
     - ``real_exact``: sum_{i=1}^{p} psi((K-i)/2) + p log 2 - p log(K-1),
       exact for real-valued data and strictly smaller.
 
-    Each psi sum is one :func:`_digamma_ladder` (``paper``) or two: two digamma
-    evaluations at most, whatever p.  p and K must be integers below 2^64.
+    Each psi sum is one :func:`_digamma_ladder` (``paper``) or two, each with
+    p log(K-1) folded in: two digamma evaluations at most, whatever p, and
+    relative accuracy also where the value cancels to about -p^2 / 2K.  p and
+    K must be integers below 2^64.
     """
     _check_count("p", p)
     _check_count("k", k)
@@ -130,9 +152,10 @@ def expected_logdet_std_wishart(p: int, k: int, formula: str = "real_exact") -> 
     if p == 0:
         return 0.0
     if formula == "paper":
-        return _digamma_ladder(float(k - p), p) - p * math.log(k - 1)
-    halves = _digamma_ladder((k - p) / 2, (p + 1) // 2) + _digamma_ladder((k - p + 1) / 2, p // 2)
-    return halves + p * math.log(2.0) - p * math.log(k - 1)
+        return _digamma_ladder(float(k - 1), float(1 - p), p)
+    # psi((K - i)/2) - log((K - 1)/2), i = p, p - 2, ... and i = p - 1, p - 3, ...
+    c = (k - 1) / 2
+    return _digamma_ladder(c, (1 - p) / 2, (p + 1) // 2) + _digamma_ladder(c, (2 - p) / 2, p // 2)
 
 
 @dataclass(frozen=True)

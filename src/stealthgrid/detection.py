@@ -18,11 +18,9 @@ import numpy as np
 
 from .gaussian import (
     PSD_TOL,
-    RANK_TOL,
     DerivedCovariances,
     _check_count,
     _check_finite,
-    _logdet_of_factor,
     gaussian_kl_marginals,
     symmetrize,
 )
@@ -75,46 +73,45 @@ class ExponentEstimate:
 
 
 class _LrtModel:
-    """Log likelihood ratio const + y^T delta y / 2 and the law of its block sums."""
+    """Log-LRT c + 1/2 sum_j d_j (Q^T L_0^-1 y)_j^2 and its block law, from one spectrum.
 
+    S_aa = S_yaya - S_yy keeps its eigenvalues above its round-off, m eps max S_yaya;
+    with L_0 L_0^T = S_yy, L_0^-1 U_p Lambda_p^1/2 = Q diag(s) V^T gives the whitened
+    attack spectrum nu = s^2, d = nu / (1 + nu) and c = -1/2 sum log1p(nu) (Woodbury,
+    determinant lemma).  A block of n sums to n c + 1/2 sum_j w_j chi2_{n,j} with
+    w = d, or nu if attacked, as Q^T L_0^-1 y has covariance I or diag(1 + nu).
+    """
+
+    @np.errstate(over="ignore", invalid="ignore")  # covariances too far apart: caught below
     def __init__(self, derived: DerivedCovariances):
-        chol = {}
-        for attacked, name in ((False, "sigma_yy"), (True, "sigma_yaya")):
+        factors = []
+        for name in ("sigma_yy", "sigma_yaya"):  # S_yaya's factor only shows it is PD
             cov = getattr(derived, name)
             if not np.all(np.isfinite(cov)):
                 raise ValueError(f"{name} has non-finite entries")
             try:
-                chol[attacked] = np.linalg.cholesky(cov)
+                factors.append(np.linalg.cholesky(cov))
             except np.linalg.LinAlgError:
                 raise ValueError(f"{name} is not positive definite") from None
-        self.const = 0.5 * (_logdet_of_factor(chol[False]) - _logdet_of_factor(chol[True]))
-        # y = L z under a hypothesis of covariance L L^T, so y^T delta y = sum_j d_j z_j^2
-        # with d = eig(L^T delta L) (Imhof 1961); keyed by ``attacked``.  Covariances
-        # too small or too far apart overflow these, and are rejected below.
-        with np.errstate(over="ignore", invalid="ignore"):
-            self.delta = np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
-            weights = {
-                attacked: np.linalg.eigvalsh(symmetrize(l.T @ self.delta @ l))
-                for attacked, l in chol.items()
-            }
-        if not all(np.isfinite(a).all() for a in (self.delta, *weights.values())):
+        lam, u = np.linalg.eigh(symmetrize(derived.sigma_yaya - derived.sigma_yy))
+        if lam[0] < -PSD_TOL * max(float(lam[-1]), 0.0):
+            raise ValueError("attack covariance sigma_yaya - sigma_yy is not positive semidefinite")
+        keep = lam > derived.m * np.finfo(float).eps * derived.sigma_yaya.diagonal().max()
+        # scaled after the solve, which then meets no inf: svd takes inf, not nan
+        x = np.linalg.solve(factors[0], u[:, keep]) * np.sqrt(lam[keep])
+        q, s, _ = np.linalg.svd(x, full_matrices=False)
+        s, q = s[::-1], q[:, ::-1]  # ascending, the order of the draws' columns
+        nu = s * s
+        self._proj = np.linalg.solve(factors[0].T, q * (s / np.sqrt(1.0 + nu)))
+        if not all(np.isfinite(a).all() for a in (lam, nu, self._proj)):
             raise ValueError("the log likelihood ratio of these covariances overflows float64")
-        # nominal side: d = 1 - 1/eig(I + L^-1 S_aa L^-T), negative iff S_aa is not PSD
-        if weights[False][0] < -PSD_TOL:
-            raise ValueError(
-                "attack covariance sigma_yaya - sigma_yy is not positive semidefinite"
-            )
-        # delta has rank at most rank(S_aa): the other weights are roundoff of exact
-        # zeros, and a zero weight leaves the aggregate's law unchanged.
-        self.weights = {
-            attacked: d[np.abs(d) > RANK_TOL * np.abs(d).max()] for attacked, d in weights.items()
-        }
+        self.const = 0.0 - 0.5 * float(np.log1p(nu).sum())  # +0.0 with no weight
+        self.weights = {False: nu / (1.0 + nu), True: nu}
 
     def log_lrt(self, y: np.ndarray) -> np.ndarray:
         """Log likelihood ratio of each observation (rows of y)."""
-        y = np.atleast_2d(np.asarray(y, dtype=float))
-        quad = np.einsum("im,mk,ik->i", y, self.delta, y)
-        return self.const + 0.5 * quad
+        w = np.atleast_2d(np.asarray(y, dtype=float)) @ self._proj
+        return self.const + 0.5 * np.einsum("ij,ij->i", w, w)
 
     def aggregate_samples(
         self, attacked: bool, n: int, trials: int, rng: np.random.Generator
@@ -149,10 +146,10 @@ def lrt_statistic(y: np.ndarray, derived: DerivedCovariances) -> float | np.ndar
     log L(y) = 1/2 [ log(|S_yy| / |S_yaya|) + y^T (S_yy^-1 - S_yaya^-1) y ],
     positive values favor the attacked hypothesis.  A vector of length m
     gives a float; a (T, m) array gives the T values, all scored on one
-    model, so a stream pays for the factorizations once.  Raises
-    ``ValueError`` if y has another shape or holds a nan or inf, and as
-    :class:`_LrtModel` does if a covariance is not positive definite or the
-    attack covariance is not positive semidefinite.
+    model, so a stream pays for its spectrum once.  Raises ``ValueError`` if
+    y has another shape or holds a nan or inf, and as :class:`_LrtModel`
+    does if a covariance is not positive definite, the attack covariance is
+    not positive semidefinite or its whitened spectrum overflows float64.
     """
     y = np.asarray(y, dtype=float)
     if y.ndim not in (1, 2) or y.shape[-1] != derived.m:
@@ -264,6 +261,7 @@ def _lugannani_rice(e: np.ndarray, n: int, y: float, t=None, lower=False) -> tup
     K'' = (n/2) sum b^2 / q^2, b = q e / a <= 1, do not overflow.  The tail is
     Q(w) + phi(w) (1/u - 1/w), w = sign(r) sqrt(2 (r t - K)), u = r sqrt(K'')
     (Lugannani & Rice 1980; Butler 2007, sec. 1.2); W's lower tail is -W's upper.
+    Near y = 0, r t - K cancels to second order: there (a >= 1/2) log a is log1p(-r e).
     """
     q = math.exp(y)
     a = (1.0 - e) + q * e
@@ -272,7 +270,8 @@ def _lugannani_rice(e: np.ndarray, n: int, y: float, t=None, lower=False) -> tup
         t = 0.5 * n * float(b.sum()) / q
     r = -math.expm1(y)
     k2 = 0.5 * n * float(b @ b)  # q^2 K''
-    w2 = max(2.0 * (r * t + 0.5 * n * float(np.log(a).sum())), 0.0)
+    log_a = np.log1p(-r * e) if q >= 0.5 else np.log(a)
+    w2 = max(2.0 * (r * t + 0.5 * n * float(log_a.sum())), 0.0)
     sign = -1.0 if lower else 1.0
     w = sign * math.copysign(math.sqrt(w2), r)
     if abs(w) < 1e-4:  # 1/u - 1/w cancels: take its limit, -skewness/6
@@ -329,7 +328,7 @@ def _tail_root(e: np.ndarray, n: int, log_epsilon: float, lower: bool) -> float:
 
 def _threshold(model: _LrtModel, n: int, epsilon: float) -> float:
     """(1 - epsilon)-quantile of the clean aggregate n c + s_0 W_0, s_0 its largest weight."""
-    d0 = model.weights[False][model.weights[False] > 0.0]
+    d0 = model.weights[False]
     if not d0.size:  # identical hypotheses: every block is n c
         return n * model.const
     s0 = float(d0.max())
@@ -340,13 +339,13 @@ def _saddlepoint(model: _LrtModel, n: int, epsilon: float) -> tuple[float, float
     """(tau, log beta) at block length n from the Lugannani-Rice tails, with no draws.
 
     A hypothesis's aggregate is n c + s W, with s its largest weight and W as in
-    :func:`_lugannani_rice` for e = d / s (a weight <= 0 is round-off and left out).
+    :func:`_lugannani_rice` for e = d / s.
     The attacked W's lower tail is epsilon at t_1 (:func:`_tail_root`); beta is the
     clean W's upper tail at s_1 t_1 / s_0, whose saddlepoint lies in
     [log(n / 2 t_0), log(n k / 2 t_0)], as 1 <= sum b <= k for k weights.
     """
-    d1, d0 = (d[d > 0.0] for d in (model.weights[True], model.weights[False]))
-    if not (d1.size and d0.size):  # identical hypotheses: every block is n c
+    d1, d0 = model.weights[True], model.weights[False]
+    if not d1.size:  # identical hypotheses: every block is n c
         return n * model.const, 0.0
     s1, s0 = float(d1.max()), float(d0.max())
     e0 = d0 / s0
@@ -383,23 +382,23 @@ def error_exponent_estimate(
     Lugannani-Rice tails (Lugannani & Rice 1980; Butler, *Saddlepoint
     Approximations with Applications*, 2007) of the aggregate's law,
     n c + 1/2 sum_j d_j chi2_{n,j}, with relative error O(1/n) far into the
-    tail.  On a 1x1 system they give the exact exponent to 5e-4, 1.5e-5 and
-    7e-7 relative at n = 10, 50, 200, and at a variance ratio of 1e100 they
-    stay finite and below the KL.  With no sampling error, every ``radius``
-    is 0.0 and every ``exceed_count`` 0; ``trials`` must be an integer but
-    is otherwise unused, and so is ``seed``.  ``tail="empirical"`` needs
-    ``trials >= 50 / epsilon``, draws ``trials`` blocks per hypothesis and
-    n (attacked first, reduced to its quantile and freed, each hypothesis
-    with its own seed), counts the clean ones at or beyond tau and reports
-    the radius sqrt(beta (1 - beta) + e^(-2 tau) epsilon (1 - epsilon)) /
-    (beta n sqrt(trials)), which adds the empirical tau's noise to the
-    count's: f_1(tau) = e^tau f_0(tau) for a log-LRT.  A zero count, as once
-    n * KL exceeds about log(trials), gives ``exponent = inf``.
+    tail.  On a 1x1 system they give the exact exponent to 5e-4, 1.5e-5, 7e-7
+    and 1e-13 relative at n = 10, 50, 200 and 1e6 to 2^40, and at a variance
+    ratio of 1e100 they stay finite and below the KL.  With no sampling
+    error, every ``radius`` is 0.0 and every ``exceed_count`` 0; ``trials``
+    must be an integer but is otherwise unused, and so is ``seed``.
+    ``tail="empirical"`` needs ``trials >= 50 / epsilon``, draws ``trials``
+    blocks per hypothesis and n (attacked first, reduced to its quantile and
+    freed, each hypothesis with its own seed), counts the clean ones at or
+    beyond tau and reports the radius sqrt(beta (1 - beta) + e^(-2 tau)
+    epsilon (1 - epsilon)) / (beta n sqrt(trials)), which adds the empirical
+    tau's noise to the count's: f_1(tau) = e^tau f_0(tau) for a log-LRT.  A
+    zero count, as once n * KL exceeds about log(trials), gives ``exponent = inf``.
 
     Raises ``ValueError`` when a statistic overflows float64, as it does for
-    covariances too small or too far apart: then the KL, a threshold or a
-    printed exponent or radius is not finite (the empirical tail's zero-count
-    points excepted), or a step on the way overflows.
+    covariances too small or too far apart: then the attack spectrum, the KL,
+    a threshold or a printed exponent or radius is not finite (the empirical
+    tail's zero-count points excepted), or a step on the way overflows.
     """
     try:
         with np.errstate(over="raise", invalid="raise"):

@@ -7,6 +7,7 @@ import sys
 import tracemalloc
 from statistics import NormalDist
 
+import mpmath
 import numpy as np
 import pytest
 from helpers import pinned_digest, random_pd
@@ -55,6 +56,11 @@ def _optimal_attack(h: np.ndarray, rho: float, snr_db: float) -> DerivedCovarian
 def _optimal_attack_8x4() -> DerivedCovariances:
     """8 measurements, 4 states: the optimal attack has rank 4 of 8."""
     return _optimal_attack(np.random.default_rng(23).standard_normal((8, 4)), 0.5, 20.0)
+
+
+def _delta(derived: DerivedCovariances) -> np.ndarray:
+    """S_yy^-1 - S_yaya^-1, the log-LRT's quadratic form, by two explicit inverses."""
+    return np.linalg.inv(derived.sigma_yy) - np.linalg.inv(derived.sigma_yaya)
 
 
 # ---------------------------------------------------------------------------
@@ -113,6 +119,48 @@ def test_lrt_scores_a_stream_on_one_model(monkeypatch, ieee30_h):
     assert len(built) == 1
     assert stream.shape == (40,)
     np.testing.assert_allclose(stream, rows, rtol=1e-12, atol=0.0)
+
+
+def _mp_log_lrt(derived: DerivedCovariances, y: np.ndarray) -> list[float]:
+    """log L of each row of y at 50 digits, from mpmath Cholesky factors of the float inputs.
+
+    1/2 [log |S_yy| - log |S_yaya| + |L_0^-1 y|^2 - |L_1^-1 y|^2] = c + y^T delta y / 2,
+    delta = S_yy^-1 - S_yaya^-1, with no float64 rounding on the way.
+    """
+    with mpmath.workdps(50):
+        logdets, norms = [], []
+        for cov in (derived.sigma_yy, derived.sigma_yaya):
+            factor = mpmath.cholesky(mpmath.matrix(cov.tolist()))
+            logdets.append(2 * mpmath.fsum(mpmath.log(factor[i, i]) for i in range(derived.m)))
+            squares = []
+            for row in y.tolist():
+                z = []  # forward substitution: z = L^-1 y
+                for i, value in enumerate(row):
+                    known = mpmath.fsum(factor[i, j] * z[j] for j in range(i))
+                    z.append((value - known) / factor[i, i])
+                squares.append(mpmath.fsum(v * v for v in z))
+            norms.append(squares)
+        return [
+            float((logdets[0] - logdets[1] + q0 - q1) / 2) for q0, q1 in zip(*norms)
+        ]
+
+
+@pytest.mark.parametrize("snr_db", [40.0, 60.0])
+def test_lrt_matches_a_50_digit_delta_on_ieee30(ieee30_h, snr_db):
+    # The float inputs fix the log-LRT only to about eps kappa(S_yy), kappa = 2.2e5 at
+    # 40 dB and 2.2e7 at 60 dB: S_aa = S_yaya - S_yy carries round-off in the 42
+    # directions H does not reach, where S_yy^-1 is 1/sigma^2.  The whitened model
+    # drops those directions and stays within eps kappa, 0.16 eps kappa measured at
+    # both levels; a model built on the inverses S_yy^-1 - S_yaya^-1 measured 245 and
+    # 3000 eps kappa on these draws.
+    derived = _optimal_attack(ieee30_h, 0.1, snr_db)
+    y = np.random.default_rng(2).standard_normal((3, derived.m)) @ np.linalg.cholesky(
+        derived.sigma_yaya
+    ).T
+    eigenvalues = np.linalg.eigvalsh(derived.sigma_yy)
+    floor = float(np.finfo(float).eps) * eigenvalues[-1] / eigenvalues[0]
+    exact = np.array(_mp_log_lrt(derived, y))
+    np.testing.assert_allclose(lrt_statistic(y, derived), exact, rtol=floor, atol=0.0)
 
 
 def test_lrt_scalar_stream_matches_its_vectors():
@@ -438,6 +486,37 @@ def test_saddlepoint_exponent_is_finite_and_below_kl_at_every_n(clean_var, attac
         assert 0.0 < point.exponent <= estimate.kl_marginals, point.n
 
 
+def _log_chi2_sf_mp(x: float, n: int) -> float:
+    """log P(chi2_n > x) at 30 digits, as the regularized upper incomplete gamma Q(n/2, x/2)."""
+    with mpmath.workdps(30):
+        return float(mpmath.log(mpmath.gammainc(n / 2, x / 2, regularized=True)))
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_saddlepoint_tails_hold_at_huge_block_lengths():
+    # The 1x1 default of `stealthgrid detect`.  Near y = 0 the tail's w^2 = 2 (r t - K)
+    # cancels to second order, so K must carry its log a to relative accuracy: with
+    # log(a), n = 1e10 and 2^40 ended in a math domain error.  Exact: the chi2_n tail,
+    # as the even-n sum where it is short enough and as Q(n/2, x/2) throughout.
+    grid = (10**6, 10**8, 10**10, 2**40)
+    model = _LrtModel(SCALAR_DERIVED)
+    (d1,), (d0,) = (model.weights[a] for a in (True, False))
+    estimate = error_exponent_estimate(SCALAR_DERIVED, n_grid=grid, epsilon=0.05)
+    exponents = [p.exponent for p in estimate.points]
+    assert all(map(math.isfinite, exponents))
+    assert exponents == sorted(exponents) and exponents[-1] < estimate.kl_marginals
+    for point in estimate.points:
+        x0 = chi2.ppf(0.05, point.n) * d1 / d0
+        exact = -_log_chi2_sf_mp(x0, point.n) / point.n
+        if point.n <= 10**6:
+            assert exact == pytest.approx(-_log_chi2_sf(x0, point.n) / point.n, rel=1e-12)
+        assert point.exponent == pytest.approx(exact, rel=1e-3), point.n
+    for n in grid:
+        tau = calibrate_threshold(SCALAR_DERIVED, n=n, epsilon=0.05)
+        alpha = chi2.sf(2.0 * (tau - n * model.const) / d0, n)  # Q(n/2, x/2) to 1e-14 here
+        assert alpha == pytest.approx(0.05, rel=0.003), n
+
+
 def _point_bits(estimate) -> bytes:
     return b"".join(
         np.array([p.n, p.tau, p.beta_hat, p.exponent, p.radius, p.exceed_count]).tobytes()
@@ -545,7 +624,7 @@ def test_aggregate_matches_direct_simulation_and_exact_moments(derived, attacked
     direct = model.log_lrt(y).reshape(trials, n).sum(axis=1)
     kernel = model.aggregate_samples(attacked, n, trials, np.random.default_rng(41))
 
-    delta_cov = model.delta @ cov
+    delta_cov = _delta(derived) @ cov
     exact_mean = n * (model.const + 0.5 * np.trace(delta_cov))
     exact_var = 0.5 * n * np.trace(delta_cov @ delta_cov)
     m_d, v_d, se_md, se_vd = _mean_var_stderr(direct)
@@ -590,14 +669,20 @@ def test_a_model_factors_each_covariance_once(monkeypatch):
         factored.append(a)
         return cholesky(a)
 
+    def no_inverse(a):
+        raise AssertionError("the model inverts no matrix")
+
     derived = _full_rank_3x3()
     monkeypatch.setattr(np.linalg, "cholesky", counting)
+    monkeypatch.setattr(np.linalg, "inv", no_inverse)
     model = _LrtModel(derived)
     monkeypatch.undo()
     assert len(factored) == 2
     assert factored[0] is derived.sigma_yy and factored[1] is derived.sigma_yaya
-    # the log-determinants come from the same factors logdet_psd would make
-    assert model.const == 0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya))
+    # c = -1/2 sum log1p(nu) is the log-determinant ratio (matrix determinant lemma)
+    assert model.const == pytest.approx(
+        0.5 * (logdet_psd(derived.sigma_yy) - logdet_psd(derived.sigma_yaya)), rel=1e-14
+    )
 
 
 def test_kept_weight_counts_follow_the_attack_rank(ieee30_h):
@@ -610,6 +695,45 @@ def test_kept_weight_counts_follow_the_attack_rank(ieee30_h):
     for name, (derived, kept) in systems.items():
         model = _LrtModel(derived)
         assert [model.weights[a].size for a in (False, True)] == [kept, kept], name
+
+
+@pytest.mark.parametrize("snr_db", [60.0, 80.0, 120.0])
+def test_ieee30_optimal_attack_keeps_its_rank_at_high_snr(ieee30_h, snr_db):
+    # sigma^2 falls to 1e-6 .. 1e-12 of S_yy's range.  The rank is decided on S_aa,
+    # where the subtraction's round-off stays below m eps max S_yaya at any SNR, so
+    # both hypotheses keep the 29 weights of the attack
+    derived = _optimal_attack(ieee30_h, 0.1, snr_db)
+    model = _LrtModel(derived)
+    assert [model.weights[a].size for a in (False, True)] == [29, 29]
+    estimate = error_exponent_estimate(derived, n_grid=(1, 5, 20))
+    for point in estimate.points:
+        assert math.isfinite(point.tau)
+        assert 0.0 < point.exponent < estimate.kl_marginals, point.n
+    epsilon, trials = 0.05, 20_000
+    runs = [run_detection_experiment(derived, 5, epsilon, trials, seed) for seed in range(5)]
+    assert all(math.isfinite(run.tau) and 0.0 <= run.beta_hat <= 1.0 for run in runs)
+    pooled = np.mean([run.alpha_hat for run in runs])
+    stderr = math.sqrt(epsilon * (1.0 - epsilon) / (trials * len(runs)))
+    assert abs(pooled - epsilon) <= 4.0 * stderr, pooled
+
+
+def test_anisotropic_covariances_keep_both_weights():
+    # S_aa = diag(1, 1e-12) lies far above the round-off scale 2 eps max S_yaya = 8.9e-16,
+    # and whitening by S_yy = diag(1, 1e-12) makes both directions alike
+    derived = DerivedCovariances(np.diag([1.0, 1e-12]), np.diag([2.0, 2e-12]))
+    model = _LrtModel(derived)
+    np.testing.assert_allclose(model.weights[True], [1.0, 1.0], rtol=1e-12)
+    np.testing.assert_allclose(model.weights[False], [0.5, 0.5], rtol=1e-12)
+    assert model.const == pytest.approx(-math.log(2.0), rel=1e-14)
+
+
+def test_attack_psd_check_is_relative_to_its_largest_eigenvalue():
+    # attack_from_matrix's rule: an eigenvalue down to -PSD_TOL lambda_max is round-off,
+    # and, below the rank cut, carries no weight
+    model = _LrtModel(DerivedCovariances(np.eye(2), np.diag([2.0, 1.0 - 1e-9])))
+    assert model.weights[True].tolist() == [1.0]
+    with pytest.raises(ValueError, match="sigma_yaya - sigma_yy is not positive semidefinite"):
+        _LrtModel(DerivedCovariances(np.eye(2), np.diag([2.0, 1.0 - 1e-7])))
 
 
 @pytest.mark.parametrize("attacked", [False, True])
@@ -670,7 +794,7 @@ def test_kept_weights_carry_the_exact_moments(system, n):
     for attacked, cov in ((False, derived.sigma_yy), (True, derived.sigma_yaya)):
         d = model.weights[attacked]
         assert d.size == rank
-        delta_cov = model.delta @ cov
+        delta_cov = _delta(derived) @ cov
         exact_mean = n * (model.const + 0.5 * np.trace(delta_cov))
         exact_var = 0.5 * n * np.trace(delta_cov @ delta_cov)
         assert n * (model.const + 0.5 * d.sum()) == pytest.approx(exact_mean, rel=1e-12)
@@ -765,11 +889,11 @@ def test_detection_memory_is_one_sample_array_and_one_chunk(ieee30_h):
 
 #: per BLAS kernel (helpers.blas_kernel), the digest of the detection estimates
 DETECTION_DIGESTS = {
-    b"SkylakeX": "4f69e9cef69c5d1ed986b72991947d5f3889254d909eead8a35e0b98ae511263",
-    b"Haswell": "dc0f5ddd8ed4f4d574e25e65c5f6039d7c34b4457d3276fca2d7aae5e0d516c7",
-    b"Sandybridge": "5cb7b68ac7a79ab4e241f4bbb50b2b61f6921356a93539723865fb3d0b5c11bc",
-    b"Nehalem": "28761c91e26e5e26faa0ca050830d05f647e44aa218ce5cf800ba94e8112d647",
-    b"Katmai": "f72959b2b5590a1b3ba6d1d5a1d73dd0efc896840ba34645bb9a765a7b8f89a4",
+    b"SkylakeX": "17e7f50affd7c4352826c8b2cbdc66fdbbed8f51d4a5c96c1421be2cee6505ab",
+    b"Haswell": "24542e5dfe349c2540cb4555574fefdb060c8fe43b087ca46ce300a43a78577a",
+    b"Sandybridge": "03aff2ca71e5b7d57cd680cfaaa52091f0852e3ef562bc61845747035eb15432",
+    b"Nehalem": "f76b1755394fa3571a28f40e54d923007b6214e31edfeddb755e8b6ff2c4a24e",
+    b"Katmai": "70d81314b15c01e229acad1370cba047fbb0a1dd26b5b5ce1b2b333ae8631857",
 }
 
 
